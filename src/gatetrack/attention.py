@@ -147,9 +147,9 @@ def init_se(params, rng, channels, reduction, prefix="se"):
     mid = _bottleneck(channels, reduction, "se")
     return SEParams(
         reduction=reduction,
-        w1=params.add(f"{prefix}.w1", _he(rng, (mid, channels, 1, 1))),
+        w1=params.add(f"{prefix}.w1", T.he_normal(rng, (mid, channels, 1, 1))),
         b1=params.add(f"{prefix}.b1", T.zeros((1, mid, 1, 1)), decay=False),
-        w2=params.add(f"{prefix}.w2", _he(rng, (channels, mid, 1, 1))),
+        w2=params.add(f"{prefix}.w2", T.he_normal(rng, (channels, mid, 1, 1))),
         b2=params.add(f"{prefix}.b2", T.zeros((1, channels, 1, 1)), decay=False),
     )
 
@@ -158,11 +158,11 @@ def init_ca(params, rng, channels, reduction, prefix="ca"):
     mid = _bottleneck(channels, reduction, "ca")
     return CAParams(
         reduction=reduction,
-        w_shared=params.add(f"{prefix}.conv_shared.w", _he(rng, (mid, channels, 1, 1))),
+        w_shared=params.add(f"{prefix}.conv_shared.w", T.he_normal(rng, (mid, channels, 1, 1))),
         b_shared=params.add(f"{prefix}.conv_shared.b", T.zeros((1, mid, 1, 1)), decay=False),
-        w_h=params.add(f"{prefix}.conv_h.w", _he(rng, (channels, mid, 1, 1))),
+        w_h=params.add(f"{prefix}.conv_h.w", T.he_normal(rng, (channels, mid, 1, 1))),
         b_h=params.add(f"{prefix}.conv_h.b", T.zeros((1, channels, 1, 1)), decay=False),
-        w_w=params.add(f"{prefix}.conv_w.w", _he(rng, (channels, mid, 1, 1))),
+        w_w=params.add(f"{prefix}.conv_w.w", T.he_normal(rng, (channels, mid, 1, 1))),
         b_w=params.add(f"{prefix}.conv_w.b", T.zeros((1, channels, 1, 1)), decay=False),
     )
 
@@ -172,19 +172,13 @@ def init_cbam(params, rng, channels, reduction, prefix="cbam"):
     k = SPATIAL_KERNEL
     return CBAMParams(
         reduction=reduction,
-        w1=params.add(f"{prefix}.mlp.w1", _he(rng, (mid, channels, 1, 1))),
+        w1=params.add(f"{prefix}.mlp.w1", T.he_normal(rng, (mid, channels, 1, 1))),
         b1=params.add(f"{prefix}.mlp.b1", T.zeros((1, mid, 1, 1)), decay=False),
-        w2=params.add(f"{prefix}.mlp.w2", _he(rng, (channels, mid, 1, 1))),
+        w2=params.add(f"{prefix}.mlp.w2", T.he_normal(rng, (channels, mid, 1, 1))),
         b2=params.add(f"{prefix}.mlp.b2", T.zeros((1, channels, 1, 1)), decay=False),
-        w_spatial=params.add(f"{prefix}.spatial.w", _he(rng, (1, 2, k, k))),
+        w_spatial=params.add(f"{prefix}.spatial.w", T.he_normal(rng, (1, 2, k, k))),
         b_spatial=params.add(f"{prefix}.spatial.b", T.zeros((1, 1, 1, 1)), decay=False),
     )
-
-
-def _he(rng, shape):
-    fan_in = shape[1] * shape[2] * shape[3]
-    std = (2.0 / fan_in) ** 0.5
-    return T.Tensor4(rng.standard_normal(shape) * std)
 
 
 def zero_se(channels, reduction=4):

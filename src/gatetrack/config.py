@@ -1,8 +1,10 @@
 """Flat key-value run configuration.
 
 One JSON object fully specifies a run; unknown keys are rejected so stale
-configs fail loudly.  Every command writes the resolved configuration next
-to its outputs for reproducibility.
+configs fail loudly.  :func:`write_resolved` writes the resolved
+configuration as ``config_used.json`` next to a run's outputs for
+reproducibility.  :class:`RunConfig` extends :class:`ModelConfig`, so the
+model keys sit in the same flat object as the run keys.
 """
 
 from __future__ import annotations
@@ -17,24 +19,8 @@ from .scenes import DEFAULT_SCHEDULE
 
 
 @dataclass
-class RunConfig:
+class RunConfig(ModelConfig):
     seed: int = 0
-
-    # model
-    channels: int = 32
-    stem_channels: tuple = (16, 32)
-    reduction: int = 4
-    gate_scale: int = 4
-    tau: float = 1.0
-    key_channels: int = 16
-    value_channels: int = 16
-    memory_capacity: int = 3
-    write_period: int = 5
-    write_threshold: float = 0.6
-    crop_size: int = 64
-    stride: int = 4
-    attention_mode: str = "gated"
-    static_branches: tuple = ("se", "ca", "cbam")
 
     # scenes
     frame_height: int = 128
@@ -60,14 +46,14 @@ class RunConfig:
     tau_anneal: bool = False
     tau_end: float = 0.1
 
-    # tracking / ablations / reports
+    # tracking / ablations
     track_mode: str = "hard"  # soft | hard | budgeted
     budget: float = None  # per-frame attention FLOPs cap; None = unlimited
     random_trials: int = 10
     budget_sweep: tuple = None  # None picks a default sweep from branch costs
-    figures: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if self.lr_start < self.lr_end or self.lr_end <= 0:
             raise ConfigError("need lr_start >= lr_end > 0")
         if not 0 <= self.backbone_unfreeze_step <= self.steps:
@@ -78,22 +64,7 @@ class RunConfig:
             raise ConfigError("occlusion range must satisfy 0 <= low <= high <= 1")
 
     def model_config(self):
-        return ModelConfig(
-            channels=self.channels,
-            stem_channels=tuple(self.stem_channels),
-            reduction=self.reduction,
-            gate_scale=self.gate_scale,
-            tau=self.tau,
-            key_channels=self.key_channels,
-            value_channels=self.value_channels,
-            memory_capacity=self.memory_capacity,
-            write_period=self.write_period,
-            write_threshold=self.write_threshold,
-            crop_size=self.crop_size,
-            stride=self.stride,
-            attention_mode=self.attention_mode,
-            static_branches=tuple(self.static_branches),
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def scene_kwargs(self):
         return dict(

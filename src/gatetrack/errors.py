@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage/config problems exit 1,
-file problems exit 2, numeric failures (NaN/Inf) exit 3.
+Every error the package raises on purpose derives from
+:class:`GateTrackError`, so a caller can catch the package's failures in
+one clause.  Each subclass also derives from the built-in type that names
+its kind of fault (``ValueError`` or ``ArithmeticError``).
 """
 
 

@@ -76,11 +76,10 @@ def init_gate(params, rng, channels, scale, tau, prefix="gate"):
             f"gate: channels ({channels}) must be divisible by scale ({scale})"
         )
     mid = channels // scale
-    std = (2.0 / channels) ** 0.5
     return GateParams(
         scale=scale,
         tau=tau,
-        w1=params.add(f"{prefix}.w1", T.Tensor4(rng.standard_normal((mid, channels, 1, 1)) * std)),
+        w1=params.add(f"{prefix}.w1", T.he_normal(rng, (mid, channels, 1, 1))),
         b1=params.add(f"{prefix}.b1", T.zeros((1, mid, 1, 1)), decay=False),
         w2=params.add(f"{prefix}.w2", T.zeros((N_BRANCHES, mid, 1, 1))),
         b2=params.add(f"{prefix}.b2", T.zeros((1, N_BRANCHES, 1, 1)), decay=False),

@@ -73,16 +73,12 @@ class HeadParams:
 
 
 def init_head(params, rng, channels, prefix="head"):
-    def he(shape):
-        fan_in = shape[1] * shape[2] * shape[3]
-        return T.Tensor4(rng.standard_normal(shape) * (2.0 / fan_in) ** 0.5)
-
     def branch(name, cout, final_bias):
-        w1 = params.add(f"{prefix}.{name}.w1", he((channels, channels, 3, 3)))
+        w1 = params.add(f"{prefix}.{name}.w1", T.he_normal(rng, (channels, channels, 3, 3)))
         b1 = params.add(f"{prefix}.{name}.b1", T.zeros((1, channels, 1, 1)), decay=False)
-        w2 = params.add(f"{prefix}.{name}.w2", he((channels, channels, 3, 3)))
+        w2 = params.add(f"{prefix}.{name}.w2", T.he_normal(rng, (channels, channels, 3, 3)))
         b2 = params.add(f"{prefix}.{name}.b2", T.zeros((1, channels, 1, 1)), decay=False)
-        w3 = params.add(f"{prefix}.{name}.w3", he((cout, channels, 1, 1)))
+        w3 = params.add(f"{prefix}.{name}.w3", T.he_normal(rng, (cout, channels, 1, 1)))
         b3 = params.add(f"{prefix}.{name}.b3",
                         T.full((1, cout, 1, 1), final_bias), decay=False)
         return (w1, b1, w2, b2, w3, b3)
@@ -124,7 +120,7 @@ def decode_detection(out: HeadOutput, stride, crop_origin=(0.0, 0.0)):
     """Best-scoring box of a single-sample head output, in image coordinates."""
     if out.cls.shape[0] != 1:
         raise ShapeError("decode_detection handles one sample at a time")
-    score_map = _np_sigmoid(out.cls.data[0, 0]) * _np_sigmoid(out.ctr.data[0, 0])
+    score_map = T.sigmoid_array(out.cls.data[0, 0]) * T.sigmoid_array(out.ctr.data[0, 0])
     flat_idx = int(np.argmax(score_map))  # first index on ties
     hf, wf = score_map.shape
     i, j = divmod(flat_idx, wf)
@@ -136,15 +132,6 @@ def decode_detection(out: HeadOutput, stride, crop_origin=(0.0, 0.0)):
     x = cx - left + float(crop_origin[0])
     y = cy - top + float(crop_origin[1])
     return Detection(score=float(score_map[i, j]), box=BBox(x, y, w, h))
-
-
-def _np_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass

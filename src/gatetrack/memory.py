@@ -35,16 +35,15 @@ class ReadoutParams:
 
 
 def init_readout(params, rng, channels, key_channels, value_channels, prefix="memory"):
-    def he(shape):
-        std = (2.0 / shape[1]) ** 0.5
-        return T.Tensor4(rng.standard_normal(shape) * std)
-
     return ReadoutParams(
-        key_w=params.add(f"{prefix}.key.w", he((key_channels, channels, 1, 1))),
+        key_w=params.add(f"{prefix}.key.w",
+                         T.he_normal(rng, (key_channels, channels, 1, 1))),
         key_b=params.add(f"{prefix}.key.b", T.zeros((1, key_channels, 1, 1)), decay=False),
-        value_w=params.add(f"{prefix}.value.w", he((value_channels, channels, 1, 1))),
+        value_w=params.add(f"{prefix}.value.w",
+                           T.he_normal(rng, (value_channels, channels, 1, 1))),
         value_b=params.add(f"{prefix}.value.b", T.zeros((1, value_channels, 1, 1)), decay=False),
-        fuse_w=params.add(f"{prefix}.fuse.w", he((channels, value_channels + channels, 1, 1))),
+        fuse_w=params.add(f"{prefix}.fuse.w",
+                          T.he_normal(rng, (channels, value_channels + channels, 1, 1))),
         fuse_b=params.add(f"{prefix}.fuse.b", T.zeros((1, channels, 1, 1)), decay=False),
     )
 
@@ -90,10 +89,11 @@ class MemoryBank:
             return False
         if confidence < self.write_threshold:
             return False
+        if len(self.entries) == self.capacity:
+            if self.capacity == 1:
+                return False  # the initial frame fills the bank and is never evicted
+            del self.entries[1]  # evict the oldest non-initial entry
         self.entries.append((frame_index, feature))
-        if len(self.entries) > self.capacity:
-            # evict the oldest non-initial entry
-            del self.entries[1]
         return True
 
 
@@ -119,10 +119,10 @@ def readout(query_feature, memory_features, p: ReadoutParams):
         projected = T.linear(feat, w, b)
         return T.reshape(projected, (n, cout, feat.shape[2] * feat.shape[3], 1))
 
-    mem_keys = T.concat_spatial_many(
-        [columns(m, p.key_w, p.key_b, ck) for m in memory_features])
-    mem_values = T.concat_spatial_many(
-        [columns(m, p.value_w, p.value_b, cv) for m in memory_features])
+    mem_keys = T.concat_spatial(
+        *[columns(m, p.key_w, p.key_b, ck) for m in memory_features])
+    mem_values = T.concat_spatial(
+        *[columns(m, p.value_w, p.value_b, cv) for m in memory_features])
     query_keys = columns(query_feature, p.key_w, p.key_b, ck)
 
     logits = T.scale(T.matmul_cc(query_keys, mem_keys), 1.0 / ck ** 0.5)

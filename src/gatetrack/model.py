@@ -21,16 +21,7 @@ import numpy as np
 
 from . import attention, flops, gate, head, memory
 from . import tensor as T
-from .errors import ConfigError, ShapeError
-
-STATIC_COMBOS = {
-    "none": (),
-    "se": ("se",),
-    "ca": ("ca",),
-    "cbam": ("cbam",),
-    "se+ca": ("se", "ca"),
-    "se+ca+cbam": ("se", "ca", "cbam"),
-}
+from .errors import ConfigError, NumericError, ShapeError
 
 
 @dataclass
@@ -76,17 +67,13 @@ class TrackModel:
         if c2 != c:
             raise ConfigError("last stem width must equal the feature channel count")
 
-        def he(shape):
-            fan_in = shape[1] * shape[2] * shape[3]
-            return T.Tensor4(rng.standard_normal(shape) * (2.0 / fan_in) ** 0.5)
-
         p = self.params
         self.stem = (
-            p.add("backbone.conv1.w", he((c1, 1, 4, 4))),
+            p.add("backbone.conv1.w", T.he_normal(rng, (c1, 1, 4, 4))),
             p.add("backbone.conv1.b", T.zeros((1, c1, 1, 1)), decay=False),
-            p.add("backbone.conv2.w", he((c2, c1, 4, 4))),
+            p.add("backbone.conv2.w", T.he_normal(rng, (c2, c1, 4, 4))),
             p.add("backbone.conv2.b", T.zeros((1, c2, 1, 1)), decay=False),
-            p.add("backbone.conv3.w", he((c, c2, 3, 3))),
+            p.add("backbone.conv3.w", T.he_normal(rng, (c, c2, 3, 3))),
             p.add("backbone.conv3.b", T.zeros((1, c, 1, 1)), decay=False),
         )
         self.branches = {
@@ -268,21 +255,33 @@ def save_checkpoint(path, params):
             fh.write(blob)
 
 
+def _index_line(fh, problem):
+    """One ``<word> <count>`` header line; any malformed line raises ``problem``."""
+    try:
+        word, count = fh.readline().decode("ascii").split()
+        count = int(count)
+    except ValueError:  # includes UnicodeDecodeError
+        raise ShapeError(problem) from None
+    if count < 0:
+        raise ShapeError(problem)
+    return word, count
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 2 or header[0] != _CKPT_HEADER:
+        magic, count = _index_line(fh, f"not a checkpoint file: {path}")
+        if magic != _CKPT_HEADER:
             raise ShapeError(f"not a checkpoint file: {path}")
-        count = int(header[1])
-        index = []
-        for _ in range(count):
-            name, size = fh.readline().decode("ascii").split()
-            index.append((name, int(size)))
+        corrupt = f"corrupt checkpoint index in {path}"
+        index = [_index_line(fh, corrupt) for _ in range(count)]
         if fh.readline() != b"\n":
-            raise ShapeError(f"corrupt checkpoint index in {path}")
+            raise ShapeError(corrupt)
         tensors = {}
         for name, size in index:
-            tensors[name] = T.load_dt64(io.BytesIO(fh.read(size)))
+            try:
+                tensors[name] = T.load_dt64(io.BytesIO(fh.read(size)))
+            except ShapeError as err:
+                raise ShapeError(f"checkpoint {path}, tensor {name}: {err}") from None
     return tensors
 
 
@@ -311,8 +310,11 @@ def crop_at(frame_data, center, size):
     """Extract a (1, 1, size, size) crop around ``center``; returns (crop, origin).
 
     The crop window is clamped inside the frame, so the origin may differ
-    from ``center - size/2`` near the borders.
+    from ``center - size/2`` near the borders.  A NaN or infinite centre
+    raises :class:`NumericError`.
     """
+    if not np.isfinite(center).all():
+        raise NumericError(f"crop centre must be finite, got {tuple(center)}")
     h, w = frame_data.shape[2], frame_data.shape[3]
     if size > h or size > w:
         raise ShapeError(f"crop {size} larger than frame {h}x{w}")

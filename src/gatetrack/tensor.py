@@ -19,6 +19,7 @@ Design notes:
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 
@@ -36,24 +37,20 @@ __all__ = [
     "scalar",
     "zeros",
     "full",
-    "activation",
+    "he_normal",
     "relu",
     "sigmoid",
     "exp",
     "softmax_tau",
     "pool",
-    "combine",
     "add",
     "sub",
-    "neg",
     "scale",
     "mul_broadcast",
     "div_broadcast",
     "minimum",
     "concat_channel",
     "concat_spatial",
-    "concat_spatial_many",
-    "slice_batch",
     "slice_channels",
     "slice_rows",
     "transpose_hw",
@@ -198,6 +195,12 @@ def full(shape, value, requires_grad=False):
     return Tensor4(np.full(shape, float(value)), requires_grad=requires_grad)
 
 
+def he_normal(rng, shape):
+    """He-normal weights for a (cout, cin, kh, kw) kernel: N(0, 2 / (cin kh kw))."""
+    fan_in = shape[1] * shape[2] * shape[3]
+    return Tensor4(rng.standard_normal(shape) * (2.0 / fan_in) ** 0.5)
+
+
 class ParamSet:
     """Named, insertion-ordered collection of parameter tensors.
 
@@ -263,7 +266,13 @@ def relu(x):
     return _result(y, (x,), backward)
 
 
-def _sigmoid_stable(z):
+def sigmoid_array(z):
+    """Overflow-free logistic function of a plain array.
+
+    The array-level form behind :func:`sigmoid` and :func:`bce_with_logits`,
+    for callers that decode outputs outside the graph.  It is left out of
+    ``__all__``, which lists the Tensor4 API.
+    """
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -273,7 +282,7 @@ def _sigmoid_stable(z):
 
 
 def sigmoid(x):
-    y = _sigmoid_stable(x.data)
+    y = sigmoid_array(x.data)
 
     def backward(g):
         return (g * y * (1.0 - y),)
@@ -291,15 +300,6 @@ def exp(x):
         return (np.where(inside, g * y, 0.0),)
 
     return _result(y, (x,), backward)
-
-
-def activation(kind, x):
-    """Dispatch on activation name: ``relu`` or ``sigmoid``."""
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ConfigError(f"unknown activation kind {kind!r}")
 
 
 def softmax_tau(x, tau, axis=1):
@@ -417,13 +417,6 @@ def sub(a, b):
     return _result(a.data - b.data, (a, b), backward)
 
 
-def neg(x):
-    def backward(g):
-        return (-g,)
-
-    return _result(-x.data, (x,), backward)
-
-
 def scale(x, factor):
     """Multiply by a plain Python float."""
     factor = float(factor)
@@ -510,38 +503,9 @@ def concat_channel(a, b):
     return _concat((a, b), axis=1)
 
 
-def concat_spatial(a, b):
-    return _concat((a, b), axis=2)
-
-
-def concat_spatial_many(tensors):
-    return _concat(tuple(tensors), axis=2)
-
-
-def combine(kind, a, b):
-    """Dispatch on combine kind: add / mul_broadcast / concat_channel / concat_spatial."""
-    if kind == "add":
-        return add(a, b)
-    if kind == "mul_broadcast":
-        return mul_broadcast(a, b)
-    if kind == "concat_channel":
-        return concat_channel(a, b)
-    if kind == "concat_spatial":
-        return concat_spatial(a, b)
-    raise ConfigError(f"unknown combine kind {kind!r}")
-
-
-def slice_batch(x, lo, hi):
-    if not (0 <= lo < hi <= x.shape[0]):
-        raise ShapeError(f"batch slice [{lo}:{hi}] out of range for {x.shape}")
-    shape = x.shape
-
-    def backward(g):
-        dx = np.zeros(shape)
-        dx[lo:hi] = g
-        return (dx,)
-
-    return _result(x.data[lo:hi], (x,), backward)
+def concat_spatial(*tensors):
+    """Stack tensors along the h axis (pixel columns of several maps)."""
+    return _concat(tensors, axis=2)
 
 
 def slice_channels(x, lo, hi):
@@ -753,7 +717,7 @@ def bce_with_logits(logits, targets, mask=None, normalizer=None):
     normalizer = float(normalizer)
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     total = float((per * m).sum()) / normalizer
-    sig = _sigmoid_stable(z)
+    sig = sigmoid_array(z)
 
     def backward(g):
         return (g.reshape(()) * m * (sig - y) / normalizer,)
@@ -843,8 +807,13 @@ def load_dt64(fh):
     magic = fh.read(4)
     if magic != _DT64_MAGIC:
         raise ShapeError(f"bad DT64 magic: {magic!r}")
-    dims = struct.unpack("<4I", fh.read(16))
-    count = int(np.prod(dims))
+    header = fh.read(16)
+    if len(header) != 16:
+        raise ShapeError("truncated DT64 header")
+    dims = struct.unpack("<4I", header)
+    if 0 in dims:
+        raise ShapeError(f"DT64 header has a zero extent: {dims}")
+    count = math.prod(dims)
     raw = fh.read(8 * count)
     if len(raw) != 8 * count:
         raise ShapeError("truncated DT64 payload")

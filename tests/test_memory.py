@@ -34,6 +34,12 @@ class TestMemoryBank:
         assert bank.frame_indices == [0, 10, 15]
         assert len(bank) == 3
 
+    def test_capacity_one_keeps_only_initial(self):
+        bank = M.MemoryBank(capacity=1, write_period=1, write_threshold=0.0)
+        bank.update(0, T.zeros((1, 1, 1, 1)), 1.0)
+        assert not bank.update(1, T.zeros((1, 1, 1, 1)), 1.0)
+        assert bank.frame_indices == [0]
+
     def test_low_confidence_not_written(self):
         bank = M.MemoryBank(capacity=3, write_period=5, write_threshold=0.6)
         bank.update(0, T.zeros((1, 1, 1, 1)), 1.0)

@@ -135,11 +135,11 @@ class TestLinear:
 
 class TestActivations:
     def test_relu_values(self):
-        y = T.activation("relu", T.vector([-1.0, 0.0, 2.0]))
+        y = T.relu(T.vector([-1.0, 0.0, 2.0]))
         assert np.array_equal(y.data.ravel(), [0.0, 0.0, 2.0])
 
     def test_sigmoid_zero(self):
-        assert T.activation("sigmoid", T.scalar(0.0)).item() == 0.5
+        assert T.sigmoid(T.scalar(0.0)).item() == 0.5
 
     def test_sigmoid_ln3(self):
         assert T.sigmoid(T.scalar(math.log(3.0))).item() == pytest.approx(0.75, abs=1e-12)
@@ -152,10 +152,6 @@ class TestActivations:
     def test_sigmoid_extreme_inputs_finite(self):
         y = T.sigmoid(T.vector([-1e4, 1e4]))
         assert np.all(np.isfinite(y.data))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            T.activation("tanh", T.scalar(0.0))
 
 
 class TestSoftmaxTau:
@@ -256,26 +252,30 @@ class TestCombine:
     def test_add_inverse(self):
         rng = np.random.default_rng(10)
         x = rand4(rng, (1, 2, 3, 3))
-        y = T.combine("add", x, T.neg(x))
-        assert np.array_equal(y.data, np.zeros_like(y.data))
+        assert np.array_equal(T.sub(x, x).data, np.zeros_like(x.data))
+        assert np.array_equal(T.sub(T.add(x, x), x).data, x.data)
 
     def test_mul_broadcast_ones_identity(self):
         rng = np.random.default_rng(11)
         x = rand4(rng, (2, 3, 4, 4))
-        y = T.combine("mul_broadcast", x, T.full((1, 3, 1, 1), 1.0))
+        y = T.mul_broadcast(x, T.full((1, 3, 1, 1), 1.0))
         assert np.array_equal(y.data, x.data)
 
     def test_concat_channel_shape(self):
-        y = T.combine("concat_channel", T.zeros((1, 2, 4, 4)), T.zeros((1, 3, 4, 4)))
+        y = T.concat_channel(T.zeros((1, 2, 4, 4)), T.zeros((1, 3, 4, 4)))
         assert y.shape == (1, 5, 4, 4)
 
     def test_concat_spatial_shape(self):
-        y = T.combine("concat_spatial", T.zeros((1, 2, 3, 4)), T.zeros((1, 2, 5, 4)))
+        y = T.concat_spatial(T.zeros((1, 2, 3, 4)), T.zeros((1, 2, 5, 4)))
         assert y.shape == (1, 2, 8, 4)
+        parts = [T.full((1, 2, k, 4), k) for k in (1, 2, 3)]
+        y = T.concat_spatial(*parts)
+        assert y.shape == (1, 2, 6, 4)
+        assert np.array_equal(y.data[0, 0, :, 0], [1, 2, 2, 3, 3, 3])
 
     def test_incompatible_shapes(self):
         with pytest.raises(ShapeError):
-            T.combine("add", T.zeros((1, 1, 2, 2)), T.zeros((1, 1, 3, 3)))
+            T.add(T.zeros((1, 1, 2, 2)), T.zeros((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
             T.mul_broadcast(T.zeros((1, 2, 2, 2)), T.zeros((1, 3, 1, 1)))
 
