@@ -97,12 +97,15 @@ def from_dict(values):
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cleaned = {}
     for key, value in values.items():
-        if key == "phase_schedule":
-            cleaned[key] = tuple((str(p), int(d)) for p, d in value)
-        elif key in _TUPLE_KEYS and value is not None:
-            cleaned[key] = tuple(value)
-        else:
-            cleaned[key] = value
+        try:
+            if key == "phase_schedule":
+                value = tuple((str(p), int(d)) for p, d in value)
+            elif key in _TUPLE_KEYS and value is not None:
+                value = tuple(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(
+                f"config key {key!r} has a malformed value {value!r}: {err}") from None
+        cleaned[key] = value
     return RunConfig(**cleaned)
 
 

@@ -1,11 +1,13 @@
 """Feature memory and the space-time readout that fuses it with a query.
 
 The bank stores enhanced feature maps for a few past frames.  Reading out
-projects query and memory to key space, attends from every query pixel over
-all memory pixels (scaled dot product, softmax rows), gathers the projected
-values and fuses the read with the query feature through a 1x1 conv.  The
-fused map always has the query's spatial size no matter how many frames are
-stored, and is invariant to any permutation of the memory pixels.
+stacks every stored pixel into one column, runs one key and one value
+projection over the whole stack and one key projection over the query,
+attends from every query pixel over all memory pixels (scaled dot product,
+softmax rows), gathers the projected values and fuses the read with the
+query feature through a 1x1 conv.  The fused map always has the query's
+spatial size no matter how many frames are stored, and is invariant to any
+permutation of the memory pixels.
 """
 
 from __future__ import annotations
@@ -115,18 +117,16 @@ def readout(query_feature, memory_features, p: ReadoutParams):
     ck = p.key_channels
     cv = p.value_channels
 
-    def columns(feat, w, b, cout):
-        projected = T.linear(feat, w, b)
-        return T.reshape(projected, (n, cout, feat.shape[2] * feat.shape[3], 1))
+    # every stored pixel as one column, so a single key and a single value
+    # projection cover the whole memory whatever the size of each map
+    stack = T.concat_spatial(
+        *[T.reshape(m, (n, c, m.shape[2] * m.shape[3], 1)) for m in memory_features])
+    mem_keys = T.linear(stack, p.key_w, p.key_b)
+    mem_values = T.linear(stack, p.value_w, p.value_b)
+    query_keys = T.reshape(T.linear(query_feature, p.key_w, p.key_b), (n, ck, hq * wq, 1))
 
-    mem_keys = T.concat_spatial(
-        *[columns(m, p.key_w, p.key_b, ck) for m in memory_features])
-    mem_values = T.concat_spatial(
-        *[columns(m, p.value_w, p.value_b, cv) for m in memory_features])
-    query_keys = columns(query_feature, p.key_w, p.key_b, ck)
-
-    logits = T.scale(T.matmul_cc(query_keys, mem_keys), 1.0 / ck ** 0.5)
-    attn = T.softmax_tau(logits, tau=1.0, axis=3)  # rows over memory pixels
+    # tau = sqrt(ck) is the 1/sqrt(ck) logit scale; rows over memory pixels
+    attn = T.softmax_tau(T.matmul_cc(query_keys, mem_keys), tau=ck ** 0.5, axis=3)
     read = T.reshape(T.apply_attention(mem_values, attn), (n, cv, hq, wq))
     fused = T.linear(T.concat_channel(read, query_feature), p.fuse_w, p.fuse_b)
     return fused, attn

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .flops import BRANCH_ORDER
 from .head import BBox
 
@@ -85,6 +85,8 @@ class GateTrace:
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union; 0 whenever the union is empty."""
+    if not all(math.isfinite(v) for v in (a.x, a.y, a.w, a.h, b.x, b.y, b.w, b.h)):
+        raise NumericError(f"boxes must have finite fields, got {a} and {b}")
     if a.w < 0 or a.h < 0 or b.w < 0 or b.h < 0:
         raise ShapeError("boxes must have nonnegative sizes")
     ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)

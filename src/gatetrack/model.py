@@ -15,6 +15,8 @@ written in parameter order, so identical parameters give identical bytes.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,15 @@ class ModelConfig:
     static_branches: tuple = ("se", "ca", "cbam")
 
     def __post_init__(self):
+        for key in _SIZE_KEYS:
+            _require_size(key, getattr(self, key))
+        if not isinstance(self.stem_channels, (tuple, list)) or len(self.stem_channels) != 2:
+            raise ConfigError(f"stem_channels must be two widths, got {self.stem_channels!r}")
+        for width in self.stem_channels:
+            _require_size("stem_channels", width)
+        if (isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real)
+                or not 0 < self.tau < math.inf):
+            raise ConfigError(f"tau must be a finite number > 0, got {self.tau!r}")
         if self.crop_size % self.stride:
             raise ConfigError("crop size must be divisible by the feature stride")
         if self.attention_mode not in ("gated", "static", "none"):
@@ -53,6 +64,16 @@ class ModelConfig:
     @property
     def feature_size(self):
         return self.crop_size // self.stride
+
+
+_SIZE_KEYS = ("channels", "reduction", "gate_scale", "key_channels", "value_channels",
+              "memory_capacity", "write_period", "crop_size", "stride")
+
+
+def _require_size(key, value):
+    """A size, count or period must be an int >= 1 (bool is not a size)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
 
 
 class TrackModel:

@@ -9,8 +9,12 @@ which keeps every backward rule short enough to verify against the
 finite-difference oracle in :func:`grad_check`.
 
 Design notes:
-  * float64 everywhere; speed does not matter at this scale, checkable
-    gradients do.
+  * float64 everywhere, so gradients stay checkable.  The hot kernels
+    (k x k convolution, softmax) avoid full-size temporaries: im2col keeps
+    the output pixels innermost and softmax works in place on one array.
+  * summation order is part of the output: numpy sums a matrix-vector
+    product in an order set by the operand layout, so a kernel picks its
+    operand layouts to keep the bits that ``tests/test_golden.py`` pins.
   * all forward ops are deterministic; max pooling breaks ties by the first
     (lowest flat index) occurrence and relu's subgradient at 0 is 0.
   * graphs are built through closures; ``backward`` runs a deterministic
@@ -258,10 +262,9 @@ class ParamSet:
 
 def relu(x):
     y = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0
 
     def backward(g):
-        return (np.where(mask, g, 0.0),)
+        return (np.where(x.data > 0.0, g, 0.0),)
 
     return _result(y, (x,), backward)
 
@@ -312,13 +315,16 @@ def softmax_tau(x, tau, axis=1):
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
     # subtract the max before dividing so that adding a constant to the
-    # logits cannot change the result even at the last bit
-    z = (x.data - x.data.max(axis=axis, keepdims=True)) / tau
-    e = np.exp(z)
+    # logits cannot change the result even at the last bit; every later step
+    # works in place on this one temporary (x / 1 is exact, so it is skipped)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    if tau != 1:
+        y /= tau
+    np.exp(y, out=y)
     # floor underflowed entries at the smallest subnormal: keeps the output
     # strictly positive without perturbing any representable ratio
-    e += 5e-324
-    y = e / e.sum(axis=axis, keepdims=True)
+    y += 5e-324
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -610,29 +616,33 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     else:
         xp = x.data
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # im2col: one contiguous copy, reused by both matmuls of the backward pass
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n, oh * ow, cin * kh * kw
+    # im2col with the output pixels innermost: the copy runs along contiguous
+    # rows and wmat @ cols lands in NCHW order without a transpose.  A
+    # matrix-vector product (cout == 1) and dw sum in an order set by the
+    # operand layout, so both take a pixel-major (n, P, K) copy: that order
+    # is the one the pinned golden maps and gradients hold.
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
+        n, cin * kh * kw, oh * ow
     )
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    y = np.matmul(cols, wmat.T).transpose(0, 2, 1).reshape(n, cout, oh, ow)
+    if cout == 1:
+        y = np.matmul(_pixel_major(cols), wmat.T).reshape(n, 1, oh, ow)
+    else:
+        y = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
     if bias is not None:
-        y = y + bias.data
+        y += bias.data
 
     def backward(g):
         gmat = g.reshape(n, cout, oh * ow)
-        dw = np.matmul(gmat, cols).sum(axis=0).reshape(cout, cin, kh, kw)
-        dcols = np.matmul(gmat.transpose(0, 2, 1), wmat)
-        dcols = dcols.reshape(n, oh, ow, cin, kh, kw)
-        # scatter back channel-last: contiguous inner axis keeps the adds fast
-        dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, cin))
+        dw = np.matmul(gmat, _pixel_major(cols)).sum(axis=0).reshape(cout, cin, kh, kw)
+        dcols = np.matmul(wmat.T, gmat).reshape(n, cin, kh, kw, oh, ow)
+        dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
         for ki in range(kh):
             for kj in range(kw):
-                dxp[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride, :] += (
-                    dcols[:, :, :, :, ki, kj]
+                dxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += (
+                    dcols[:, :, ki, kj]
                 )
-        dxp = dxp[:, pad:pad + h, pad:pad + w, :] if pad else dxp
-        dx = np.ascontiguousarray(dxp.transpose(0, 3, 1, 2))
+        dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + w])
         db = None
         if bias is not None:
             db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
@@ -640,6 +650,11 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(y, parents, backward)
+
+
+def _pixel_major(cols):
+    """A contiguous (n, P, K) copy of channel-major (n, K, P) im2col columns."""
+    return np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
 def linear(x, weight, bias=None):

@@ -90,6 +90,29 @@ class TestReadout:
         sums = attn.data.sum(axis=3)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
+    def test_maps_of_different_sizes_match_per_map_projection(self):
+        rng = np.random.default_rng(8)
+        params, p = make_readout(rng)
+        query = feat(rng, (1, 8, 3, 2))
+        mems = [feat(rng, (1, 8, 2, 2)), feat(rng, (1, 8, 3, 1))]
+        fused, attn = M.readout(query, mems, p)
+
+        def project(x, w, b):  # one map -> (cout, pixels)
+            return w.data[:, :, 0, 0] @ x.data[0].reshape(8, -1) + b.data.reshape(-1, 1)
+
+        keys = np.concatenate([project(m, p.key_w, p.key_b) for m in mems], axis=1)
+        values = np.concatenate([project(m, p.value_w, p.value_b) for m in mems], axis=1)
+        logits = project(query, p.key_w, p.key_b).T @ keys / np.sqrt(p.key_channels)
+        expect_attn = np.exp(logits - logits.max(axis=1, keepdims=True))
+        expect_attn /= expect_attn.sum(axis=1, keepdims=True)
+        read = values @ expect_attn.T
+        expect = (p.fuse_w.data[:, :, 0, 0] @ np.concatenate([read, query.data[0].reshape(8, -1)])
+                  + p.fuse_b.data.reshape(-1, 1))
+        assert attn.shape == (1, 1, 6, 7)
+        assert np.max(np.abs(attn.data[0, 0] - expect_attn)) < 1e-12
+        assert np.max(np.abs(fused.data[0].reshape(8, -1) - expect)) < 1e-12
+        assert np.max(np.abs(attn.data.sum(axis=3) - 1.0)) <= 1e-12
+
     def test_uniform_attention_with_zero_keys(self):
         rng = np.random.default_rng(2)
         params, p = make_readout(rng)

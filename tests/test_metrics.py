@@ -5,7 +5,7 @@ import pytest
 
 from gatetrack import metrics as M
 from gatetrack.head import BBox
-from gatetrack.errors import ShapeError
+from gatetrack.errors import NumericError, ShapeError
 
 
 def boxes_with_ious(targets):
@@ -33,6 +33,16 @@ class TestIoU:
 
     def test_zero_union(self):
         assert M.iou(BBox(0, 0, 0, 0), BBox(0, 0, 0, 0)) == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    def test_non_finite_box_raises(self, field, value):
+        good = BBox(1.0, 2.0, 3.0, 4.0)
+        bad = BBox(**{**vars(good), field: value})
+        with pytest.raises(NumericError, match="finite"):
+            M.iou(bad, good)
+        with pytest.raises(NumericError, match="finite"):
+            M.iou(good, bad)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)

@@ -49,10 +49,37 @@ class TestRunConfig:
         {"crop_size": 63},
         {"attention_mode": "dynamic"},
         {"static_branches": ("se", "eca")},
+        {"tau": 0.0},
+        {"tau": -1.0},
+        {"tau": float("nan")},
+        {"memory_capacity": 0},
+        {"key_channels": 0},
+        {"value_channels": 0},
+        {"crop_size": 64.0},
+        {"channels": True},
+        {"stem_channels": (16,)},
+        {"stem_channels": (16.0, 32)},
     ])
     def test_model_fields_validated_at_construction(self, overrides):
         with pytest.raises(ConfigError):
             RunConfig(**overrides)
+        with pytest.raises(ConfigError):
+            M.ModelConfig(**overrides)
+
+    @pytest.mark.parametrize("values, key", [
+        ({"crop_size": "64"}, "crop_size"),
+        ({"phase_schedule": [["stable"]]}, "phase_schedule"),
+        ({"phase_schedule": [["stable", "ten"]]}, "phase_schedule"),
+        ({"stem_channels": 5}, "stem_channels"),
+        ({"tau": 0}, "tau"),
+        ({"memory_capacity": 0}, "memory_capacity"),
+        ({"key_channels": 0}, "key_channels"),
+        ({"value_channels": 0}, "value_channels"),
+    ], ids=["crop_size_str", "schedule_short", "schedule_str", "stem_int", "tau_zero",
+            "capacity_zero", "key_zero", "value_zero"])
+    def test_mistyped_values_raise_config_error_naming_the_key(self, values, key):
+        with pytest.raises(ConfigError, match=key):
+            from_dict(values)
 
     def test_model_config_carries_model_fields(self):
         config = RunConfig(seed=4, channels=16, stem_channels=(8, 16), memory_capacity=5,

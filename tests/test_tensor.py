@@ -84,23 +84,27 @@ class TestConv2d:
         y = T.conv2d(x, w, stride=2, pad=1)
         assert y.shape == (2, 4, 5, 5)
 
-    def test_nested_loop_oracle(self):
+    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (7, 1, 3)],
+                             ids=["k3s1p1", "k3s2p1", "k7s1p3"])
+    @pytest.mark.parametrize("batch", [1, 2], ids=["batch1", "batch2"])
+    @pytest.mark.parametrize("cout", [1, 4], ids=["cout1", "cout4"])
+    def test_nested_loop_oracle(self, cout, batch, k, stride, pad):
+        # cout == 1 is the matrix-vector branch of the k x k path
         rng = np.random.default_rng(3)
-        x = rand4(rng, (2, 3, 5, 7))
-        w = rand4(rng, (4, 3, 3, 3))
-        b = T.Tensor4(rng.standard_normal((1, 4, 1, 1)))
-        stride, pad = 2, 1
+        x = rand4(rng, (batch, 3, 5, 7))
+        w = rand4(rng, (cout, 3, k, k))
+        b = T.Tensor4(rng.standard_normal((1, cout, 1, 1)))
         y = T.conv2d(x, w, b, stride=stride, pad=pad)
         xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         expect = np.zeros(y.shape)
-        for n in range(2):
-            for o in range(4):
+        for n in range(batch):
+            for o in range(cout):
                 for i in range(y.shape[2]):
                     for j in range(y.shape[3]):
                         acc = b.data[0, o, 0, 0]
                         for c in range(3):
-                            for ki in range(3):
-                                for kj in range(3):
+                            for ki in range(k):
+                                for kj in range(k):
                                     acc += (
                                         xp[n, c, i * stride + ki, j * stride + kj]
                                         * w.data[o, c, ki, kj]
@@ -355,6 +359,8 @@ def _op_cases(rng):
     cases.append(("exp", shape, lambda ps: T.sum_all(T.exp(p1(ps)))))
     cases.append(("softmax", shape, lambda ps: T.sum_all(
         T.mul_broadcast(T.softmax_tau(p1(ps), tau=0.7), p1(ps)))))
+    cases.append(("softmax_last_axis", shape, lambda ps: T.sum_all(
+        T.mul_broadcast(T.softmax_tau(p1(ps), tau=2.5, axis=3), p1(ps)))))
     for kind in ["global_avg", "global_max", "avg_over_w", "avg_over_h",
                  "mean_over_c", "max_over_c"]:
         cases.append((f"pool_{kind}", shape, lambda ps, k=kind: T.sum_all(
@@ -408,6 +414,18 @@ class TestGradCheck:
 
         assert T.grad_check(conv_loss, params, eps=1e-5) < 1e-4
 
+        # a single output channel takes the matrix-vector branch
+        params = T.ParamSet()
+        as_param(rng, params, "x", (2, 2, 5, 5))
+        as_param(rng, params, "w", (1, 2, 3, 3))
+        params.add("b", T.Tensor4(rng.standard_normal((1, 1, 1, 1))), decay=False)
+
+        def conv_one_loss(ps):
+            y = T.conv2d(ps["x"], ps["w"], ps["b"], stride=2, pad=1)
+            return T.sum_all(T.mul_broadcast(y, y))
+
+        assert T.grad_check(conv_one_loss, params, eps=1e-5) < 1e-4
+
         params = T.ParamSet()
         as_param(rng, params, "q", (1, 3, 4, 1))
         as_param(rng, params, "k", (1, 3, 5, 1))
@@ -441,6 +459,34 @@ class TestGradCheck:
             return T.sum_all(T.minimum(y, ps["a"]))
 
         assert T.grad_check(frac_loss, params, eps=1e-5) < 1e-4
+
+
+class TestInputsUntouched:
+    """The kernels work in place on their own temporaries, never on an input."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x, w: T.conv2d(x, w["k3"], w["b4"], stride=1, pad=1),
+        lambda x, w: T.conv2d(x, w["k3_one"], None, stride=2, pad=1),
+        lambda x, w: T.conv2d(x, w["k1"], w["b4"]),
+        lambda x, w: T.softmax_tau(x, tau=1.0, axis=3),
+        lambda x, w: T.softmax_tau(x, tau=0.3, axis=1),
+        lambda x, w: T.relu(x),
+    ], ids=["conv_k3", "conv_k3_cout1_strided", "conv_1x1", "softmax", "softmax_tau",
+            "relu"])
+    def test_input_bytes_untouched(self, op):
+        rng = np.random.default_rng(24)
+        x = T.Tensor4(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
+        weights = {
+            "k3": T.Tensor4(rng.standard_normal((4, 3, 3, 3)), requires_grad=True),
+            "k3_one": T.Tensor4(rng.standard_normal((1, 3, 3, 3)), requires_grad=True),
+            "k1": T.Tensor4(rng.standard_normal((4, 3, 1, 1)), requires_grad=True),
+            "b4": T.Tensor4(rng.standard_normal((1, 4, 1, 1)), requires_grad=True),
+        }
+        before = {name: t.data.tobytes() for name, t in [("x", x), *weights.items()]}
+        y = op(x, weights)
+        T.sum_all(T.mul_broadcast(y, y)).backward()
+        after = {name: t.data.tobytes() for name, t in [("x", x), *weights.items()]}
+        assert after == before
 
 
 class TestDeterminism:
