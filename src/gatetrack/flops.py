@@ -2,8 +2,14 @@
 
 Conventions (frozen; the budget mechanism and all reports use them):
   * one multiply-accumulate counts as 2 FLOPs,
-  * activations and elementwise ops count 1 FLOP per element,
-  * pooling counts 1 FLOP per *input* element.
+  * activations and elementwise ops count 1 FLOP per output element,
+  * reductions (pooling, softmax, sums) count 1 FLOP per *input* element,
+  * layout ops (reshape, concat, slice, transpose) count 0.
+
+The ops in :mod:`gatetrack.tensor` apply these conventions themselves and
+:func:`gatetrack.tensor.count_flops` sums them, so branch and gate costs
+are counted from the code that runs.  :func:`flops_layer` only prices the
+rows of ``TrackModel.layer_inventory()``.
 
 Costs depend only on shapes, never on values, so identical configurations
 always produce identical numbers.
@@ -15,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import attention
+from . import tensor as T
 from .errors import ConfigError
 
 # branch index order used by the gate, cost tables and trace files
@@ -22,16 +30,12 @@ BRANCH_ORDER = ("identity", "se", "ca", "cbam")
 
 
 def flops_layer(kind, dims):
-    """FLOPs of a single layer; ``dims`` is a dict of the relevant sizes."""
+    """FLOPs of one ``layer_inventory`` row; ``dims`` holds its sizes."""
     try:
         if kind == "conv":
             k = dims["k"]
             return 2.0 * k * k * dims["cin"] * dims["cout"] * dims["hout"] * dims["wout"]
-        if kind == "linear":
-            return 2.0 * dims["in"] * dims["out"]
-        if kind in ("relu", "sigmoid", "elementwise", "softmax"):
-            return float(dims["count"])
-        if kind == "pool":
+        if kind in ("relu", "elementwise", "softmax"):
             return float(dims["count"])
     except KeyError as missing:
         raise ConfigError(f"flops_layer {kind!r} missing dim {missing}") from None
@@ -43,9 +47,6 @@ class BranchCostTable:
     """Per-branch attention cost in FLOPs for a fixed feature shape."""
 
     costs: np.ndarray  # aligned with BRANCH_ORDER
-    channels: int
-    height: int
-    width: int
 
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=np.float64)
@@ -65,87 +66,24 @@ class BranchCostTable:
         return float(self.costs[1:].sum())
 
 
-def se_layers(c, r, h, w):
-    mid = c // r
-    return [
-        ("gap", "pool", {"count": c * h * w}),
-        ("fc1", "linear", {"in": c, "out": mid}),
-        ("relu", "relu", {"count": mid}),
-        ("fc2", "linear", {"in": mid, "out": c}),
-        ("sigmoid", "sigmoid", {"count": c}),
-        ("scale", "elementwise", {"count": c * h * w}),
-    ]
-
-
-def ca_layers(c, r, h, w):
-    mid = c // r
-    return [
-        ("pool_h", "pool", {"count": c * h * w}),
-        ("pool_w", "pool", {"count": c * h * w}),
-        ("conv_shared", "conv", {"k": 1, "cin": c, "cout": mid, "hout": h + w, "wout": 1}),
-        ("relu", "relu", {"count": mid * (h + w)}),
-        ("conv_h", "conv", {"k": 1, "cin": mid, "cout": c, "hout": h, "wout": 1}),
-        ("conv_w", "conv", {"k": 1, "cin": mid, "cout": c, "hout": w, "wout": 1}),
-        ("sigmoids", "sigmoid", {"count": c * (h + w)}),
-        ("scale_h", "elementwise", {"count": c * h * w}),
-        ("scale_w", "elementwise", {"count": c * h * w}),
-    ]
-
-
-def cbam_layers(c, r, h, w):
-    mid = c // r
-    return [
-        ("gap", "pool", {"count": c * h * w}),
-        ("gmp", "pool", {"count": c * h * w}),
-        ("mlp_avg_fc1", "linear", {"in": c, "out": mid}),
-        ("mlp_avg_relu", "relu", {"count": mid}),
-        ("mlp_avg_fc2", "linear", {"in": mid, "out": c}),
-        ("mlp_max_fc1", "linear", {"in": c, "out": mid}),
-        ("mlp_max_relu", "relu", {"count": mid}),
-        ("mlp_max_fc2", "linear", {"in": mid, "out": c}),
-        ("add_sigmoid", "sigmoid", {"count": 2 * c}),
-        ("scale_channel", "elementwise", {"count": c * h * w}),
-        ("pool_mean_c", "pool", {"count": c * h * w}),
-        ("pool_max_c", "pool", {"count": c * h * w}),
-        ("conv_spatial", "conv", {"k": 7, "cin": 2, "cout": 1, "hout": h, "wout": w}),
-        ("sigmoid_spatial", "sigmoid", {"count": h * w}),
-        ("scale_spatial", "elementwise", {"count": c * h * w}),
-    ]
-
-
-def gate_layers(c, d, n_branches, h, w):
-    mid = c // d
-    return [
-        ("gap", "pool", {"count": c * h * w}),
-        ("fc1", "linear", {"in": c, "out": mid}),
-        ("relu", "relu", {"count": mid}),
-        ("fc2", "linear", {"in": mid, "out": n_branches}),
-        ("softmax", "softmax", {"count": n_branches}),
-    ]
-
-
-def _sum_layers(layers):
-    return sum(flops_layer(kind, dims) for _, kind, dims in layers)
+_ZERO_PARAMS = {"se": attention.zero_se, "ca": attention.zero_ca,
+                "cbam": attention.zero_cbam}
 
 
 def branch_costs(channels, reduction, height, width):
-    """Cost table over BRANCH_ORDER at one feature shape; identity is free."""
-    if channels % reduction:
-        raise ConfigError("channels must be divisible by the reduction ratio")
-    costs = np.array([
-        0.0,
-        _sum_layers(se_layers(channels, reduction, height, width)),
-        _sum_layers(ca_layers(channels, reduction, height, width)),
-        _sum_layers(cbam_layers(channels, reduction, height, width)),
-    ])
-    return BranchCostTable(costs, channels, height, width)
+    """Cost table over BRANCH_ORDER at one feature shape; identity is free.
 
-
-def gate_cost(channels, gate_scale, n_branches, height, width):
-    """Cost of evaluating the gating unit itself once."""
-    if channels % gate_scale:
-        raise ConfigError("channels must be divisible by the gate scaling factor")
-    return _sum_layers(gate_layers(channels, gate_scale, n_branches, height, width))
+    Each branch runs once on a zero (1, channels, height, width) feature with
+    zero parameters and its ops are counted; costs depend on shapes alone.
+    """
+    feature = T.zeros((1, channels, height, width))
+    costs = []
+    for kind in BRANCH_ORDER:
+        params = _ZERO_PARAMS[kind](channels, reduction) if kind in _ZERO_PARAMS else None
+        with T.no_grad(), T.count_flops() as total:
+            attention.branch_forward(kind, feature, params)
+        costs.append(total[0])
+    return BranchCostTable(costs)
 
 
 def expected_cost(weights, table):

@@ -68,14 +68,18 @@ class GateDecision:
         return BRANCH_ORDER[self.chosen]
 
 
-def init_gate(params, rng, channels, scale, tau, prefix="gate"):
-    """Allocate gate parameters; the output layer starts at zero so the
-    initial weights are exactly uniform."""
+def _hidden_width(channels, scale):
     if channels % scale:
         raise ConfigError(
             f"gate: channels ({channels}) must be divisible by scale ({scale})"
         )
-    mid = channels // scale
+    return channels // scale
+
+
+def init_gate(params, rng, channels, scale, tau, prefix="gate"):
+    """Allocate gate parameters; the output layer starts at zero so the
+    initial weights are exactly uniform."""
+    mid = _hidden_width(channels, scale)
     return GateParams(
         scale=scale,
         tau=tau,
@@ -87,10 +91,18 @@ def init_gate(params, rng, channels, scale, tau, prefix="gate"):
 
 
 def zero_gate(channels, scale=4, tau=1.0):
-    mid = channels // scale
+    mid = _hidden_width(channels, scale)
     return GateParams(scale, tau,
                       T.zeros((mid, channels, 1, 1)), T.zeros((1, mid, 1, 1)),
                       T.zeros((N_BRANCHES, mid, 1, 1)), T.zeros((1, N_BRANCHES, 1, 1)))
+
+
+def gate_cost(channels, scale, height, width):
+    """FLOPs of one gate evaluation on a (1, channels, height, width) feature."""
+    p = zero_gate(channels, scale)
+    with T.no_grad(), T.count_flops() as total:
+        gate_weights(gate_logits(T.zeros((1, channels, height, width)), p), p.tau)
+    return float(total[0])
 
 
 def gate_logits(feature, p: GateParams):
@@ -197,20 +209,3 @@ def apply_gated_attention(feature, branches, gate: GateParams, mode="soft",
         return out, None, [decision]
 
     raise ConfigError(f"unknown gate mode {mode!r}")
-
-
-def forced_decision_attention(feature, branches, chosen, frame_index=0):
-    """Apply one externally chosen branch (random-decision ablations)."""
-    if not 0 <= chosen < N_BRANCHES:
-        raise ConfigError(f"branch index {chosen} out of range")
-    out = _branch_output(chosen, feature, branches)
-    weights = np.zeros(N_BRANCHES)
-    weights[chosen] = 1.0
-    decision = GateDecision(
-        frame_index=frame_index,
-        logits=np.zeros(N_BRANCHES),
-        weights=weights,
-        mode="hard",
-        chosen=chosen,
-    )
-    return out, None, [decision]

@@ -50,9 +50,8 @@ class ModelConfig:
             raise ConfigError(f"stem_channels must be two widths, got {self.stem_channels!r}")
         for width in self.stem_channels:
             _require_size("stem_channels", width)
-        if (isinstance(self.tau, bool) or not isinstance(self.tau, numbers.Real)
-                or not 0 < self.tau < math.inf):
-            raise ConfigError(f"tau must be a finite number > 0, got {self.tau!r}")
+        _require_real("tau", self.tau)
+        _require_real("write_threshold", self.write_threshold, "in [0, 1]")
         if self.crop_size % self.stride:
             raise ConfigError("crop size must be divisible by the feature stride")
         if self.attention_mode not in ("gated", "static", "none"):
@@ -70,10 +69,22 @@ _SIZE_KEYS = ("channels", "reduction", "gate_scale", "key_channels", "value_chan
               "memory_capacity", "write_period", "crop_size", "stride")
 
 
-def _require_size(key, value):
-    """A size, count or period must be an int >= 1 (bool is not a size)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+def _require_size(key, value, low=1):
+    """A size, count or period must be an int >= ``low`` (bool is not a size)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
+_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+           "in [0, 1]": lambda v: 0 <= v <= 1, "in [0, 1)": lambda v: 0 <= v < 1}
+
+
+def _require_real(key, value, rule="> 0"):
+    """A rate, scale or weight must be a finite real number (bool is not one)
+    satisfying ``rule``, a key of ``_RANGES``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not _RANGES[rule](value)):
+        raise ConfigError(f"{key} must be a finite number {rule}, got {value!r}")
 
 
 class TrackModel:
@@ -108,7 +119,7 @@ class TrackModel:
         self.head = head.init_head(p, rng, c)
         fs = config.feature_size
         self.cost_table = flops.branch_costs(c, config.reduction, fs, fs)
-        self.gate_flops = flops.gate_cost(c, config.gate_scale, gate.N_BRANCHES, fs, fs)
+        self.gate_flops = gate.gate_cost(c, config.gate_scale, fs, fs)
 
     # -- forward pieces ----------------------------------------------------
 
@@ -161,18 +172,12 @@ class TrackModel:
             return ()
         return tuple(self.config.static_branches)
 
-    def enhance_infer(self, feature, mode="hard", budget=None, frame_index=0,
-                      forced_choice=None):
+    def enhance_infer(self, feature, mode="hard", budget=None, frame_index=0):
         """Inference enhancement for a single feature map.
 
-        ``forced_choice`` overrides everything (random-decision ablations).
         Static and none modes ignore ``mode``/``budget``.  Returns
         ``(enhanced, decision, attention_flops)``.
         """
-        if forced_choice is not None:
-            out, _, decisions = gate.forced_decision_attention(
-                feature, self.branches, forced_choice, frame_index)
-            return out, decisions[0], self.cost_table[decisions[0].chosen]
         amode = self.config.attention_mode
         if amode in ("static", "none"):
             out, _, decisions = self.enhance_static(feature, frame_index)
@@ -203,12 +208,6 @@ class TrackModel:
         )
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def is_backbone_param(self, name):
-        return name.startswith("backbone.")
-
-    def snapshot(self):
-        return self.params.copy_values()
 
     def layer_inventory(self):
         """(name, kind, dims) rows for the full per-frame pipeline."""
@@ -245,11 +244,14 @@ class TrackModel:
             rows += [
                 (f"head.{branch}.conv1", "conv", {"k": 3, "cin": c, "cout": c,
                                                   "hout": fs, "wout": fs}),
+                (f"head.{branch}.relu1", "relu", {"count": c * q}),
                 (f"head.{branch}.conv2", "conv", {"k": 3, "cin": c, "cout": c,
                                                   "hout": fs, "wout": fs}),
+                (f"head.{branch}.relu2", "relu", {"count": c * q}),
                 (f"head.{branch}.final", "conv", {"k": 1, "cin": c, "cout": cout,
                                                   "hout": fs, "wout": fs}),
             ]
+        rows.append(("head.reg.exp", "elementwise", {"count": 4 * q}))
         return rows
 
 

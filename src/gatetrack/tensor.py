@@ -19,6 +19,9 @@ Design notes:
     (lowest flat index) occurrence and relu's subgradient at 0 is 0.
   * graphs are built through closures; ``backward`` runs a deterministic
     topological order so repeated calls produce bitwise-identical gradients.
+  * every op reports its own forward FLOPs to :func:`_result`, under the
+    conventions in :mod:`gatetrack.flops`; :func:`count_flops` sums them for
+    a block, so branch and gate costs are counted, not restated by hand.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ __all__ = [
 ]
 
 _grad_enabled = True
+_flops = None  # [total] of the innermost open count_flops() block
 
 # exp() clamps its argument here so finite inputs can never produce Inf
 _EXP_CLAMP = 50.0
@@ -88,6 +92,23 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def count_flops():
+    """Count the forward FLOPs of every op run inside the block.
+
+    Yields a one-element list whose entry is the running total.  A nested
+    block counts its ops only in its own total.  Left out of ``__all__``,
+    which lists the Tensor4 API.
+    """
+    global _flops
+    prev = _flops
+    _flops = [0]
+    try:
+        yield _flops
+    finally:
+        _flops = prev
 
 
 class Tensor4:
@@ -162,8 +183,11 @@ class Tensor4:
         return f"Tensor4(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data, parents, backward_fn):
-    """Wrap an op result, recording the graph edge only when needed."""
+def _result(data, parents, backward_fn, flops=0):
+    """Wrap an op result, recording the graph edge only when needed and
+    adding the op's forward ``flops`` to an open :func:`count_flops` total."""
+    if _flops is not None:
+        _flops[0] += flops
     needs = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor4(data, requires_grad=needs)
     if needs:
@@ -251,10 +275,6 @@ class ParamSet:
         for p in self._params.values():
             p.grad = None
 
-    def copy_values(self):
-        """Snapshot of raw arrays, e.g. for bitwise comparisons."""
-        return {name: p.data.copy() for name, p in self._params.items()}
-
 
 # ---------------------------------------------------------------------------
 # activations
@@ -266,7 +286,7 @@ def relu(x):
     def backward(g):
         return (np.where(x.data > 0.0, g, 0.0),)
 
-    return _result(y, (x,), backward)
+    return _result(y, (x,), backward, y.size)
 
 
 def sigmoid_array(z):
@@ -290,7 +310,7 @@ def sigmoid(x):
     def backward(g):
         return (g * y * (1.0 - y),)
 
-    return _result(y, (x,), backward)
+    return _result(y, (x,), backward, y.size)
 
 
 def exp(x):
@@ -302,7 +322,7 @@ def exp(x):
     def backward(g):
         return (np.where(inside, g * y, 0.0),)
 
-    return _result(y, (x,), backward)
+    return _result(y, (x,), backward, y.size)
 
 
 def softmax_tau(x, tau, axis=1):
@@ -330,7 +350,7 @@ def softmax_tau(x, tau, axis=1):
         inner = (g * y).sum(axis=axis, keepdims=True)
         return ((g - inner) * y / tau,)
 
-    return _result(y, (x,), backward)
+    return _result(y, (x,), backward, y.size)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +385,7 @@ def pool(kind, x):
         def backward_mean(g):
             return (np.broadcast_to(g / count, shape),)
 
-        return _result(y, (x,), backward_mean)
+        return _result(y, (x,), backward_mean, x.size)
 
     if kind == "global_max":
         n, c, h, w = x.shape
@@ -380,7 +400,7 @@ def pool(kind, x):
             np.put_along_axis(dflat, idx[:, :, None], g.reshape(n, c, 1), axis=2)
             return (dflat.reshape(n, c, h, w),)
 
-        return _result(y, (x,), backward_gmax)
+        return _result(y, (x,), backward_gmax, x.size)
 
     if kind == "max_over_c":
         if x.shape[1] == 0:
@@ -394,7 +414,7 @@ def pool(kind, x):
             np.put_along_axis(dx, idx[:, None], g, axis=1)
             return (dx,)
 
-        return _result(y, (x,), backward_cmax)
+        return _result(y, (x,), backward_cmax, x.size)
 
     raise ConfigError(f"unknown pool kind {kind!r}")
 
@@ -410,7 +430,7 @@ def add(a, b):
     def backward(g):
         return (g, g)
 
-    return _result(a.data + b.data, (a, b), backward)
+    return _result(a.data + b.data, (a, b), backward, a.size)
 
 
 def sub(a, b):
@@ -420,7 +440,7 @@ def sub(a, b):
     def backward(g):
         return (g, -g)
 
-    return _result(a.data - b.data, (a, b), backward)
+    return _result(a.data - b.data, (a, b), backward, a.size)
 
 
 def scale(x, factor):
@@ -430,7 +450,7 @@ def scale(x, factor):
     def backward(g):
         return (g * factor,)
 
-    return _result(x.data * factor, (x,), backward)
+    return _result(x.data * factor, (x,), backward, x.size)
 
 
 def _check_broadcast(a_shape, b_shape):
@@ -456,7 +476,7 @@ def mul_broadcast(a, b):
     def backward(g):
         return (g * b.data, _reduce_to(b_shape, g * a.data))
 
-    return _result(a.data * b.data, (a, b), backward)
+    return _result(a.data * b.data, (a, b), backward, a.size)
 
 
 def div_broadcast(a, b):
@@ -468,7 +488,7 @@ def div_broadcast(a, b):
     def backward(g):
         return (g / b.data, _reduce_to(b_shape, -g * y / b.data))
 
-    return _result(y, (a, b), backward)
+    return _result(y, (a, b), backward, y.size)
 
 
 def minimum(a, b):
@@ -480,7 +500,7 @@ def minimum(a, b):
     def backward(g):
         return (np.where(take_a, g, 0.0), np.where(take_a, 0.0, g))
 
-    return _result(np.where(take_a, a.data, b.data), (a, b), backward)
+    return _result(np.where(take_a, a.data, b.data), (a, b), backward, a.size)
 
 
 def _concat(tensors, axis):
@@ -608,7 +628,7 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
             return (dx, dw, db)
 
         parents = (x, weight) if bias is None else (x, weight, bias)
-        return _result(y, parents, backward_1x1)
+        return _result(y, parents, backward_1x1, 2 * cin * y.size)
 
     if pad:
         xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
@@ -649,7 +669,7 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         return (dx, dw, db)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(y, parents, backward)
+    return _result(y, parents, backward, 2 * cin * kh * kw * y.size)
 
 
 def _pixel_major(cols):
@@ -689,7 +709,7 @@ def matmul_cc(a, b):
         db = np.matmul(a3, g3)[:, :, :, None]
         return (da, db)
 
-    return _result(y, (a, b), backward)
+    return _result(y, (a, b), backward, 2 * a.shape[1] * y.size)
 
 
 def apply_attention(values, attn):
@@ -707,7 +727,7 @@ def apply_attention(values, attn):
         da = np.matmul(g3.transpose(0, 2, 1), v3)[:, None]
         return (dv, da)
 
-    return _result(y, (values, attn), backward)
+    return _result(y, (values, attn), backward, 2 * p * y.size)
 
 
 def bce_with_logits(logits, targets, mask=None, normalizer=None):
@@ -737,7 +757,7 @@ def bce_with_logits(logits, targets, mask=None, normalizer=None):
     def backward(g):
         return (g.reshape(()) * m * (sig - y) / normalizer,)
 
-    return _result(np.full((1, 1, 1, 1), total), (logits,), backward)
+    return _result(np.full((1, 1, 1, 1), total), (logits,), backward, z.size)
 
 
 def sum_all(x):
@@ -746,7 +766,7 @@ def sum_all(x):
     def backward(g):
         return (np.broadcast_to(g, shape),)
 
-    return _result(np.full((1, 1, 1, 1), x.data.sum()), (x,), backward)
+    return _result(np.full((1, 1, 1, 1), x.data.sum()), (x,), backward, x.size)
 
 
 def mean_all(x):
@@ -756,7 +776,7 @@ def mean_all(x):
     def backward(g):
         return (np.broadcast_to(g / count, shape),)
 
-    return _result(np.full((1, 1, 1, 1), x.data.mean()), (x,), backward)
+    return _result(np.full((1, 1, 1, 1), x.data.mean()), (x,), backward, count)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""FLOP accounting tests against hand-counted layer sums."""
+"""FLOP accounting tests against hand-counted layer sums and counted ops."""
 
 import numpy as np
 import pytest
 
-from gatetrack import flops
+from gatetrack import flops, gate
+from gatetrack import model as M
+from gatetrack import tensor as T
 from gatetrack.errors import ConfigError
 
 
@@ -22,14 +24,8 @@ class TestFlopsLayer:
         dims = {"k": 1, "cin": 32, "cout": 32, "hout": 16, "wout": 16}
         assert flops.flops_layer("conv", dims) == 2 * 32 * 32 * 256 == 524288
 
-    def test_linear(self):
-        assert flops.flops_layer("linear", {"in": 32, "out": 8}) == 512
-
     def test_relu_per_element(self):
         assert flops.flops_layer("relu", {"count": 32 * 16 * 16}) == 8192
-
-    def test_pool_per_input_element(self):
-        assert flops.flops_layer("pool", {"count": 1000}) == 1000
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -71,6 +67,49 @@ class TestBranchCosts:
             flops.branch_costs(30, 4, 16, 16)
 
 
+class TestGateCost:
+    def test_indivisible_scale(self):
+        with pytest.raises(ConfigError):
+            gate.gate_cost(30, 4, 16, 16)
+
+
+class TestInventoryMatchesCountedOps:
+    """``layer_inventory`` rows equal the FLOPs the forward pieces count."""
+
+    MODEL = M.TrackModel(M.ModelConfig(), seed=0)
+
+    def rows(self, prefix, scale=None):
+        return sum(flops.flops_layer(kind, dims) * (scale[name] if scale else 1)
+                   for name, kind, dims in self.MODEL.layer_inventory()
+                   if name.startswith(prefix))
+
+    def counted(self, fn, *args):
+        with T.no_grad(), T.count_flops() as total:
+            fn(*args)
+        return total[0]
+
+    def feature(self):
+        fs = self.MODEL.config.feature_size
+        return T.zeros((1, self.MODEL.config.channels, fs, fs))
+
+    def test_backbone(self):
+        size = self.MODEL.config.crop_size
+        counted = self.counted(self.MODEL.extract, T.zeros((1, 1, size, size)))
+        assert counted == self.rows("backbone.") == 9_469_952
+
+    def test_head(self):
+        assert self.counted(self.MODEL.predict, self.feature()) == self.rows("head.")
+
+    def test_readout_over_three_frames(self):
+        depth, capacity = 3, self.MODEL.config.memory_capacity
+        scale = {"memory.keys": depth + 1, "memory.values": depth,
+                 "memory.attention": depth / capacity, "memory.softmax": depth / capacity,
+                 "memory.gather": depth / capacity, "memory.fuse": 1}
+        counted = self.counted(self.MODEL.read_memory, self.feature(),
+                               [self.feature()] * depth)
+        assert counted == self.rows("memory.", scale) == 15_400_960
+
+
 class TestExpectedCost:
     def test_one_hot_equals_selected(self):
         table = flops.branch_costs(32, 4, 16, 16)
@@ -80,12 +119,12 @@ class TestExpectedCost:
             assert flops.expected_cost(onehot, table) == table[name]
 
     def test_uniform_weights(self):
-        table = flops.BranchCostTable(np.array([0.0, 1.0, 2.0, 4.0]), 8, 4, 4)
+        table = flops.BranchCostTable(np.array([0.0, 1.0, 2.0, 4.0]))
         assert flops.expected_cost(np.full(4, 0.25), table) == pytest.approx(1.75)
 
 
 class TestReductionVsParallel:
-    TABLE = flops.BranchCostTable(np.array([0.0, 10.0, 20.0, 50.0]), 8, 4, 4)
+    TABLE = flops.BranchCostTable(np.array([0.0, 10.0, 20.0, 50.0]))
 
     def test_always_identity_is_one(self):
         assert flops.reduction_vs_parallel(FakeTrace([0, 0, 0]), self.TABLE) == 1.0
@@ -104,6 +143,6 @@ class TestReductionVsParallel:
             flops.reduction_vs_parallel(FakeTrace([]), self.TABLE)
 
     def test_zero_parallel_cost_rejected(self):
-        table = flops.BranchCostTable(np.zeros(4), 8, 4, 4)
+        table = flops.BranchCostTable(np.zeros(4))
         with pytest.raises(ConfigError):
             flops.reduction_vs_parallel(FakeTrace([0]), table)

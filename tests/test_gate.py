@@ -92,7 +92,7 @@ class TestGateWeights:
 
 
 class TestBudgetFilter:
-    TABLE = flops.BranchCostTable(np.array([0.0, 1.0, 2.0, 4.0]), 8, 4, 4)
+    TABLE = flops.BranchCostTable(np.array([0.0, 1.0, 2.0, 4.0]))
 
     def test_large_budget_no_change(self):
         k = np.array([0.1, 0.2, 0.3, 0.4])

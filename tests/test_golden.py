@@ -23,6 +23,7 @@ import json
 import numpy as np
 import pytest
 
+from gatetrack import flops, gate
 from gatetrack import head as H
 from gatetrack import model as M
 from gatetrack import scenes
@@ -60,6 +61,14 @@ PREDICTIONS = {
         40: ("0acf0a163328631a3a2955d79f1e8d5bf709805465da0cf82f10050c20930d7b", 0.05854276652352155,
              (49.68580340359145, 64.91620479935779, 2.5555217681257973, 2.083220006085608)),
     },
+}
+
+# (channels, reduction or gate scale, h, w) -> identity/se/ca/cbam costs, gate cost;
+# the non-square shape catches an h/w swap in CA
+COST_TABLES = {
+    (32, 4, 16, 16): ((0.0, 17448.0, 66816.0, 101712.0), 8780.0),
+    (16, 2, 8, 12): ((0.0, 3608.0, 16864.0, 29200.0), 1868.0),
+    (32, 4, 32, 32): ((0.0, 66600.0, 199168.0, 400464.0), 33356.0),
 }
 
 LOSS = 1.8293667210734443
@@ -162,10 +171,15 @@ def loss_and_grads():
     return loss.item(), list(grads), digest(grads.values())
 
 
+def cost_tables():
+    """Branch cost table and gate cost in FLOPs at each pinned shape."""
+    return {shape: (tuple(flops.branch_costs(*shape).costs.tolist()),
+                    gate.gate_cost(*shape))
+            for shape in COST_TABLES}
+
+
 def run_config_json():
-    raw = json.loads(RunConfig().to_json())
-    raw.pop("figures", None)
-    return raw
+    return json.loads(RunConfig().to_json())
 
 
 def observed():
@@ -176,6 +190,7 @@ def observed():
         "LOSS": loss,
         "GRADS_SHA256": grads_sha,
         "N_PARAMS": len(names),
+        "COST_TABLES": cost_tables(),
         "RUN_CONFIG_JSON": run_config_json(),
     }
 
@@ -195,6 +210,10 @@ def test_soft_loss_and_gradients():
     assert len(names) == N_PARAMS
     assert loss == LOSS
     assert grads_sha == GRADS_SHA256
+
+
+def test_cost_tables():
+    assert cost_tables() == COST_TABLES
 
 
 def test_run_config_json():

@@ -255,7 +255,7 @@ class TestComputeLoss:
         params, p = make_head(rng)
         out = H.head_forward(T.Tensor4(rng.standard_normal((1, 8, 4, 4))), p)
         labels = H.make_labels(H.BBox(500.0, 500.0, 4.0, 4.0), 4, (4, 4))  # no pos
-        table = flops.BranchCostTable(np.array([0.0, 1.0, 2.0, 5.0]), 8, 4, 4)
+        table = flops.BranchCostTable(np.array([0.0, 1.0, 2.0, 5.0]))
         weights = T.Tensor4(np.array([0.4, 0.3, 0.2, 0.1]).reshape(1, 4, 1, 1))
         base = H.compute_loss(out, labels).item()
         total = H.compute_loss(out, labels, [weights], table, lambda_cost=0.5).item()

@@ -59,6 +59,8 @@ class TestRunConfig:
         {"channels": True},
         {"stem_channels": (16,)},
         {"stem_channels": (16.0, 32)},
+        {"write_threshold": "0.6"},
+        {"write_threshold": 1.5},
     ])
     def test_model_fields_validated_at_construction(self, overrides):
         with pytest.raises(ConfigError):
@@ -80,6 +82,44 @@ class TestRunConfig:
     def test_mistyped_values_raise_config_error_naming_the_key(self, values, key):
         with pytest.raises(ConfigError, match=key):
             from_dict(values)
+
+    @pytest.mark.parametrize("values, key", [
+        ({"steps": "2000"}, "steps"),
+        ({"lr_start": "0.1"}, "lr_start"),
+        ({"momentum": "0.9"}, "momentum"),
+        ({"momentum": 1.0}, "momentum"),
+        ({"batch": 0}, "batch"),
+        ({"n_eval_sequences": 0}, "n_eval_sequences"),
+        ({"frame_width": 128.0}, "frame_width"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"random_trials": 0}, "random_trials"),
+        ({"backbone_unfreeze_step": -1}, "backbone_unfreeze_step"),
+        ({"budget": -5}, "budget"),
+        ({"budget": "5000"}, "budget"),
+        ({"track_mode": "budgeted"}, "budget"),
+        ({"budget_sweep": [0.0, -1.0]}, "budget_sweep"),
+        ({"tau_end": 0}, "tau_end"),
+        ({"tau_anneal": "yes"}, "tau_anneal"),
+        ({"lambda_cost": float("nan")}, "lambda_cost"),
+        ({"weight_decay": -1e-4}, "weight_decay"),
+        ({"target_sigma": 0.0}, "target_sigma"),
+        ({"occlusion_low": "0.6"}, "occlusion_low"),
+    ], ids=["steps_str", "lr_start_str", "momentum_str", "momentum_one", "batch_zero",
+            "n_eval_zero", "frame_width_float", "seed_float", "seed_negative",
+            "random_trials_zero", "unfreeze_negative", "budget_negative", "budget_str",
+            "budgeted_without_budget", "sweep_negative", "tau_end_zero", "tau_anneal_str",
+            "lambda_cost_nan", "weight_decay_negative", "target_sigma_zero",
+            "occlusion_low_str"])
+    def test_run_keys_checked_naming_the_key(self, values, key):
+        with pytest.raises(ConfigError, match=key):
+            from_dict(values)
+
+    def test_run_key_bounds_accepted(self):
+        config = from_dict({"seed": 0, "backbone_unfreeze_step": 0, "budget": 0,
+                            "track_mode": "budgeted", "momentum": 0.0, "lambda_cost": 0,
+                            "budget_sweep": [0, 1e4], "tau_anneal": True})
+        assert (config.budget, config.budget_sweep) == (0, (0, 1e4))
 
     def test_model_config_carries_model_fields(self):
         config = RunConfig(seed=4, channels=16, stem_channels=(8, 16), memory_capacity=5,

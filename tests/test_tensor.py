@@ -507,6 +507,89 @@ class TestDeterminism:
             assert np.all(np.isfinite(fn(x).data))
 
 
+class TestCountFlops:
+    """Each op reports its forward FLOPs; count_flops sums them for a block."""
+
+    @staticmethod
+    def counted(fn, *args):
+        with T.count_flops() as total:
+            fn(*args)
+        return total[0]
+
+    @pytest.mark.parametrize("op, expect", [
+        (lambda x, w: T.conv2d(x, w["k3"], w["b4"], stride=1, pad=1), 2 * 3 * 9 * 2 * 4 * 25),
+        (lambda x, w: T.conv2d(x, w["k3"], None, stride=2, pad=1), 2 * 3 * 9 * 2 * 4 * 9),
+        (lambda x, w: T.linear(x, w["k1"], w["b4"]), 2 * 3 * 2 * 4 * 25),
+        (lambda x, w: T.pool("global_max", x), 150),
+        (lambda x, w: T.pool("avg_over_w", x), 150),
+        (lambda x, w: T.softmax_tau(x, tau=0.5, axis=3), 150),
+        (lambda x, w: T.mul_broadcast(x, w["c3"]), 150),
+        (lambda x, w: T.sum_all(x), 150),
+        (lambda x, w: T.matmul_cc(T.reshape(x, (2, 3, 25, 1)), T.reshape(x, (2, 3, 25, 1))),
+         2 * 3 * 2 * 25 * 25),
+        (lambda x, w: T.apply_attention(T.reshape(x, (2, 3, 25, 1)), w["attn"]),
+         2 * 25 * 2 * 3 * 7),
+    ], ids=["conv_k3", "conv_strided", "linear", "pool_max", "pool_avg", "softmax",
+            "mul_broadcast", "sum_all", "matmul_cc", "apply_attention"])
+    def test_op_counts_follow_conventions(self, op, expect):
+        rng = np.random.default_rng(25)
+        x = rand4(rng, (2, 3, 5, 5))
+        weights = {"k3": rand4(rng, (4, 3, 3, 3)), "k1": rand4(rng, (4, 3, 1, 1)),
+                   "b4": rand4(rng, (1, 4, 1, 1)), "c3": rand4(rng, (1, 3, 1, 1)),
+                   "attn": rand4(rng, (2, 1, 7, 25))}
+        assert self.counted(op, x, weights) == expect
+
+    def test_same_count_with_and_without_no_grad(self):
+        rng = np.random.default_rng(26)
+        x = T.Tensor4(rng.standard_normal((1, 3, 6, 6)), requires_grad=True)
+        w = T.Tensor4(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+
+        def forward(x, w):
+            return T.sum_all(T.sigmoid(T.conv2d(x, w, None, stride=1, pad=1)))
+
+        with T.no_grad():
+            inference = self.counted(forward, x, w)
+        assert inference == self.counted(forward, x, w) == 2 * 3 * 9 * 72 + 72 + 72
+
+    def test_batch_two_conv_counts_twice_batch_one(self):
+        rng = np.random.default_rng(27)
+        x = rand4(rng, (2, 3, 6, 6))
+        w = rand4(rng, (4, 3, 3, 3))
+        one = self.counted(T.conv2d, T.Tensor4(x.data[:1]), w, None, 1, 1)
+        assert self.counted(T.conv2d, x, w, None, 1, 1) == 2 * one > 0
+
+    @pytest.mark.parametrize("op", [
+        lambda x: T.reshape(x, (1, 4, 12, 1)),
+        lambda x: T.transpose_hw(x),
+        lambda x: T.concat_channel(x, x),
+        lambda x: T.concat_spatial(x, x, x),
+        lambda x: T.slice_channels(x, 1, 3),
+        lambda x: T.slice_rows(x, 0, 2),
+    ], ids=["reshape", "transpose_hw", "concat_channel", "concat_spatial", "slice_channels",
+            "slice_rows"])
+    def test_layout_ops_count_zero(self, op):
+        assert self.counted(op, rand4(np.random.default_rng(28), (1, 4, 3, 4))) == 0
+
+    def test_nested_block_does_not_leak_into_outer(self):
+        x = T.zeros((1, 2, 3, 3))
+        with T.count_flops() as outer:
+            T.relu(x)
+            with T.count_flops() as inner:
+                T.exp(x)
+                T.sigmoid(x)
+            T.relu(x)
+        assert (outer[0], inner[0]) == (36, 36)
+
+    def test_counter_restored_after_exception(self):
+        x = T.zeros((1, 2, 3, 3))
+        with pytest.raises(ShapeError):
+            with T.count_flops() as total:
+                T.relu(x)
+                T.add(x, T.zeros((1, 2, 3, 4)))
+        T.relu(x)
+        assert total[0] == 18
+
+
 class TestDT64:
     def test_roundtrip(self):
         rng = np.random.default_rng(21)
