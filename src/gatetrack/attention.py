@@ -10,9 +10,11 @@ multiplying it with gates in (0, 1):
   * CBAM   — channel gate (shared MLP over avg- and max-pooled stats)
              followed by a 7x7 spatial gate over channel statistics.
 
-With all parameters zero the gates are all sigmoid(0) = 0.5, so SE scales
-the input by 0.5 and CA/CBAM (two gates each) by 0.25 — handy closed forms
-for tests.
+Each branch declares its parameters once, in its ``init_*``; ``BRANCHES``
+maps a branch name to that init and its forward.  With all parameters zero
+the gates are all sigmoid(0) = 0.5, so SE scales the input by 0.5 and
+CA/CBAM (two gates each) by 0.25 — closed forms the tests check on blocks
+built by the real ``init_*`` and then zeroed (``zeroed`` in the tests).
 """
 
 from __future__ import annotations
@@ -121,30 +123,16 @@ def cbam_forward(x, p: CBAMParams):
     return T.mul_broadcast(gated, spatial_gate)
 
 
-def branch_forward(kind, x, params):
-    """Dispatch on branch name: ``identity`` / ``se`` / ``ca`` / ``cbam``."""
-    if kind == "identity":
-        return x
-    if kind == "se":
-        return se_forward(x, params)
-    if kind == "ca":
-        return ca_forward(x, params)
-    if kind == "cbam":
-        return cbam_forward(x, params)
-    raise ConfigError(f"unknown attention branch {kind!r}")
-
-
-def _bottleneck(channels, reduction, what):
-    if channels % reduction:
-        raise ConfigError(
-            f"{what}: channels ({channels}) must be divisible by reduction ({reduction})"
-        )
-    return channels // reduction
+def _bottleneck(channels, divisor, key="reduction"):
+    """Width ``channels // divisor`` of a bottleneck; ``key`` names the divisor."""
+    if channels % divisor:
+        raise ConfigError(f"channels ({channels}) must be divisible by {key} ({divisor})")
+    return channels // divisor
 
 
 def init_se(params, rng, channels, reduction, prefix="se"):
     """Allocate SE parameters inside ``params`` and return the view."""
-    mid = _bottleneck(channels, reduction, "se")
+    mid = _bottleneck(channels, reduction)
     return SEParams(
         reduction=reduction,
         w1=params.add(f"{prefix}.w1", T.he_normal(rng, (mid, channels, 1, 1))),
@@ -155,7 +143,7 @@ def init_se(params, rng, channels, reduction, prefix="se"):
 
 
 def init_ca(params, rng, channels, reduction, prefix="ca"):
-    mid = _bottleneck(channels, reduction, "ca")
+    mid = _bottleneck(channels, reduction)
     return CAParams(
         reduction=reduction,
         w_shared=params.add(f"{prefix}.conv_shared.w", T.he_normal(rng, (mid, channels, 1, 1))),
@@ -168,7 +156,7 @@ def init_ca(params, rng, channels, reduction, prefix="ca"):
 
 
 def init_cbam(params, rng, channels, reduction, prefix="cbam"):
-    mid = _bottleneck(channels, reduction, "cbam")
+    mid = _bottleneck(channels, reduction)
     k = SPATIAL_KERNEL
     return CBAMParams(
         reduction=reduction,
@@ -181,27 +169,21 @@ def init_cbam(params, rng, channels, reduction, prefix="cbam"):
     )
 
 
-def zero_se(channels, reduction=4):
-    """All-zero SE parameters (closed-form: output = 0.5 * x)."""
-    mid = _bottleneck(channels, reduction, "se")
-    return SEParams(reduction, T.zeros((mid, channels, 1, 1)), T.zeros((1, mid, 1, 1)),
-                    T.zeros((channels, mid, 1, 1)), T.zeros((1, channels, 1, 1)))
+# branch name -> (init, forward), in gate order after identity
+BRANCHES = {"se": (init_se, se_forward), "ca": (init_ca, ca_forward),
+            "cbam": (init_cbam, cbam_forward)}
 
 
-def zero_ca(channels, reduction=4):
-    """All-zero CA parameters (closed-form: output = 0.25 * x)."""
-    mid = _bottleneck(channels, reduction, "ca")
-    z = T.zeros
-    return CAParams(reduction, z((mid, channels, 1, 1)), z((1, mid, 1, 1)),
-                    z((channels, mid, 1, 1)), z((1, channels, 1, 1)),
-                    z((channels, mid, 1, 1)), z((1, channels, 1, 1)))
+def init_branches(params, rng, channels, reduction):
+    """Allocate every branch in ``BRANCHES`` order; returns name -> parameters."""
+    return {kind: init(params, rng, channels, reduction)
+            for kind, (init, _) in BRANCHES.items()}
 
 
-def zero_cbam(channels, reduction=4):
-    """All-zero CBAM parameters (closed-form: output = 0.25 * x)."""
-    mid = _bottleneck(channels, reduction, "cbam")
-    k = SPATIAL_KERNEL
-    z = T.zeros
-    return CBAMParams(reduction, z((mid, channels, 1, 1)), z((1, mid, 1, 1)),
-                      z((channels, mid, 1, 1)), z((1, channels, 1, 1)),
-                      z((1, 2, k, k)), z((1, 1, 1, 1)))
+def branch_forward(kind, x, params):
+    """Dispatch on branch name: ``identity`` or a key of ``BRANCHES``."""
+    if kind == "identity":
+        return x
+    if kind not in BRANCHES:
+        raise ConfigError(f"unknown attention branch {kind!r}")
+    return BRANCHES[kind][1](x, params)

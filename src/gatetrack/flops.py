@@ -8,8 +8,10 @@ Conventions (frozen; the budget mechanism and all reports use them):
 
 The ops in :mod:`gatetrack.tensor` apply these conventions themselves and
 :func:`gatetrack.tensor.count_flops` sums them, so branch and gate costs
-are counted from the code that runs.  :func:`flops_layer` only prices the
-rows of ``TrackModel.layer_inventory()``.
+are counted from the code that runs, on blocks built by the real
+``init_*`` functions.  Each shape is counted once; the resulting table is
+cached and shared read-only by every model of that shape.
+:func:`flops_layer` only prices the rows of ``TrackModel.layer_inventory()``.
 
 Costs depend only on shapes, never on values, so identical configurations
 always produce identical numbers.
@@ -17,7 +19,8 @@ always produce identical numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from . import tensor as T
 from .errors import ConfigError
 
 # branch index order used by the gate, cost tables and trace files
-BRANCH_ORDER = ("identity", "se", "ca", "cbam")
+BRANCH_ORDER = ("identity",) + tuple(attention.BRANCHES)
 
 
 def flops_layer(kind, dims):
@@ -44,12 +47,16 @@ def flops_layer(kind, dims):
 
 @dataclass
 class BranchCostTable:
-    """Per-branch attention cost in FLOPs for a fixed feature shape."""
+    """Per-branch attention cost in FLOPs for a fixed feature shape.
+
+    ``costs`` is a read-only copy, so one table can be shared by every model.
+    """
 
     costs: np.ndarray  # aligned with BRANCH_ORDER
 
     def __post_init__(self):
-        self.costs = np.asarray(self.costs, dtype=np.float64)
+        self.costs = np.array(self.costs, dtype=np.float64)
+        self.costs.flags.writeable = False
         if self.costs.shape != (len(BRANCH_ORDER),):
             raise ConfigError(f"cost table needs {len(BRANCH_ORDER)} entries")
         if self.costs[0] != 0.0 or np.any(self.costs < 0.0):
@@ -66,22 +73,21 @@ class BranchCostTable:
         return float(self.costs[1:].sum())
 
 
-_ZERO_PARAMS = {"se": attention.zero_se, "ca": attention.zero_ca,
-                "cbam": attention.zero_cbam}
-
-
+@functools.cache
 def branch_costs(channels, reduction, height, width):
     """Cost table over BRANCH_ORDER at one feature shape; identity is free.
 
-    Each branch runs once on a zero (1, channels, height, width) feature with
-    zero parameters and its ops are counted; costs depend on shapes alone.
+    Each branch, built by its real ``init_*``, runs once on a zero
+    (1, channels, height, width) feature and its ops are counted; the table
+    is cached per shape.
     """
+    branches = attention.init_branches(T.ParamSet(), np.random.default_rng(0),
+                                       channels, reduction)
     feature = T.zeros((1, channels, height, width))
     costs = []
     for kind in BRANCH_ORDER:
-        params = _ZERO_PARAMS[kind](channels, reduction) if kind in _ZERO_PARAMS else None
         with T.no_grad(), T.count_flops() as total:
-            attention.branch_forward(kind, feature, params)
+            attention.branch_forward(kind, feature, branches.get(kind))
         costs.append(total[0])
     return BranchCostTable(costs)
 
@@ -109,26 +115,3 @@ def reduction_vs_parallel(trace, table):
         raise ConfigError("parallel cost is zero; nothing to compare against")
     mean_cost = float(np.mean([table[i] for i in selected]))
     return 1.0 - mean_cost / parallel
-
-
-@dataclass
-class FlopsReport:
-    """Aggregated accounting for one tracked sequence or report run."""
-
-    table: BranchCostTable
-    gate: float
-    per_frame: list = field(default_factory=list)  # attention cost per frame
-    expected_per_frame: list = field(default_factory=list)
-
-    def record(self, selected_cost, expected=None):
-        self.per_frame.append(float(selected_cost))
-        if expected is not None:
-            self.expected_per_frame.append(float(expected))
-
-    @property
-    def total(self):
-        return float(np.sum(self.per_frame)) if self.per_frame else 0.0
-
-    @property
-    def mean_per_frame(self):
-        return float(np.mean(self.per_frame)) if self.per_frame else 0.0

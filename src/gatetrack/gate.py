@@ -19,6 +19,7 @@ budget filter total: even a zero budget yields a valid (identity) decision.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,6 @@ class GateParams:
     def channels(self):
         return self.w1.shape[1]
 
-    @property
-    def n_branches(self):
-        return self.w2.shape[0]
-
 
 @dataclass
 class GateDecision:
@@ -68,18 +65,10 @@ class GateDecision:
         return BRANCH_ORDER[self.chosen]
 
 
-def _hidden_width(channels, scale):
-    if channels % scale:
-        raise ConfigError(
-            f"gate: channels ({channels}) must be divisible by scale ({scale})"
-        )
-    return channels // scale
-
-
 def init_gate(params, rng, channels, scale, tau, prefix="gate"):
     """Allocate gate parameters; the output layer starts at zero so the
     initial weights are exactly uniform."""
-    mid = _hidden_width(channels, scale)
+    mid = attention._bottleneck(channels, scale, "gate_scale")
     return GateParams(
         scale=scale,
         tau=tau,
@@ -90,16 +79,13 @@ def init_gate(params, rng, channels, scale, tau, prefix="gate"):
     )
 
 
-def zero_gate(channels, scale=4, tau=1.0):
-    mid = _hidden_width(channels, scale)
-    return GateParams(scale, tau,
-                      T.zeros((mid, channels, 1, 1)), T.zeros((1, mid, 1, 1)),
-                      T.zeros((N_BRANCHES, mid, 1, 1)), T.zeros((1, N_BRANCHES, 1, 1)))
-
-
+@functools.cache
 def gate_cost(channels, scale, height, width):
-    """FLOPs of one gate evaluation on a (1, channels, height, width) feature."""
-    p = zero_gate(channels, scale)
+    """FLOPs of one gate evaluation on a (1, channels, height, width) feature.
+
+    Counted once per shape on a gate built by :func:`init_gate`.
+    """
+    p = init_gate(T.ParamSet(), np.random.default_rng(0), channels, scale, tau=1.0)
     with T.no_grad(), T.count_flops() as total:
         gate_weights(gate_logits(T.zeros((1, channels, height, width)), p), p.tau)
     return float(total[0])
@@ -127,7 +113,7 @@ def budget_filter(weights, table, remaining_budget):
     Returns a plain (B,) array summing to 1.  If every branch with nonzero
     weight is masked the result is one-hot at identity (always affordable).
     """
-    if remaining_budget < 0:
+    if not remaining_budget >= 0:  # also rejects NaN; inf means unlimited
         raise ParameterError(f"budget must be >= 0, got {remaining_budget}")
     w = np.asarray(weights, dtype=np.float64).ravel().copy()
     if w.size != table.costs.size:
@@ -143,8 +129,7 @@ def budget_filter(weights, table, remaining_budget):
 
 def _branch_output(index, feature, branches):
     kind = BRANCH_ORDER[index]
-    params = None if kind == "identity" else branches[kind]
-    return attention.branch_forward(kind, feature, params)
+    return attention.branch_forward(kind, feature, branches.get(kind))
 
 
 def apply_gated_attention(feature, branches, gate: GateParams, mode="soft",

@@ -50,6 +50,11 @@ class ModelConfig:
             raise ConfigError(f"stem_channels must be two widths, got {self.stem_channels!r}")
         for width in self.stem_channels:
             _require_size("stem_channels", width)
+        if self.stem_channels[-1] != self.channels:
+            raise ConfigError(f"stem_channels must end at channels ({self.channels}), "
+                              f"got {self.stem_channels!r}")
+        attention._bottleneck(self.channels, self.reduction)
+        attention._bottleneck(self.channels, self.gate_scale, "gate_scale")
         _require_real("tau", self.tau)
         _require_real("write_threshold", self.write_threshold, "in [0, 1]")
         if self.crop_size % self.stride:
@@ -57,7 +62,7 @@ class ModelConfig:
         if self.attention_mode not in ("gated", "static", "none"):
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         for b in self.static_branches:
-            if b not in ("se", "ca", "cbam"):
+            if not isinstance(b, str) or b not in attention.BRANCHES:
                 raise ConfigError(f"unknown static branch {b!r}")
 
     @property
@@ -96,8 +101,6 @@ class TrackModel:
         rng = np.random.default_rng(seed)
         c = config.channels
         c1, c2 = config.stem_channels
-        if c2 != c:
-            raise ConfigError("last stem width must equal the feature channel count")
 
         p = self.params
         self.stem = (
@@ -108,11 +111,7 @@ class TrackModel:
             p.add("backbone.conv3.w", T.he_normal(rng, (c, c2, 3, 3))),
             p.add("backbone.conv3.b", T.zeros((1, c, 1, 1)), decay=False),
         )
-        self.branches = {
-            "se": attention.init_se(p, rng, c, config.reduction),
-            "ca": attention.init_ca(p, rng, c, config.reduction),
-            "cbam": attention.init_cbam(p, rng, c, config.reduction),
-        }
+        self.branches = attention.init_branches(p, rng, c, config.reduction)
         self.gate = gate.init_gate(p, rng, c, config.gate_scale, config.tau)
         self.readout = memory.init_readout(
             p, rng, c, config.key_channels, config.value_channels)

@@ -57,10 +57,6 @@ class ScenarioSpec:
         if not (0.0 <= lo <= hi <= 1.0):
             raise ConfigError(f"occlusion range {self.occlusion_range} not within [0, 1]")
 
-    @property
-    def n_frames(self):
-        return sum(d for _, d in self.schedule)
-
     def phase_labels(self):
         labels = []
         for phase, duration in self.schedule:

@@ -68,7 +68,6 @@ __all__ = [
     "apply_attention",
     "bce_with_logits",
     "sum_all",
-    "mean_all",
     "backprop",
     "grad_check",
     "save_dt64",
@@ -138,10 +137,6 @@ class Tensor4:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self):
-        """A view of the same data with no graph attached."""
-        return Tensor4(self.data, requires_grad=False)
 
     def zero_grad(self):
         self.grad = None
@@ -767,16 +762,6 @@ def sum_all(x):
         return (np.broadcast_to(g, shape),)
 
     return _result(np.full((1, 1, 1, 1), x.data.sum()), (x,), backward, x.size)
-
-
-def mean_all(x):
-    count = x.size
-    shape = x.shape
-
-    def backward(g):
-        return (np.broadcast_to(g / count, shape),)
-
-    return _result(np.full((1, 1, 1, 1), x.data.mean()), (x,), backward, count)
 
 
 # ---------------------------------------------------------------------------

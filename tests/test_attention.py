@@ -8,52 +8,43 @@ import pytest
 from gatetrack import attention as A
 from gatetrack import tensor as T
 from gatetrack.errors import ConfigError, ShapeError
-
-
-def random_branch_params(rng, channels, reduction=4):
-    params = T.ParamSet()
-    se = A.init_se(params, rng, channels, reduction)
-    ca = A.init_ca(params, rng, channels, reduction)
-    cbam = A.init_cbam(params, rng, channels, reduction)
-    return params, se, ca, cbam
+from helpers import zeroed
 
 
 class TestZeroParamClosedForms:
     def test_se_half(self):
         rng = np.random.default_rng(0)
         x = T.Tensor4(rng.standard_normal((2, 8, 5, 6)))
-        out = A.se_forward(x, A.zero_se(8))
+        out = A.se_forward(x, zeroed(A.init_se, 8, 4))
         assert np.array_equal(out.data, 0.5 * x.data)
 
     def test_ca_quarter(self):
         rng = np.random.default_rng(1)
         x = T.Tensor4(rng.standard_normal((2, 8, 5, 6)))
-        out = A.ca_forward(x, A.zero_ca(8))
+        out = A.ca_forward(x, zeroed(A.init_ca, 8, 4))
         assert np.array_equal(out.data, 0.25 * x.data)
 
     def test_ca_quarter_hand_grid(self):
         x = T.Tensor4(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        out = A.ca_forward(x, A.zero_ca(1, reduction=1))
+        out = A.ca_forward(x, zeroed(A.init_ca, 1, 1))
         assert np.array_equal(out.data[0, 0], [[0.25, 0.5], [0.75, 1.0]])
 
     def test_cbam_quarter(self):
         rng = np.random.default_rng(2)
         x = T.Tensor4(rng.standard_normal((1, 2, 3, 3)))
-        out = A.cbam_forward(x, A.zero_cbam(2, reduction=2))
+        out = A.cbam_forward(x, zeroed(A.init_cbam, 2, 2))
         assert np.max(np.abs(out.data - 0.25 * x.data)) < 1e-15
 
     def test_zero_input_zero_output(self):
-        rng = np.random.default_rng(3)
-        params, se, ca, cbam = random_branch_params(rng, 8)
         x = T.zeros((1, 8, 4, 4))
-        for kind, p in [("se", se), ("ca", ca), ("cbam", cbam)]:
+        for kind, p in A.init_branches(T.ParamSet(), np.random.default_rng(3), 8, 4).items():
             assert np.array_equal(A.branch_forward(kind, x, p).data, x.data)
 
 
 class TestSECrafted:
     def test_logits_ln3_and_zero(self):
         # W1 = 0, b1 = 0 -> hidden = 0; b2 = (ln 3, 0) -> gates (0.75, 0.5)
-        p = A.zero_se(2, reduction=2)
+        p = zeroed(A.init_se, 2, 2)
         p.b2.data[0, 0, 0, 0] = math.log(3.0)
         x = T.Tensor4(np.ones((1, 2, 2, 2)))
         out = A.se_forward(x, p)
@@ -64,26 +55,26 @@ class TestSECrafted:
 class TestInvariants:
     def test_shape_preserved(self):
         rng = np.random.default_rng(4)
-        params, se, ca, cbam = random_branch_params(rng, 8)
+        branches = A.init_branches(T.ParamSet(), rng, 8, 4)
         for shape in [(1, 8, 4, 4), (3, 8, 2, 7), (2, 8, 6, 3)]:
             x = T.Tensor4(rng.standard_normal(shape))
-            for kind, p in [("se", se), ("ca", ca), ("cbam", cbam)]:
+            for kind, p in branches.items():
                 assert A.branch_forward(kind, x, p).shape == shape
 
     def test_gates_contract_magnitudes(self):
         # every output element is the input element times gates in (0, 1)
         rng = np.random.default_rng(5)
         for trial in range(5):
-            params, se, ca, cbam = random_branch_params(rng, 8)
+            branches = A.init_branches(T.ParamSet(), rng, 8, 4)
             x = T.Tensor4(rng.standard_normal((2, 8, 4, 4)) * 3)
-            for kind, p in [("se", se), ("ca", ca), ("cbam", cbam)]:
+            for kind, p in branches.items():
                 out = A.branch_forward(kind, x, p).data
                 assert np.all(np.abs(out) <= np.abs(x.data) + 1e-15)
                 assert np.all(np.sign(out) == np.sign(x.data))
 
     def test_se_spatial_permutation_equivariance(self):
         rng = np.random.default_rng(6)
-        params, se, _, _ = random_branch_params(rng, 8)
+        se = A.init_branches(T.ParamSet(), rng, 8, 4)["se"]
         x = rng.standard_normal((1, 8, 4, 4))
         perm = rng.permutation(16)
         x_perm = x.reshape(1, 8, 16)[:, :, perm].reshape(1, 8, 4, 4)
@@ -93,7 +84,7 @@ class TestInvariants:
 
     def test_ca_constant_input_constant_gates(self):
         rng = np.random.default_rng(7)
-        params, _, ca, _ = random_branch_params(rng, 8)
+        ca = A.init_branches(T.ParamSet(), rng, 8, 4)["ca"]
         per_channel = rng.standard_normal((1, 8, 1, 1))
         x = T.Tensor4(np.broadcast_to(per_channel, (1, 8, 4, 6)).copy())
         out = A.ca_forward(x, ca).data
@@ -102,15 +93,14 @@ class TestInvariants:
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(8)
-        params, se, ca, cbam = random_branch_params(rng, 8)
         x = T.zeros((1, 4, 4, 4))
-        for kind, p in [("se", se), ("ca", ca), ("cbam", cbam)]:
+        for kind, p in A.init_branches(T.ParamSet(), rng, 8, 4).items():
             with pytest.raises(ShapeError):
                 A.branch_forward(kind, x, p)
 
     def test_bad_reduction(self):
         with pytest.raises(ConfigError):
-            A.zero_se(6, reduction=4)
+            zeroed(A.init_se, 6, 4)
 
 
 class TestGradients:
@@ -118,8 +108,7 @@ class TestGradients:
     def test_grad_check(self, kind):
         rng = np.random.default_rng(9)
         params = T.ParamSet()
-        init = {"se": A.init_se, "ca": A.init_ca, "cbam": A.init_cbam}[kind]
-        branch = init(params, rng, 4, 2)
+        branch = A.BRANCHES[kind][0](params, rng, 4, 2)
         params.add("x", T.Tensor4(rng.standard_normal((1, 4, 3, 3))))
 
         def loss(ps):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gatetrack import flops, gate
+from gatetrack import attention, flops, gate
 from gatetrack import model as M
 from gatetrack import tensor as T
 from gatetrack.errors import ConfigError
@@ -59,22 +59,22 @@ class TestBranchCosts:
         assert big["cbam"] > small["cbam"]
 
     def test_costs_shape_only(self):
-        assert np.array_equal(flops.branch_costs(32, 4, 16, 16).costs,
-                              flops.branch_costs(32, 4, 16, 16).costs)
+        assert flops.branch_costs(32, 4, 16, 16) is flops.branch_costs(32, 4, 16, 16)
 
     def test_indivisible_reduction(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="reduction"):
             flops.branch_costs(30, 4, 16, 16)
 
 
 class TestGateCost:
     def test_indivisible_scale(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="gate_scale"):
             gate.gate_cost(30, 4, 16, 16)
 
 
 class TestInventoryMatchesCountedOps:
-    """``layer_inventory`` rows equal the FLOPs the forward pieces count."""
+    """``layer_inventory`` rows and the cost tables equal the FLOPs the
+    model's own forward pieces count."""
 
     MODEL = M.TrackModel(M.ModelConfig(), seed=0)
 
@@ -109,6 +109,23 @@ class TestInventoryMatchesCountedOps:
                                [self.feature()] * depth)
         assert counted == self.rows("memory.", scale) == 15_400_960
 
+    def test_cost_tables_count_model_blocks(self):
+        model, x = self.MODEL, self.feature()
+        for kind in flops.BRANCH_ORDER:
+            counted = self.counted(attention.branch_forward, kind, x, model.branches.get(kind))
+            assert counted == model.cost_table[kind]
+        g = model.gate
+        counted = self.counted(lambda f: gate.gate_weights(gate.gate_logits(f, g), g.tau), x)
+        assert counted == model.gate_flops
+
+    def test_one_read_only_table_per_shape(self, monkeypatch):
+        ops = []  # every tensor op passes through _result
+        monkeypatch.setattr(T, "_result", lambda *a, _op=T._result: ops.append(a) or _op(*a))
+        again = M.TrackModel(M.ModelConfig(), seed=1)
+        assert again.cost_table is self.MODEL.cost_table and not ops
+        with pytest.raises(ValueError):
+            again.cost_table.costs[1] = 0.0
+
 
 class TestExpectedCost:
     def test_one_hot_equals_selected(self):
@@ -119,7 +136,9 @@ class TestExpectedCost:
             assert flops.expected_cost(onehot, table) == table[name]
 
     def test_uniform_weights(self):
-        table = flops.BranchCostTable(np.array([0.0, 1.0, 2.0, 4.0]))
+        costs = np.array([0.0, 1.0, 2.0, 4.0])
+        table = flops.BranchCostTable(costs)
+        costs[1] = 3.0  # the table froze its own copy, not the caller's array
         assert flops.expected_cost(np.full(4, 0.25), table) == pytest.approx(1.75)
 
 

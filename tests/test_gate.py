@@ -8,36 +8,27 @@ from gatetrack import flops
 from gatetrack import gate as G
 from gatetrack import tensor as T
 from gatetrack.errors import ConfigError, ParameterError, ShapeError
+from helpers import zeroed
 
 
 def make_setup(rng, channels=8, reduction=2, scale=2, tau=1.0):
     params = T.ParamSet()
-    branches = {
-        "se": A.init_se(params, rng, channels, reduction),
-        "ca": A.init_ca(params, rng, channels, reduction),
-        "cbam": A.init_cbam(params, rng, channels, reduction),
-    }
-    gate = G.init_gate(params, rng, channels, scale, tau)
-    return params, branches, gate
+    branches = A.init_branches(params, rng, channels, reduction)
+    return params, branches, G.init_gate(params, rng, channels, scale, tau)
 
 
-def zero_setup(channels=8, reduction=2, scale=2, tau=1.0):
-    branches = {
-        "se": A.zero_se(channels, reduction),
-        "ca": A.zero_ca(channels, reduction),
-        "cbam": A.zero_cbam(channels, reduction),
-    }
-    return branches, G.zero_gate(channels, scale, tau)
+def zeroed_setup(channels=8, reduction=2, scale=2, tau=1.0):
+    return zeroed(A.init_branches, channels, reduction), zeroed(G.init_gate, channels, scale, tau)
 
 
 class TestGateLogits:
     def test_zero_params_zero_logits(self):
-        _, gate = zero_setup()
+        _, gate = zeroed_setup()
         f = T.Tensor4(np.random.default_rng(0).standard_normal((1, 8, 4, 4)))
         assert np.array_equal(G.gate_logits(f, gate).data.ravel(), np.zeros(4))
 
     def test_bias_passthrough_on_zero_feature(self):
-        _, gate = zero_setup()
+        _, gate = zeroed_setup()
         gate.b2.data[:] = np.array([1.0, 0.0, 0.0, 0.0]).reshape(1, 4, 1, 1)
         s = G.gate_logits(T.zeros((1, 8, 4, 4)), gate)
         assert np.array_equal(s.data.ravel(), [1.0, 0.0, 0.0, 0.0])
@@ -56,7 +47,7 @@ class TestGateLogits:
         assert np.max(np.abs(got - expect)) < 1e-12
 
     def test_channel_mismatch(self):
-        _, gate = zero_setup()
+        _, gate = zeroed_setup()
         with pytest.raises(ShapeError):
             G.gate_logits(T.zeros((1, 4, 2, 2)), gate)
 
@@ -96,8 +87,8 @@ class TestBudgetFilter:
 
     def test_large_budget_no_change(self):
         k = np.array([0.1, 0.2, 0.3, 0.4])
-        out = G.budget_filter(k, self.TABLE, remaining_budget=100.0)
-        assert np.allclose(out, k, atol=1e-15)
+        for budget in (100.0, float("inf")):  # inf means unlimited
+            assert np.allclose(G.budget_filter(k, self.TABLE, budget), k, atol=1e-15)
 
     def test_zero_budget_identity(self):
         out = G.budget_filter(np.array([0.1, 0.2, 0.3, 0.4]), self.TABLE, 0.0)
@@ -124,14 +115,15 @@ class TestBudgetFilter:
             assert float(out @ self.TABLE.costs) <= budget + 1e-12
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ParameterError):
-            G.budget_filter(np.ones(4) / 4, self.TABLE, -1.0)
+        for budget in (-1.0, float("nan")):
+            with pytest.raises(ParameterError):
+                G.budget_filter(np.ones(4) / 4, self.TABLE, budget)
 
 
 class TestApplyGatedAttention:
     def test_soft_uniform_zero_params_is_half(self):
         # identity + 0.5x + 0.25x + 0.25x, each weighted 0.25 -> 0.5x
-        branches, gate = zero_setup()
+        branches, gate = zeroed_setup()
         rng = np.random.default_rng(4)
         x = T.Tensor4(rng.standard_normal((1, 8, 4, 4)))
         out, weights, decisions = G.apply_gated_attention(x, branches, gate, mode="soft")
@@ -140,7 +132,7 @@ class TestApplyGatedAttention:
         assert len(decisions) == 1 and decisions[0].mode == "soft"
 
     def test_identity_one_hot_passthrough(self):
-        branches, gate = zero_setup()
+        branches, gate = zeroed_setup()
         gate.b2.data[0, 0, 0, 0] = 50.0  # huge identity logit
         gate.tau = 1e-6
         rng = np.random.default_rng(5)
@@ -187,13 +179,13 @@ class TestApplyGatedAttention:
         assert np.array_equal(out.data, x.data)
 
     def test_budgeted_requires_budget_and_table(self):
-        branches, gate = zero_setup()
+        branches, gate = zeroed_setup()
         x = T.zeros((1, 8, 2, 2))
         with pytest.raises(ConfigError):
             G.apply_gated_attention(x, branches, gate, mode="budgeted")
 
     def test_hard_mode_rejects_batch(self):
-        branches, gate = zero_setup()
+        branches, gate = zeroed_setup()
         with pytest.raises(ShapeError):
             G.apply_gated_attention(T.zeros((2, 8, 2, 2)), branches, gate, mode="hard")
 
@@ -224,13 +216,7 @@ class TestApplyGatedAttention:
 class TestGateGradients:
     def test_grad_flows_through_gate(self):
         rng = np.random.default_rng(11)
-        params = T.ParamSet()
-        branches = {
-            "se": A.init_se(params, rng, 4, 2),
-            "ca": A.init_ca(params, rng, 4, 2),
-            "cbam": A.init_cbam(params, rng, 4, 2),
-        }
-        gate = G.init_gate(params, rng, 4, 2, tau=1.0)
+        params, branches, gate = make_setup(rng, channels=4)
         gate.w2.data[:] = rng.standard_normal(gate.w2.shape) * 0.5
         gate.b2.data[:] = rng.standard_normal(gate.b2.shape) * 0.1
         x = T.Tensor4(rng.standard_normal((1, 4, 3, 3)))
@@ -244,13 +230,7 @@ class TestGateGradients:
 
     def test_gate_weight_gradient_nonzero(self):
         rng = np.random.default_rng(12)
-        params = T.ParamSet()
-        branches = {
-            "se": A.init_se(params, rng, 4, 2),
-            "ca": A.init_ca(params, rng, 4, 2),
-            "cbam": A.init_cbam(params, rng, 4, 2),
-        }
-        gate = G.init_gate(params, rng, 4, 2, tau=1.0)
+        params, branches, gate = make_setup(rng, channels=4)
         x = T.Tensor4(rng.standard_normal((1, 4, 3, 3)))
         out, _, _ = G.apply_gated_attention(x, branches, gate, mode="soft")
         grads = T.backprop(T.sum_all(T.mul_broadcast(out, out)), params)

@@ -8,6 +8,7 @@ import pytest
 from gatetrack import head as H
 from gatetrack import tensor as T
 from gatetrack.errors import ShapeError
+from helpers import zeroed
 
 
 def make_head(rng, channels=8):
@@ -16,17 +17,9 @@ def make_head(rng, channels=8):
     return params, p
 
 
-def zero_head(channels=8):
-    params = T.ParamSet()
-    p = H.init_head(params, np.random.default_rng(0), channels)
-    for _, t in params.items():
-        t.data[:] = 0.0
-    return p
-
-
 class TestHeadForward:
     def test_zero_params_closed_form(self):
-        p = zero_head()
+        p = zeroed(H.init_head, 8)
         fused = T.Tensor4(np.random.default_rng(1).standard_normal((1, 8, 4, 4)))
         out = H.head_forward(fused, p)
         assert np.array_equal(out.cls.data, np.zeros((1, 1, 4, 4)))
@@ -62,7 +55,7 @@ class TestHeadForward:
         def loss(ps):
             out = H.head_forward(ps["f"], p)
             s = T.add(T.sum_all(T.sigmoid(out.cls)), T.sum_all(T.sigmoid(out.ctr)))
-            return T.add(s, T.mean_all(T.mul_broadcast(out.reg, out.reg)))
+            return T.add(s, T.sum_all(T.mul_broadcast(out.reg, out.reg)))
 
         err = T.grad_check(loss, params, eps=1e-5)
         assert err < 1e-4, f"head rel err {err}"

@@ -61,6 +61,10 @@ class TestRunConfig:
         {"stem_channels": (16.0, 32)},
         {"write_threshold": "0.6"},
         {"write_threshold": 1.5},
+        {"channels": 30, "stem_channels": (16, 30)},
+        {"gate_scale": 3},
+        {"stem_channels": (16, 8)},
+        {"static_branches": (["se"],)},
     ])
     def test_model_fields_validated_at_construction(self, overrides):
         with pytest.raises(ConfigError):
@@ -77,8 +81,9 @@ class TestRunConfig:
         ({"memory_capacity": 0}, "memory_capacity"),
         ({"key_channels": 0}, "key_channels"),
         ({"value_channels": 0}, "value_channels"),
+        ({"stem_channels": [16, 8]}, "stem_channels"),
     ], ids=["crop_size_str", "schedule_short", "schedule_str", "stem_int", "tau_zero",
-            "capacity_zero", "key_zero", "value_zero"])
+            "capacity_zero", "key_zero", "value_zero", "stem_last_width"])
     def test_mistyped_values_raise_config_error_naming_the_key(self, values, key):
         with pytest.raises(ConfigError, match=key):
             from_dict(values)
