@@ -41,16 +41,10 @@ class RunConfig(ModelConfig):
     lr_end: float = 0.0001
     momentum: float = 0.9
     weight_decay: float = 0.0001
-    backbone_unfreeze_step: int = 0
     lambda_cost: float = 0.01
-    tau_anneal: bool = False
-    tau_end: float = 0.1
 
-    # tracking / ablations
-    track_mode: str = "hard"  # soft | hard | budgeted
+    # tracking
     budget: float = None  # per-frame attention FLOPs cap; None = unlimited
-    random_trials: int = 10
-    budget_sweep: tuple = None  # None picks a default sweep from branch costs
 
     def __post_init__(self):
         super().__post_init__()
@@ -58,20 +52,10 @@ class RunConfig(ModelConfig):
             _require_size(key, getattr(self, key), low)
         for key, rule in _RUN_REALS.items():
             _require_real(key, getattr(self, key), rule)
-        if not isinstance(self.tau_anneal, bool):
-            raise ConfigError(f"tau_anneal must be true or false, got {self.tau_anneal!r}")
         if self.lr_start < self.lr_end:
             raise ConfigError(f"lr_start ({self.lr_start}) must be >= lr_end ({self.lr_end})")
-        if self.backbone_unfreeze_step > self.steps:
-            raise ConfigError("backbone_unfreeze_step must lie within [0, steps]")
-        if self.track_mode not in ("soft", "hard", "budgeted"):
-            raise ConfigError(f"unknown track mode {self.track_mode!r}")
         if self.budget is not None:
             _require_real("budget", self.budget, ">= 0")
-        elif self.track_mode == "budgeted":
-            raise ConfigError("budget is required when track_mode is 'budgeted'")
-        for cap in self.budget_sweep or ():
-            _require_real("budget_sweep", cap, ">= 0")
         if self.occlusion_low > self.occlusion_high:
             raise ConfigError("occlusion range must satisfy 0 <= low <= high <= 1")
 
@@ -94,20 +78,17 @@ class RunConfig(ModelConfig):
         raw["stem_channels"] = list(self.stem_channels)
         raw["static_branches"] = list(self.static_branches)
         raw["phase_schedule"] = [[p, d] for p, d in self.phase_schedule]
-        if self.budget_sweep is not None:
-            raw["budget_sweep"] = list(self.budget_sweep)
         return json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
 
 # run key -> the least value of a count, or the range of a real number
 _RUN_COUNTS = {"seed": 0, "frame_height": 1, "frame_width": 1, "n_train_sequences": 1,
-               "n_eval_sequences": 1, "steps": 1, "batch": 1, "backbone_unfreeze_step": 0,
-               "random_trials": 1}
+               "n_eval_sequences": 1, "steps": 1, "batch": 1}
 _RUN_REALS = {"target_sigma": "> 0", "target_intensity": "> 0", "occlusion_low": "in [0, 1]",
               "occlusion_high": "in [0, 1]", "fast_multiplier": "> 0", "lr_start": "> 0",
               "lr_end": "> 0", "momentum": "in [0, 1)", "weight_decay": ">= 0",
-              "lambda_cost": ">= 0", "tau_end": "> 0"}
-_TUPLE_KEYS = {"stem_channels", "static_branches", "budget_sweep"}
+              "lambda_cost": ">= 0"}
+_TUPLE_KEYS = {"stem_channels", "static_branches"}
 
 
 def from_dict(values):

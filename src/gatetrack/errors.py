@@ -23,14 +23,5 @@ class ParameterError(GateTrackError, ValueError):
     """Invalid numeric parameter (e.g. non-positive temperature)."""
 
 
-class ParseError(GateTrackError, ValueError):
-    """A data file failed to parse; carries file path and line number."""
-
-    def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
-        self.line_no = line_no
-
-
 class NumericError(GateTrackError, ArithmeticError):
     """A computation produced NaN or Inf where finite values are required."""

@@ -91,27 +91,3 @@ def branch_costs(channels, reduction, height, width):
         costs.append(total[0])
     return BranchCostTable(costs)
 
-
-def expected_cost(weights, table):
-    """Soft-decision cost: sum_i K_i * cost_i."""
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if w.shape != table.costs.shape:
-        raise ConfigError(f"weights length {w.size} != {table.costs.size} branches")
-    return float(w @ table.costs)
-
-
-def reduction_vs_parallel(trace, table):
-    """Fractional saving of the traced decisions against the static stack.
-
-    1 - mean(selected branch cost) / (cost(se) + cost(ca) + cost(cbam));
-    1.0 when every frame chose identity, negative is impossible because no
-    single branch costs more than the full stack.
-    """
-    selected = [row.selected for row in trace.rows]
-    if not selected:
-        raise ConfigError("empty trace")
-    parallel = table.all_attention
-    if parallel <= 0.0:
-        raise ConfigError("parallel cost is zero; nothing to compare against")
-    mean_cost = float(np.mean([table[i] for i in selected]))
-    return 1.0 - mean_cost / parallel

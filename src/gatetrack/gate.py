@@ -3,15 +3,16 @@
 A small gating unit (global average pool, two fully connected layers with a
 ReLU between them) maps each feature map to one logit per branch over the
 4-way decision space (identity, SE, CA, CBAM).  A temperature softmax turns
-the logits into weights:
+the logits into weights, used in one of two ways:
 
-  * soft mode      — output is the weight-blended sum of all branch outputs;
-                     fully differentiable, used during training.
-  * hard mode      — only the argmax branch runs; weights are recorded
-                     one-hot.  Default at inference.
-  * budgeted mode  — weights of branches whose cost exceeds the remaining
-                     FLOPs budget are zeroed and renormalized before the
-                     hard selection, so the chosen branch always fits.
+  * :func:`soft_attention` — training: the output is the weight-blended sum
+                             of all branch outputs, fully differentiable.
+  * :func:`decide`         — inference: one branch per feature map.  The
+                             decision is hard (the argmax, recorded one-hot)
+                             unless a budget is given; then it is budgeted:
+                             branches whose cost exceeds the budget are
+                             masked and the weights renormalized before the
+                             argmax, so the chosen branch always fits.
 
 The identity branch costs nothing and can never be masked, which makes the
 budget filter total: even a zero budget yields a valid (identity) decision.
@@ -127,70 +128,58 @@ def budget_filter(weights, table, remaining_budget):
     return w / total
 
 
-def _branch_output(index, feature, branches):
-    kind = BRANCH_ORDER[index]
-    return attention.branch_forward(kind, feature, branches.get(kind))
-
-
-def apply_gated_attention(feature, branches, gate: GateParams, mode="soft",
-                          budget=None, frame_index=0, table=None):
-    """Enhance ``feature`` through the gated branch mix.
+def soft_attention(feature, branches, gate: GateParams, frame_index=0):
+    """Training blend: the weight-mixed sum of every branch output.
 
     ``branches`` maps branch name to its parameter set.  Returns
-    ``(output, weights_tensor_or_None, decisions)`` where ``decisions`` has
-    one :class:`GateDecision` per batch row.  Soft mode keeps the weight
-    tensor in the graph so losses can regularize expected cost; hard and
-    budgeted modes run single samples and evaluate only the chosen branch.
+    ``(output, weights, decisions)``: ``weights`` is the in-graph (n, B, 1, 1)
+    tensor, so a loss can regularize the expected cost, and ``decisions``
+    holds one soft :class:`GateDecision` per batch row.
     """
     logits_t = gate_logits(feature, gate)
     weights_t = gate_weights(logits_t, gate.tau)
-    n = feature.shape[0]
+    out = None
+    for i, kind in enumerate(BRANCH_ORDER):
+        contrib = T.mul_broadcast(
+            attention.branch_forward(kind, feature, branches.get(kind)),
+            T.slice_channels(weights_t, i, i + 1),
+        )
+        out = contrib if out is None else T.add(out, contrib)
+    decisions = []
+    for row in range(feature.shape[0]):
+        w = weights_t.data[row].ravel().copy()
+        decisions.append(GateDecision(
+            frame_index=frame_index,
+            logits=logits_t.data[row].ravel().copy(),
+            weights=w,
+            mode="soft",
+            chosen=int(np.argmax(w)),
+        ))
+    return out, weights_t, decisions
 
-    if mode == "soft":
-        out = None
-        for i in range(N_BRANCHES):
-            contrib = T.mul_broadcast(
-                _branch_output(i, feature, branches),
-                T.slice_channels(weights_t, i, i + 1),
-            )
-            out = contrib if out is None else T.add(out, contrib)
-        decisions = []
-        for row in range(n):
-            w = weights_t.data[row].ravel().copy()
-            decisions.append(GateDecision(
-                frame_index=frame_index,
-                logits=logits_t.data[row].ravel().copy(),
-                weights=w,
-                mode="soft",
-                chosen=int(np.argmax(w)),
-            ))
-        return out, weights_t, decisions
 
-    if mode in ("hard", "budgeted"):
-        if n != 1:
-            raise ShapeError(f"{mode} mode gates one feature at a time, got batch {n}")
-        soft = weights_t.data[0].ravel()
-        if mode == "budgeted":
-            if budget is None:
-                raise ConfigError("budgeted mode requires a budget")
-            if table is None:
-                raise ConfigError("budgeted mode requires a branch cost table")
-            filtered = budget_filter(soft, table, budget)
-        else:
-            filtered = soft
-        chosen = int(np.argmax(filtered))
+def decide(feature, gate: GateParams, budget=None, table=None, frame_index=0):
+    """The one branch to run on a single feature map.
+
+    Without a budget the decision is hard: the argmax branch, recorded
+    one-hot.  With a budget it is budgeted: ``table`` prices the branches,
+    :func:`budget_filter` masks those that do not fit, and the filtered
+    weights are recorded.
+    """
+    if feature.shape[0] != 1:
+        raise ShapeError(f"a decision gates one feature at a time, got batch {feature.shape[0]}")
+    logits = gate_logits(feature, gate)
+    weights = gate_weights(logits, gate.tau).data.ravel()
+    if budget is None:
+        chosen = int(np.argmax(weights))
         recorded = np.zeros(N_BRANCHES)
         recorded[chosen] = 1.0
-        if mode == "budgeted":
-            recorded = filtered
-        out = _branch_output(chosen, feature, branches)
-        decision = GateDecision(
-            frame_index=frame_index,
-            logits=logits_t.data[0].ravel().copy(),
-            weights=recorded,
-            mode=mode,
-            chosen=chosen,
-        )
-        return out, None, [decision]
-
-    raise ConfigError(f"unknown gate mode {mode!r}")
+        mode = "hard"
+    else:
+        if table is None:
+            raise ConfigError("a budgeted decision requires a branch cost table")
+        recorded = budget_filter(weights, table, budget)
+        chosen = int(np.argmax(recorded))
+        mode = "budgeted"
+    return GateDecision(frame_index=frame_index, logits=logits.data.ravel().copy(),
+                        weights=recorded, mode=mode, chosen=chosen)

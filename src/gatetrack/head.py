@@ -222,7 +222,8 @@ def compute_loss(out: HeadOutput, labels: Labels, gate_weight_tensors=None,
     BCE over all locations for classification, BCE over positives for
     centerness, mean (1 - IoU) over positives for regression, plus an
     optional expected-attention-cost regularizer normalized by the cost of
-    running every branch.
+    running every branch.  A ``None`` gate weight tensor, from a fixed
+    attention mode, has no decision to regularize and adds no cost term.
     """
     if labels.cls.shape != out.cls.shape:
         raise ShapeError(
@@ -236,11 +237,12 @@ def compute_loss(out: HeadOutput, labels: Labels, gate_weight_tensors=None,
                                              normalizer=n_pos))
         box_term = T.sum_all(iou_loss_map(out.reg, labels))
         loss = T.add(loss, T.scale(box_term, 1.0 / n_pos))
-    if lambda_cost and gate_weight_tensors:
+    weight_tensors = [w for w in gate_weight_tensors or () if w is not None]
+    if lambda_cost and weight_tensors:
         cost_vec = T.constant(cost_table.costs.reshape(1, -1, 1, 1))
         total = None
         count = 0
-        for weights in gate_weight_tensors:
+        for weights in weight_tensors:
             term = T.sum_all(T.mul_broadcast(weights, cost_vec))
             total = term if total is None else T.add(total, term)
             count += weights.shape[0]

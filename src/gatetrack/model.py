@@ -1,12 +1,17 @@
 """Full tracker model: backbone stem, enhancement branches, gate, readout, head.
 
 The backbone is a small three-conv stem (1 -> 16 -> 32 -> 32, stride 4 total)
-producing 16x16 feature maps from 64x64 grayscale crops.  Enhancement runs in
-one of three modes:
+producing 16x16 feature maps from 64x64 grayscale crops.  Enhancement runs a
+set of named branches and averages their outputs; the attention mode fixes
+how the set is chosen:
 
-  * ``gated``  — the dynamic gate picks/blends branches per feature map,
-  * ``static`` — a fixed subset of branches, averaged when more than one,
-  * ``none``   — identity (the no-attention baseline).
+  * ``gated``  — the gate picks one branch per feature map, within a FLOPs
+                 budget when one is given (training blends all four),
+  * ``static`` — the configured ``static_branches``,
+  * ``none``   — identity alone (the no-attention baseline), as is static
+                 mode with no branches.
+
+The attention FLOPs of a frame are the cost-table sum over its set.
 
 Checkpoints are a text index followed by the concatenated binary tensors,
 written in parameter order, so identical parameters give identical bytes.
@@ -64,6 +69,9 @@ class ModelConfig:
         for b in self.static_branches:
             if not isinstance(b, str) or b not in attention.BRANCHES:
                 raise ConfigError(f"unknown static branch {b!r}")
+        if len(set(self.static_branches)) != len(self.static_branches):
+            raise ConfigError(f"static_branches must not repeat a branch, "
+                              f"got {self.static_branches!r}")
 
     @property
     def feature_size(self):
@@ -119,6 +127,8 @@ class TrackModel:
         fs = config.feature_size
         self.cost_table = flops.branch_costs(c, config.reduction, fs, fs)
         self.gate_flops = gate.gate_cost(c, config.gate_scale, fs, fs)
+        static = config.static_branches if config.attention_mode == "static" else ()
+        self.fixed_branches = tuple(static) or ("identity",)
 
     # -- forward pieces ----------------------------------------------------
 
@@ -129,69 +139,53 @@ class TrackModel:
         h = T.relu(T.conv2d(h, w2, b2, stride=2, pad=1))
         return T.relu(T.conv2d(h, w3, b3, stride=1, pad=1))
 
+    def _run(self, feature, names):
+        """Run the branches ``names`` on ``feature`` and average their outputs.
+
+        Returns ``(enhanced, attention_flops)``, the cost summed from the
+        model's cost table over ``names``.
+        """
+        outs = [attention.branch_forward(n, feature, self.branches.get(n)) for n in names]
+        total = outs[0]
+        for o in outs[1:]:
+            total = T.add(total, o)
+        if len(outs) > 1:
+            total = T.scale(total, 1.0 / len(outs))
+        return total, sum(self.cost_table[n] for n in names)
+
     def enhance_soft(self, feature, frame_index=0):
         """Training-time enhancement; returns (enhanced, weights, decisions).
 
         ``weights`` is the in-graph (n, B, 1, 1) tensor in gated mode and
-        None otherwise (static combinations carry no decision to learn).
+        None otherwise: a fixed set of branches has no decision to learn, so
+        it trains exactly as it runs at inference.
         """
-        mode = self.config.attention_mode
-        if mode == "gated":
-            return gate.apply_gated_attention(
-                feature, self.branches, self.gate, mode="soft",
-                frame_index=frame_index)
-        return self.enhance_static(feature, frame_index)
+        if self.config.attention_mode == "gated":
+            return gate.soft_attention(feature, self.branches, self.gate, frame_index)
+        enhanced, decision, _ = self.enhance_infer(feature, frame_index=frame_index)
+        return enhanced, None, [decision]
 
-    def enhance_static(self, feature, frame_index=0):
-        names = self.static_branch_names()
-        if not names:
-            return feature, None, [self._static_decision(frame_index, ())]
-        outs = [attention.branch_forward(n, feature, self.branches[n]) for n in names]
-        total = outs[0]
-        for o in outs[1:]:
-            total = T.add(total, o)
-        enhanced = T.scale(total, 1.0 / len(outs))
-        return enhanced, None, [self._static_decision(frame_index, names)]
+    def enhance_infer(self, feature, budget=None, frame_index=0):
+        """Inference enhancement; returns ``(enhanced, decision, attention_flops)``.
 
-    def _static_decision(self, frame_index, names):
-        weights = np.zeros(gate.N_BRANCHES)
-        if not names:
-            weights[0] = 1.0
-            chosen = 0
-        else:
-            for n in names:
-                weights[flops.BRANCH_ORDER.index(n)] = 1.0 / len(names)
-            chosen = int(np.argmax(weights))
-        return gate.GateDecision(frame_index=frame_index,
-                                 logits=np.zeros(gate.N_BRANCHES),
-                                 weights=weights, mode="hard", chosen=chosen)
-
-    def static_branch_names(self):
-        if self.config.attention_mode == "none":
-            return ()
-        return tuple(self.config.static_branches)
-
-    def enhance_infer(self, feature, mode="hard", budget=None, frame_index=0):
-        """Inference enhancement for a single feature map.
-
-        Static and none modes ignore ``mode``/``budget``.  Returns
-        ``(enhanced, decision, attention_flops)``.
+        In gated mode :func:`gate.decide` picks one branch for the single
+        feature map, within ``budget`` when one is given.  Static and none
+        modes run ``fixed_branches`` and take no budget.
         """
-        amode = self.config.attention_mode
-        if amode in ("static", "none"):
-            out, _, decisions = self.enhance_static(feature, frame_index)
-            names = self.static_branch_names()
-            cost = sum(self.cost_table[n] for n in names)
-            return out, decisions[0], cost
-        out, _, decisions = gate.apply_gated_attention(
-            feature, self.branches, self.gate, mode=mode, budget=budget,
-            frame_index=frame_index, table=self.cost_table)
-        decision = decisions[0]
-        if mode == "soft":
-            cost = flops.expected_cost(decision.weights, self.cost_table)
+        if self.config.attention_mode == "gated":
+            decision = gate.decide(feature, self.gate, budget, self.cost_table, frame_index)
+            names = (decision.chosen_name,)
+        elif budget is not None:
+            raise ConfigError(f"a budget needs gated attention, not "
+                              f"{self.config.attention_mode!r}")
         else:
-            cost = self.cost_table[decision.chosen]
-        return out, decision, cost
+            names = self.fixed_branches
+            weights = np.array([n in names for n in flops.BRANCH_ORDER]) / len(names)
+            decision = gate.GateDecision(frame_index=frame_index,
+                                         logits=np.zeros(gate.N_BRANCHES), weights=weights,
+                                         mode="hard", chosen=int(np.argmax(weights)))
+        enhanced, cost = self._run(feature, names)
+        return enhanced, decision, cost
 
     def read_memory(self, query_feature, memory_features):
         return memory.readout(query_feature, memory_features, self.readout)

@@ -18,14 +18,12 @@ bitwise-identical sequence.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .head import BBox
 
 PHASES = ("stable", "occlusion", "fast")
@@ -218,19 +216,6 @@ def _draw_occluder(frame, box: BBox, fraction):
     return frame
 
 
-def occluded_fraction(frame, box: BBox):
-    """Pixel-count oracle: fraction of box pixels at the flat occluder value."""
-    img = np.asarray(frame)
-    if img.ndim == 4:
-        img = img[0, 0]
-    x0, y0 = int(round(box.x)), int(round(box.y))
-    x1, y1 = int(round(box.x + box.w)), int(round(box.y + box.h))
-    patch = img[y0:y1, x0:x1]
-    if patch.size == 0:
-        return 0.0
-    return float((patch == OCCLUDER_VALUE).mean())
-
-
 def split_benchmark(n_train, n_eval, base_seed, spec_kwargs=None):
     """Disjoint seeded train/eval scenario specs; every spec covers all phases."""
     if n_train < 1 or n_eval < 1:
@@ -240,89 +225,3 @@ def split_benchmark(n_train, n_eval, base_seed, spec_kwargs=None):
     eval_ = [ScenarioSpec(seed=base_seed + 100000 + 1 + i, **kwargs) for i in range(n_eval)]
     return train, eval_
 
-
-# ---------------------------------------------------------------------------
-# on-disk format: binary PGM frames + groundtruth.txt + phases.txt
-# ---------------------------------------------------------------------------
-
-def write_pgm(path, image):
-    """8-bit binary PGM; pixel = round(255 * value)."""
-    img = np.asarray(image)
-    if img.ndim == 4:
-        img = img[0, 0]
-    data = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
-    h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
-def read_pgm(path):
-    """Load an 8-bit binary PGM back into a float array in [0, 1]."""
-    raw = Path(path).read_bytes()
-    match = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
-    if not match:
-        raise ParseError(path, 1, "not a binary PGM (P5) header")
-    w, h, maxval = (int(v) for v in match.groups())
-    if maxval != 255:
-        raise ParseError(path, 1, f"unsupported max value {maxval}")
-    pixels = np.frombuffer(raw[match.end():], dtype=np.uint8)
-    if pixels.size != w * h:
-        raise ParseError(path, 1, f"expected {w * h} pixels, found {pixels.size}")
-    return pixels.reshape(h, w).astype(np.float64) / 255.0
-
-
-def write_boxes(path, boxes):
-    with open(path, "w") as fh:
-        for b in boxes:
-            fh.write(f"{b.x!r},{b.y!r},{b.w!r},{b.h!r}\n")
-
-
-def read_boxes(path):
-    boxes = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(path, line_no, f"expected 4 comma-separated values, got {len(parts)}")
-            try:
-                x, y, w, h = (float(p) for p in parts)
-            except ValueError:
-                raise ParseError(path, line_no, f"non-numeric box entry in {line!r}") from None
-            boxes.append(BBox(x, y, w, h))
-    return boxes
-
-
-def save_sequence(seq: Sequence, directory):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for idx, frame in enumerate(seq.frames, start=1):
-        write_pgm(directory / f"{idx:06d}.pgm", frame.data)
-    write_boxes(directory / "groundtruth.txt", seq.gt)
-    with open(directory / "phases.txt", "w") as fh:
-        for phase in seq.phases:
-            fh.write(phase + "\n")
-
-
-def load_sequence(directory) -> Sequence:
-    directory = Path(directory)
-    frame_paths = sorted(directory.glob("*.pgm"))
-    if not frame_paths:
-        raise ParseError(directory / "*.pgm", 0, "no PGM frames found")
-    frames = [T.Tensor4(read_pgm(p)[None, None]) for p in frame_paths]
-    boxes = read_boxes(directory / "groundtruth.txt")
-    phases_file = directory / "phases.txt"
-    if phases_file.exists():
-        phases = [line.strip() for line in phases_file.read_text().splitlines() if line.strip()]
-    else:
-        phases = ["unknown"] * len(frames)
-    if len(boxes) != len(frames):
-        raise ParseError(directory / "groundtruth.txt", len(boxes) + 1,
-                         f"{len(boxes)} boxes for {len(frames)} frames")
-    if len(phases) != len(frames):
-        raise ParseError(phases_file, len(phases) + 1,
-                         f"{len(phases)} phase labels for {len(frames)} frames")
-    return Sequence(frames=frames, gt=boxes, phases=phases)

@@ -9,16 +9,6 @@ from gatetrack import tensor as T
 from gatetrack.errors import ConfigError
 
 
-class FakeRow:
-    def __init__(self, selected):
-        self.selected = selected
-
-
-class FakeTrace:
-    def __init__(self, selections):
-        self.rows = [FakeRow(s) for s in selections]
-
-
 class TestFlopsLayer:
     def test_conv_1x1(self):
         dims = {"k": 1, "cin": 32, "cout": 32, "hout": 16, "wout": 16}
@@ -57,6 +47,12 @@ class TestBranchCosts:
         conv_big = flops.flops_layer("conv", {"k": 7, "cin": 2, "cout": 1, "hout": 32, "wout": 32})
         assert conv_big == 4 * conv_small
         assert big["cbam"] > small["cbam"]
+
+    def test_table_copies_its_costs(self):
+        costs = np.array([0.0, 1.0, 2.0, 4.0])
+        table = flops.BranchCostTable(costs)
+        costs[1] = 3.0  # the table froze its own copy, not the caller's array
+        assert table["se"] == 1.0
 
     def test_costs_shape_only(self):
         assert flops.branch_costs(32, 4, 16, 16) is flops.branch_costs(32, 4, 16, 16)
@@ -126,42 +122,3 @@ class TestInventoryMatchesCountedOps:
         with pytest.raises(ValueError):
             again.cost_table.costs[1] = 0.0
 
-
-class TestExpectedCost:
-    def test_one_hot_equals_selected(self):
-        table = flops.branch_costs(32, 4, 16, 16)
-        for i, name in enumerate(flops.BRANCH_ORDER):
-            onehot = np.zeros(4)
-            onehot[i] = 1.0
-            assert flops.expected_cost(onehot, table) == table[name]
-
-    def test_uniform_weights(self):
-        costs = np.array([0.0, 1.0, 2.0, 4.0])
-        table = flops.BranchCostTable(costs)
-        costs[1] = 3.0  # the table froze its own copy, not the caller's array
-        assert flops.expected_cost(np.full(4, 0.25), table) == pytest.approx(1.75)
-
-
-class TestReductionVsParallel:
-    TABLE = flops.BranchCostTable(np.array([0.0, 10.0, 20.0, 50.0]))
-
-    def test_always_identity_is_one(self):
-        assert flops.reduction_vs_parallel(FakeTrace([0, 0, 0]), self.TABLE) == 1.0
-
-    def test_always_cbam(self):
-        got = flops.reduction_vs_parallel(FakeTrace([3, 3]), self.TABLE)
-        assert got == pytest.approx(1.0 - 50.0 / 80.0, abs=1e-12)
-
-    def test_fixed_cycle_hand_value(self):
-        # [se, ca, cbam, identity]: mean cost 20, parallel 80 -> 0.75
-        got = flops.reduction_vs_parallel(FakeTrace([1, 2, 3, 0]), self.TABLE)
-        assert got == pytest.approx(0.75, abs=1e-12)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ConfigError):
-            flops.reduction_vs_parallel(FakeTrace([]), self.TABLE)
-
-    def test_zero_parallel_cost_rejected(self):
-        table = flops.BranchCostTable(np.zeros(4))
-        with pytest.raises(ConfigError):
-            flops.reduction_vs_parallel(FakeTrace([0]), table)

@@ -1,4 +1,4 @@
-"""Dynamic gate tests: logits law, weight law, modes, budget filtering."""
+"""Dynamic gate tests: logits law, weight law, soft blend, hard and budgeted decisions."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,13 @@ def make_setup(rng, channels=8, reduction=2, scale=2, tau=1.0):
     params = T.ParamSet()
     branches = A.init_branches(params, rng, channels, reduction)
     return params, branches, G.init_gate(params, rng, channels, scale, tau)
+
+
+def run_decision(x, branches, gate, **kwargs):
+    """Decide on ``x``, then run the chosen branch: (output, decision)."""
+    decision = G.decide(x, gate, **kwargs)
+    kind = decision.chosen_name
+    return A.branch_forward(kind, x, branches.get(kind)), decision
 
 
 def zeroed_setup(channels=8, reduction=2, scale=2, tau=1.0):
@@ -126,7 +133,7 @@ class TestApplyGatedAttention:
         branches, gate = zeroed_setup()
         rng = np.random.default_rng(4)
         x = T.Tensor4(rng.standard_normal((1, 8, 4, 4)))
-        out, weights, decisions = G.apply_gated_attention(x, branches, gate, mode="soft")
+        out, weights, decisions = G.soft_attention(x, branches, gate)
         assert np.max(np.abs(out.data - 0.5 * x.data)) < 1e-15
         assert np.allclose(weights.data.ravel(), 0.25, atol=1e-15)
         assert len(decisions) == 1 and decisions[0].mode == "soft"
@@ -137,19 +144,19 @@ class TestApplyGatedAttention:
         gate.tau = 1e-6
         rng = np.random.default_rng(5)
         x = T.Tensor4(rng.standard_normal((1, 8, 4, 4)))
-        out, _, decisions = G.apply_gated_attention(x, branches, gate, mode="hard")
+        out, decision = run_decision(x, branches, gate)
         assert np.array_equal(out.data, x.data)
-        assert decisions[0].chosen_name == "identity"
-        assert np.array_equal(decisions[0].weights, [1.0, 0.0, 0.0, 0.0])
+        assert decision.chosen_name == "identity" and decision.mode == "hard"
+        assert np.array_equal(decision.weights, [1.0, 0.0, 0.0, 0.0])
 
     def test_soft_one_hot_matches_hard_bitwise(self):
         rng = np.random.default_rng(6)
         params, branches, gate = make_setup(rng, tau=1e-6)
         gate.b2.data[0, 2, 0, 0] = 1000.0  # force CA decisively
         x = T.Tensor4(rng.standard_normal((1, 8, 4, 4)))
-        soft_out, _, soft_dec = G.apply_gated_attention(x, branches, gate, mode="soft")
-        hard_out, _, hard_dec = G.apply_gated_attention(x, branches, gate, mode="hard")
-        assert hard_dec[0].chosen == soft_dec[0].chosen == 2
+        soft_out, _, soft_dec = G.soft_attention(x, branches, gate)
+        hard_out, hard_dec = run_decision(x, branches, gate)
+        assert hard_dec.chosen == soft_dec[0].chosen == 2
         # one-hot weights make the soft blend equal the chosen branch exactly
         ca_out = A.ca_forward(x, branches["ca"])
         assert np.max(np.abs(soft_out.data - ca_out.data)) < 1e-12
@@ -163,8 +170,8 @@ class TestApplyGatedAttention:
         for trial in range(10):
             x = T.Tensor4(rng.standard_normal((1, 8, 4, 4)))
             gate.tau = 1e-6
-            soft_out, _, _ = G.apply_gated_attention(x, branches, gate, mode="soft")
-            hard_out, _, _ = G.apply_gated_attention(x, branches, gate, mode="hard")
+            soft_out, _, _ = G.soft_attention(x, branches, gate)
+            hard_out, _ = run_decision(x, branches, gate)
             assert np.max(np.abs(soft_out.data - hard_out.data)) < 1e-6
 
     def test_budget_zero_forces_identity(self):
@@ -173,28 +180,27 @@ class TestApplyGatedAttention:
         gate.b2.data[0, 3, 0, 0] = 10.0  # gate prefers cbam
         table = flops.branch_costs(8, 2, 4, 4)
         x = T.Tensor4(rng.standard_normal((1, 8, 4, 4)))
-        out, _, decisions = G.apply_gated_attention(
-            x, branches, gate, mode="budgeted", budget=0.0, table=table)
-        assert decisions[0].chosen_name == "identity"
+        out, decision = run_decision(x, branches, gate, budget=0.0, table=table)
+        assert decision.chosen_name == "identity" and decision.mode == "budgeted"
         assert np.array_equal(out.data, x.data)
 
     def test_budgeted_requires_budget_and_table(self):
         branches, gate = zeroed_setup()
-        x = T.zeros((1, 8, 2, 2))
+        x = T.zeros((1, 8, 2, 2))  # a budget makes the decision budgeted
         with pytest.raises(ConfigError):
-            G.apply_gated_attention(x, branches, gate, mode="budgeted")
+            G.decide(x, gate, budget=1.0)
 
     def test_hard_mode_rejects_batch(self):
         branches, gate = zeroed_setup()
         with pytest.raises(ShapeError):
-            G.apply_gated_attention(T.zeros((2, 8, 2, 2)), branches, gate, mode="hard")
+            G.decide(T.zeros((2, 8, 2, 2)), gate)
 
     def test_decisions_deterministic(self):
         rng = np.random.default_rng(9)
         params, branches, gate = make_setup(rng)
         x = T.Tensor4(rng.standard_normal((1, 8, 4, 4)))
-        a = G.apply_gated_attention(x, branches, gate, mode="soft")
-        b = G.apply_gated_attention(x, branches, gate, mode="soft")
+        a = G.soft_attention(x, branches, gate)
+        b = G.soft_attention(x, branches, gate)
         assert np.array_equal(a[0].data, b[0].data)
         assert np.array_equal(a[2][0].weights, b[2][0].weights)
 
@@ -203,12 +209,12 @@ class TestApplyGatedAttention:
         params, branches, gate = make_setup(rng)
         gate.w2.data[:] = rng.standard_normal(gate.w2.shape)
         x = T.Tensor4(rng.standard_normal((3, 8, 4, 4)))
-        out, weights, decisions = G.apply_gated_attention(x, branches, gate, mode="soft")
+        out, weights, decisions = G.soft_attention(x, branches, gate)
         assert out.shape == x.shape and len(decisions) == 3
         # each row must match its own single-sample run
         for row in range(3):
             xi = T.Tensor4(x.data[row:row + 1])
-            oi, _, di = G.apply_gated_attention(xi, branches, gate, mode="soft")
+            oi, _, di = G.soft_attention(xi, branches, gate)
             assert np.max(np.abs(out.data[row] - oi.data[0])) < 1e-12
             assert np.allclose(decisions[row].weights, di[0].weights, atol=1e-15)
 
@@ -222,7 +228,7 @@ class TestGateGradients:
         x = T.Tensor4(rng.standard_normal((1, 4, 3, 3)))
 
         def loss(ps):
-            out, _, _ = G.apply_gated_attention(x, branches, gate, mode="soft")
+            out, _, _ = G.soft_attention(x, branches, gate)
             return T.sum_all(T.mul_broadcast(out, out))
 
         err = T.grad_check(loss, params, eps=1e-5)
@@ -232,6 +238,6 @@ class TestGateGradients:
         rng = np.random.default_rng(12)
         params, branches, gate = make_setup(rng, channels=4)
         x = T.Tensor4(rng.standard_normal((1, 4, 3, 3)))
-        out, _, _ = G.apply_gated_attention(x, branches, gate, mode="soft")
+        out, _, _ = G.soft_attention(x, branches, gate)
         grads = T.backprop(T.sum_all(T.mul_broadcast(out, out)), params)
         assert np.any(grads["gate.w2"] != 0.0)

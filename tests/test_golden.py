@@ -19,6 +19,7 @@ frame and so gives the same maps as ``none``.
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from gatetrack.config import RunConfig
 SCENE_SEED = 2503
 MEMORY_FRAMES = (0, 5)
 PROBE_FRAMES = (10, 25, 40)  # one frame in each phase of the default schedule
+DECISION_SEED = 3  # draws a gate output layer whose choice moves with the budget
 BATCH_SEED = 7
 BATCH = 4
 LAMBDA_COST = 0.01
@@ -71,22 +73,73 @@ COST_TABLES = {
     (32, 4, 32, 32): ((0.0, 66600.0, 199168.0, 400464.0), 33356.0),
 }
 
+# (probe frame, budget) -> chosen branch, mode, returned cost, recorded weights and
+# enhanced-map digest of the drawn gate.  Budgets: "none" is no budget (a hard
+# decision), "zero" 0, "se" and "ca" those branches' costs, "inf" unlimited.
+DECISIONS = {
+    (10, "none"): ("cbam", "hard", 101712.0,
+                  (0.0, 0.0, 0.0, 1.0),
+                  "9069f4a4624896d9434417c88e449a0a358592f018bd5a6c4926b9ff6333d12f"),
+    (10, "zero"): ("identity", "budgeted", 0.0,
+                  (1.0, 0.0, 0.0, 0.0),
+                  "8058164331ec2987e3f5bd4189a5e8b99ca14b2b312968dbf187eee56f61b0f8"),
+    (10, "se"): ("se", "budgeted", 17448.0,
+                  (0.4934077321338557, 0.5065922678661444, 0.0, 0.0),
+                  "cba1c35623a1c323ee72c5509bb60cd53377aefea029d248dc15b551981b4b17"),
+    (10, "ca"): ("ca", "budgeted", 66816.0,
+                  (0.27517069861556953, 0.28252363954473925, 0.4423056618396913, 0.0),
+                  "882b9819f8ee7ff7ae02cdb33dc32d5d91658256691d785baa5d86b7389569f3"),
+    (10, "inf"): ("cbam", "budgeted", 101712.0,
+                  (0.16910531308753166, 0.1736240404963627, 0.2718175946861401, 0.38545305172996563),
+                  "9069f4a4624896d9434417c88e449a0a358592f018bd5a6c4926b9ff6333d12f"),
+    (25, "none"): ("cbam", "hard", 101712.0,
+                  (0.0, 0.0, 0.0, 1.0),
+                  "7369ace97e4d3be69d117968d30c053a68fc6c503f3293e16b284a9c7a732b97"),
+    (25, "zero"): ("identity", "budgeted", 0.0,
+                  (1.0, 0.0, 0.0, 0.0),
+                  "2d36d9e2a4a975db0b6a613aebfd84d308071572ad60859f84cdd0662ae7c135"),
+    (25, "se"): ("se", "budgeted", 17448.0,
+                  (0.49260312955025465, 0.5073968704497455, 0.0, 0.0),
+                  "a7877a8a9f9947e2291a7fbea8c6087a8edbe6c3859c4d62e372a9d8fd5c0a86"),
+    (25, "ca"): ("ca", "budgeted", 66816.0,
+                  (0.2734793814643683, 0.28169244968914925, 0.4448281688464825, 0.0),
+                  "02c745c45fdc792d81e22f5a7413e4088604ecea36b2cd46ceaa31a8fe1b1d50"),
+    (25, "inf"): ("cbam", "budgeted", 101712.0,
+                  (0.16786633957658115, 0.17290766185910336, 0.2730431670752532, 0.38618283148906235),
+                  "7369ace97e4d3be69d117968d30c053a68fc6c503f3293e16b284a9c7a732b97"),
+    (40, "none"): ("cbam", "hard", 101712.0,
+                  (0.0, 0.0, 0.0, 1.0),
+                  "13664b6263c114dfc4ba3f2a2f55e98524a39ee83ba1a3263afa8269c08138f6"),
+    (40, "zero"): ("identity", "budgeted", 0.0,
+                  (1.0, 0.0, 0.0, 0.0),
+                  "147271ed04003302e8274e25c432dec5053cf5aa3695ea53e88515b6f951a5b2"),
+    (40, "se"): ("se", "budgeted", 17448.0,
+                  (0.494826619447328, 0.5051733805526719, 0.0, 0.0),
+                  "5e28bb0d8cb5109dd46c555b17586aaf9d601f8469036c65b4d923c130a883b4"),
+    (40, "ca"): ("ca", "budgeted", 66816.0,
+                  (0.2788498392006281, 0.28468055355001975, 0.4364696072493521, 0.0),
+                  "2b66b1ad23e921e9fe8140bac0d12e0eafe8044bb26caf96a22abbcca1b054db"),
+    (40, "inf"): ("cbam", "budgeted", 101712.0,
+                  (0.17218518369980654, 0.1757855537922876, 0.2695127948398789, 0.38251646766802694),
+                  "13664b6263c114dfc4ba3f2a2f55e98524a39ee83ba1a3263afa8269c08138f6"),
+}
+
 LOSS = 1.8293667210734443
 GRADS_SHA256 = "ac79d20201f2acd4580fbc49ffcee5d6bc9def1d4e654a4416c37437a9bdd62f"
 N_PARAMS = 50
 
 RUN_CONFIG_JSON = {
-    "attention_mode": "gated", "backbone_unfreeze_step": 0, "batch": 4, "budget": None,
-    "budget_sweep": None, "channels": 32, "crop_size": 64, "fast_multiplier": 6.0,
+    "attention_mode": "gated", "batch": 4, "budget": None,
+    "channels": 32, "crop_size": 64, "fast_multiplier": 6.0,
     "frame_height": 128, "frame_width": 128, "gate_scale": 4, "key_channels": 16,
     "lambda_cost": 0.01, "lr_end": 0.0001, "lr_start": 0.005, "memory_capacity": 3,
     "momentum": 0.9, "n_eval_sequences": 20, "n_train_sequences": 20,
     "occlusion_high": 0.8, "occlusion_low": 0.6,
     "phase_schedule": [["stable", 20], ["occlusion", 15], ["fast", 15]],
-    "random_trials": 10, "reduction": 4, "seed": 0,
+    "reduction": 4, "seed": 0,
     "static_branches": ["se", "ca", "cbam"], "stem_channels": [16, 32], "steps": 2000,
     "stride": 4, "target_intensity": 0.8, "target_sigma": 6.0, "tau": 1.0,
-    "tau_anneal": False, "tau_end": 0.1, "track_mode": "hard", "value_channels": 16,
+    "value_channels": 16,
     "weight_decay": 0.0001, "write_period": 5, "write_threshold": 0.6,
 }
 
@@ -109,16 +162,20 @@ def probe_sequence():
     return scenes.generate(spec)
 
 
+def probe_feature(model, seq, index):
+    """Backbone feature of the ground-truth-centred crop of frame ``index``."""
+    gt = seq.gt[index]
+    crop, origin = M.crop_at(seq.frames[index].data, (gt.cx, gt.cy), model.config.crop_size)
+    return model.extract(T.Tensor4(crop)), origin
+
+
 def predictions(attention_mode):
     """Maps digest, score and box for each ground-truth-centred probe frame."""
     model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
-    size = model.config.crop_size
     seq = probe_sequence()
 
     def enhanced(index):
-        gt = seq.gt[index]
-        crop, origin = M.crop_at(seq.frames[index].data, (gt.cx, gt.cy), size)
-        feature = model.extract(T.Tensor4(crop))
+        feature, origin = probe_feature(model, seq, index)
         return model.enhance_infer(feature, frame_index=index)[0], origin
 
     found = {}
@@ -132,6 +189,49 @@ def predictions(attention_mode):
             found[index] = (digest([out.cls.data, out.ctr.data, out.reg.data]),
                             det.score, tuple(float(v) for v in det.box.as_array()))
     return found
+
+
+def decisions():
+    """Hard and budgeted gate decisions on each probe frame.
+
+    The gate's output layer is drawn from ``DECISION_SEED`` (the seeded init
+    zeroes it, so every frame would pick identity).  Each row holds the
+    chosen branch, the recorded weights, the mode, the returned cost and the
+    digest of the enhanced map.
+    """
+    model = M.TrackModel(M.ModelConfig(), seed=0)
+    rng = np.random.default_rng(DECISION_SEED)
+    for p in (model.gate.w2, model.gate.b2):
+        p.data[:] = rng.standard_normal(p.shape)
+    table = model.cost_table
+    budgets = {"none": None, "zero": 0.0, "se": table["se"], "ca": table["ca"], "inf": math.inf}
+    seq = probe_sequence()
+    found = {}
+    with T.no_grad():
+        for index in PROBE_FRAMES:
+            feature, _ = probe_feature(model, seq, index)
+            for key, budget in budgets.items():
+                out, decision, cost = model.enhance_infer(feature, budget=budget,
+                                                          frame_index=index)
+                found[index, key] = (decision.chosen_name, decision.mode, cost,
+                                     tuple(decision.weights.tolist()), digest([out.data]))
+    return found
+
+
+def fixed_runs(config):
+    """Enhanced bytes, decision and cost of both enhancement paths per probe frame."""
+    model = M.TrackModel(config, seed=0)
+    seq = probe_sequence()
+    runs = []
+    with T.no_grad():
+        for index in PROBE_FRAMES:
+            feature, _ = probe_feature(model, seq, index)
+            out, decision, cost = model.enhance_infer(feature, frame_index=index)
+            soft, weights, (soft_decision,) = model.enhance_soft(feature, frame_index=index)
+            runs.append((out.data.tobytes(), soft.data.tobytes(), weights, cost,
+                         [(d.chosen, d.weights.tolist(), d.mode, d.logits.tolist())
+                          for d in (decision, soft_decision)]))
+    return runs
 
 
 def soft_batch(model):
@@ -187,6 +287,7 @@ def observed():
     loss, names, grads_sha = loss_and_grads()
     return {
         "PREDICTIONS": {mode: predictions(mode) for mode in ("gated", "static", "none")},
+        "DECISIONS": decisions(),
         "LOSS": loss,
         "GRADS_SHA256": grads_sha,
         "N_PARAMS": len(names),
@@ -203,6 +304,15 @@ def test_checkpoint_bytes(overrides, tmp_path):
 @pytest.mark.parametrize("attention_mode", ["gated", "static", "none"])
 def test_predictions(attention_mode):
     assert predictions(attention_mode) == PREDICTIONS[attention_mode]
+
+
+def test_decisions():
+    assert decisions() == DECISIONS
+
+
+def test_static_without_branches_runs_identity():
+    none = fixed_runs(M.ModelConfig(attention_mode="none"))
+    assert fixed_runs(M.ModelConfig(attention_mode="static", static_branches=())) == none
 
 
 def test_soft_loss_and_gradients():

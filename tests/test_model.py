@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from gatetrack import head as H
 from gatetrack import model as M
 from gatetrack import tensor as T
 from gatetrack.config import RunConfig, from_dict, load_config, write_resolved
@@ -16,7 +17,7 @@ class TestRunConfig:
     def test_json_round_trip(self, tmp_path):
         config = RunConfig(seed=3, channels=16, stem_channels=(8, 16),
                            attention_mode="static", static_branches=("se",),
-                           budget=5000.0, budget_sweep=(0.0, 1e4),
+                           budget=5000.0,
                            phase_schedule=(("stable", 4), ("fast", 2)))
         assert from_dict(json.loads(config.to_json())) == config
         write_resolved(config, tmp_path / "out")
@@ -65,6 +66,7 @@ class TestRunConfig:
         {"gate_scale": 3},
         {"stem_channels": (16, 8)},
         {"static_branches": (["se"],)},
+        {"static_branches": ("se", "se")},
     ])
     def test_model_fields_validated_at_construction(self, overrides):
         with pytest.raises(ConfigError):
@@ -98,39 +100,52 @@ class TestRunConfig:
         ({"frame_width": 128.0}, "frame_width"),
         ({"seed": 1.5}, "seed"),
         ({"seed": -1}, "seed"),
-        ({"random_trials": 0}, "random_trials"),
-        ({"backbone_unfreeze_step": -1}, "backbone_unfreeze_step"),
         ({"budget": -5}, "budget"),
         ({"budget": "5000"}, "budget"),
-        ({"track_mode": "budgeted"}, "budget"),
-        ({"budget_sweep": [0.0, -1.0]}, "budget_sweep"),
-        ({"tau_end": 0}, "tau_end"),
-        ({"tau_anneal": "yes"}, "tau_anneal"),
         ({"lambda_cost": float("nan")}, "lambda_cost"),
         ({"weight_decay": -1e-4}, "weight_decay"),
         ({"target_sigma": 0.0}, "target_sigma"),
         ({"occlusion_low": "0.6"}, "occlusion_low"),
     ], ids=["steps_str", "lr_start_str", "momentum_str", "momentum_one", "batch_zero",
             "n_eval_zero", "frame_width_float", "seed_float", "seed_negative",
-            "random_trials_zero", "unfreeze_negative", "budget_negative", "budget_str",
-            "budgeted_without_budget", "sweep_negative", "tau_end_zero", "tau_anneal_str",
-            "lambda_cost_nan", "weight_decay_negative", "target_sigma_zero",
-            "occlusion_low_str"])
+            "budget_negative", "budget_str", "lambda_cost_nan", "weight_decay_negative",
+            "target_sigma_zero", "occlusion_low_str"])
     def test_run_keys_checked_naming_the_key(self, values, key):
         with pytest.raises(ConfigError, match=key):
             from_dict(values)
 
     def test_run_key_bounds_accepted(self):
-        config = from_dict({"seed": 0, "backbone_unfreeze_step": 0, "budget": 0,
-                            "track_mode": "budgeted", "momentum": 0.0, "lambda_cost": 0,
-                            "budget_sweep": [0, 1e4], "tau_anneal": True})
-        assert (config.budget, config.budget_sweep) == (0, (0, 1e4))
+        config = from_dict({"seed": 0, "budget": 0, "momentum": 0.0, "lambda_cost": 0})
+        assert config.budget == 0
 
     def test_model_config_carries_model_fields(self):
         config = RunConfig(seed=4, channels=16, stem_channels=(8, 16), memory_capacity=5,
                            attention_mode="none", steps=10)
         assert config.model_config() == M.ModelConfig(
             channels=16, stem_channels=(8, 16), memory_capacity=5, attention_mode="none")
+
+
+@pytest.mark.parametrize("attention_mode", ["static", "none"])
+def test_fixed_attention_modes_train(attention_mode):
+    """A fixed mode has no gate weights, so its loss carries no cost term."""
+    model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
+    crops = T.Tensor4(np.random.default_rng(0).uniform(0.0, 1.0, (2, 1, 64, 64)))
+    memory_feature, memory_weights, _ = model.enhance_soft(model.extract(crops))
+    query_feature, query_weights, _ = model.enhance_soft(model.extract(crops))
+    out = model.predict(model.read_memory(query_feature, [memory_feature])[0])
+    labels = H.stack_labels([H.make_labels(H.BBox(24.0, 24.0, 16.0, 16.0), 4, (16, 16))] * 2)
+    loss = H.compute_loss(out, labels, gate_weight_tensors=[query_weights, memory_weights],
+                          cost_table=model.cost_table, lambda_cost=0.01)
+    assert loss.item() == H.compute_loss(out, labels).item()
+    grads = T.backprop(loss, model.params)
+    assert all(np.isfinite(g).all() for g in grads.values())
+
+
+@pytest.mark.parametrize("attention_mode", ["static", "none"])
+def test_budget_needs_gated_attention(attention_mode):
+    model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
+    with pytest.raises(ConfigError, match="budget"):
+        model.enhance_infer(T.zeros((1, 32, 16, 16)), budget=0.0)
 
 
 class TestCheckpoint:
