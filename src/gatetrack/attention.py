@@ -29,7 +29,6 @@ SPATIAL_KERNEL = 7  # CBAM spatial gate kernel; padding 3 keeps shape
 
 @dataclass
 class SEParams:
-    reduction: int
     w1: T.Tensor4  # (c/r, c, 1, 1)
     b1: T.Tensor4  # (1, c/r, 1, 1)
     w2: T.Tensor4  # (c, c/r, 1, 1)
@@ -42,7 +41,6 @@ class SEParams:
 
 @dataclass
 class CAParams:
-    reduction: int
     w_shared: T.Tensor4  # (c/r, c, 1, 1)
     b_shared: T.Tensor4
     w_h: T.Tensor4  # (c, c/r, 1, 1)
@@ -57,7 +55,6 @@ class CAParams:
 
 @dataclass
 class CBAMParams:
-    reduction: int
     w1: T.Tensor4  # shared MLP (c/r, c, 1, 1)
     b1: T.Tensor4
     w2: T.Tensor4  # shared MLP (c, c/r, 1, 1)
@@ -134,7 +131,6 @@ def init_se(params, rng, channels, reduction, prefix="se"):
     """Allocate SE parameters inside ``params`` and return the view."""
     mid = _bottleneck(channels, reduction)
     return SEParams(
-        reduction=reduction,
         w1=params.add(f"{prefix}.w1", T.he_normal(rng, (mid, channels, 1, 1))),
         b1=params.add(f"{prefix}.b1", T.zeros((1, mid, 1, 1)), decay=False),
         w2=params.add(f"{prefix}.w2", T.he_normal(rng, (channels, mid, 1, 1))),
@@ -145,7 +141,6 @@ def init_se(params, rng, channels, reduction, prefix="se"):
 def init_ca(params, rng, channels, reduction, prefix="ca"):
     mid = _bottleneck(channels, reduction)
     return CAParams(
-        reduction=reduction,
         w_shared=params.add(f"{prefix}.conv_shared.w", T.he_normal(rng, (mid, channels, 1, 1))),
         b_shared=params.add(f"{prefix}.conv_shared.b", T.zeros((1, mid, 1, 1)), decay=False),
         w_h=params.add(f"{prefix}.conv_h.w", T.he_normal(rng, (channels, mid, 1, 1))),
@@ -159,7 +154,6 @@ def init_cbam(params, rng, channels, reduction, prefix="cbam"):
     mid = _bottleneck(channels, reduction)
     k = SPATIAL_KERNEL
     return CBAMParams(
-        reduction=reduction,
         w1=params.add(f"{prefix}.mlp.w1", T.he_normal(rng, (mid, channels, 1, 1))),
         b1=params.add(f"{prefix}.mlp.b1", T.zeros((1, mid, 1, 1)), decay=False),
         w2=params.add(f"{prefix}.mlp.w2", T.he_normal(rng, (channels, mid, 1, 1))),

@@ -35,9 +35,8 @@ N_BRANCHES = len(BRANCH_ORDER)
 
 @dataclass
 class GateParams:
-    scale: int  # bottleneck divisor d
     tau: float
-    w1: T.Tensor4  # (c/d, c, 1, 1)
+    w1: T.Tensor4  # (c/d, c, 1, 1), d = gate_scale
     b1: T.Tensor4
     w2: T.Tensor4  # (B, c/d, 1, 1)
     b2: T.Tensor4
@@ -71,7 +70,6 @@ def init_gate(params, rng, channels, scale, tau, prefix="gate"):
     initial weights are exactly uniform."""
     mid = attention._bottleneck(channels, scale, "gate_scale")
     return GateParams(
-        scale=scale,
         tau=tau,
         w1=params.add(f"{prefix}.w1", T.he_normal(rng, (mid, channels, 1, 1))),
         b1=params.add(f"{prefix}.b1", T.zeros((1, mid, 1, 1)), decay=False),

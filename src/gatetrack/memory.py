@@ -54,9 +54,11 @@ def init_readout(params, rng, channels, key_channels, value_channels, prefix="me
 class MemoryBank:
     """Ordered store of enhanced features keyed by frame index.
 
-    Entry 0 is the initial frame; it is always written and never evicted.
-    Later entries are admitted by :meth:`update` (periodic, confidence
-    gated) and evicted first-in-first-out once the bank is full.
+    Entry 0 is the initial frame: the first write to an empty bank, whatever
+    its frame index, so a tracker re-initialised mid-sequence can start a
+    fresh bank.  It is always written and never evicted.  Later entries are
+    admitted by :meth:`update` (periodic, confidence gated) and evicted
+    first-in-first-out once the bank is full.
     """
 
     capacity: int
@@ -84,8 +86,8 @@ class MemoryBank:
             raise ConfigError(
                 f"frame index must increase: got {frame_index} after {self.entries[-1][0]}"
             )
-        if frame_index == 0:
-            self.entries.insert(0, (0, feature))
+        if not self.entries:
+            self.entries.append((frame_index, feature))
             return True
         if frame_index % self.write_period != 0:
             return False

@@ -1,9 +1,13 @@
 """Full tracker model: backbone stem, enhancement branches, gate, readout, head.
 
-The backbone is a small three-conv stem (1 -> 16 -> 32 -> 32, stride 4 total)
-producing 16x16 feature maps from 64x64 grayscale crops.  Enhancement runs a
-set of named branches and averages their outputs; the attention mode fixes
-how the set is chosen:
+The backbone is a small three-conv stem, 1 -> ``stem_width`` -> ``channels``
+-> ``channels`` (1 -> 16 -> 32 -> 32 by default), producing 16x16 feature
+maps from 64x64 grayscale crops.  Its conv strides are ``STEM_STRIDES``;
+``ModelConfig.stride`` is their product, the backbone's downsampling factor,
+read from the stem rather than set.
+
+Enhancement runs a set of named branches and averages their outputs; the
+attention mode fixes how the set is chosen:
 
   * ``gated``  — the gate picks one branch per feature map, within a FLOPs
                  budget when one is given (training blends all four),
@@ -30,11 +34,13 @@ from . import attention, flops, gate, head, memory
 from . import tensor as T
 from .errors import ConfigError, NumericError, ShapeError
 
+STEM_STRIDES = (2, 2, 1)  # backbone conv1..conv3
+
 
 @dataclass
 class ModelConfig:
     channels: int = 32
-    stem_channels: tuple = (16, 32)
+    stem_width: int = 16  # conv1's output width; conv2 and conv3 output ``channels``
     reduction: int = 4
     gate_scale: int = 4
     tau: float = 1.0
@@ -44,20 +50,12 @@ class ModelConfig:
     write_period: int = 5
     write_threshold: float = 0.6
     crop_size: int = 64
-    stride: int = 4
     attention_mode: str = "gated"  # gated | static | none
     static_branches: tuple = ("se", "ca", "cbam")
 
     def __post_init__(self):
         for key in _SIZE_KEYS:
             _require_size(key, getattr(self, key))
-        if not isinstance(self.stem_channels, (tuple, list)) or len(self.stem_channels) != 2:
-            raise ConfigError(f"stem_channels must be two widths, got {self.stem_channels!r}")
-        for width in self.stem_channels:
-            _require_size("stem_channels", width)
-        if self.stem_channels[-1] != self.channels:
-            raise ConfigError(f"stem_channels must end at channels ({self.channels}), "
-                              f"got {self.stem_channels!r}")
         attention._bottleneck(self.channels, self.reduction)
         attention._bottleneck(self.channels, self.gate_scale, "gate_scale")
         _require_real("tau", self.tau)
@@ -74,12 +72,16 @@ class ModelConfig:
                               f"got {self.static_branches!r}")
 
     @property
+    def stride(self):
+        return math.prod(STEM_STRIDES)
+
+    @property
     def feature_size(self):
         return self.crop_size // self.stride
 
 
-_SIZE_KEYS = ("channels", "reduction", "gate_scale", "key_channels", "value_channels",
-              "memory_capacity", "write_period", "crop_size", "stride")
+_SIZE_KEYS = ("channels", "stem_width", "reduction", "gate_scale", "key_channels",
+              "value_channels", "memory_capacity", "write_period", "crop_size")
 
 
 def _require_size(key, value, low=1):
@@ -108,15 +110,15 @@ class TrackModel:
         self.params = T.ParamSet()
         rng = np.random.default_rng(seed)
         c = config.channels
-        c1, c2 = config.stem_channels
+        c1 = config.stem_width
 
         p = self.params
         self.stem = (
             p.add("backbone.conv1.w", T.he_normal(rng, (c1, 1, 4, 4))),
             p.add("backbone.conv1.b", T.zeros((1, c1, 1, 1)), decay=False),
-            p.add("backbone.conv2.w", T.he_normal(rng, (c2, c1, 4, 4))),
-            p.add("backbone.conv2.b", T.zeros((1, c2, 1, 1)), decay=False),
-            p.add("backbone.conv3.w", T.he_normal(rng, (c, c2, 3, 3))),
+            p.add("backbone.conv2.w", T.he_normal(rng, (c, c1, 4, 4))),
+            p.add("backbone.conv2.b", T.zeros((1, c, 1, 1)), decay=False),
+            p.add("backbone.conv3.w", T.he_normal(rng, (c, c, 3, 3))),
             p.add("backbone.conv3.b", T.zeros((1, c, 1, 1)), decay=False),
         )
         self.branches = attention.init_branches(p, rng, c, config.reduction)
@@ -133,11 +135,12 @@ class TrackModel:
     # -- forward pieces ----------------------------------------------------
 
     def extract(self, crops):
-        """Backbone features for a (n, 1, s, s) crop batch: (n, c, s/4, s/4)."""
+        """Backbone features for a (n, 1, s, s) crop batch: (n, c, s/stride, s/stride)."""
         w1, b1, w2, b2, w3, b3 = self.stem
-        h = T.relu(T.conv2d(crops, w1, b1, stride=2, pad=1))
-        h = T.relu(T.conv2d(h, w2, b2, stride=2, pad=1))
-        return T.relu(T.conv2d(h, w3, b3, stride=1, pad=1))
+        s1, s2, s3 = STEM_STRIDES
+        h = T.relu(T.conv2d(crops, w1, b1, stride=s1, pad=1))
+        h = T.relu(T.conv2d(h, w2, b2, stride=s2, pad=1))
+        return T.relu(T.conv2d(h, w3, b3, stride=s3, pad=1))
 
     def _run(self, feature, names):
         """Run the branches ``names`` on ``feature`` and average their outputs.
@@ -205,8 +208,8 @@ class TrackModel:
     def layer_inventory(self):
         """(name, kind, dims) rows for the full per-frame pipeline."""
         cfg = self.config
-        s = cfg.crop_size
-        c1, c2 = cfg.stem_channels
+        s1 = cfg.crop_size // STEM_STRIDES[0]
+        c1 = cfg.stem_width
         c = cfg.channels
         fs = cfg.feature_size
         q = fs * fs
@@ -214,12 +217,12 @@ class TrackModel:
         ck, cv = cfg.key_channels, cfg.value_channels
         rows = [
             ("backbone.conv1", "conv", {"k": 4, "cin": 1, "cout": c1,
-                                        "hout": s // 2, "wout": s // 2}),
-            ("backbone.relu1", "relu", {"count": c1 * (s // 2) ** 2}),
-            ("backbone.conv2", "conv", {"k": 4, "cin": c1, "cout": c2,
+                                        "hout": s1, "wout": s1}),
+            ("backbone.relu1", "relu", {"count": c1 * s1 * s1}),
+            ("backbone.conv2", "conv", {"k": 4, "cin": c1, "cout": c,
                                         "hout": fs, "wout": fs}),
-            ("backbone.relu2", "relu", {"count": c2 * fs * fs}),
-            ("backbone.conv3", "conv", {"k": 3, "cin": c2, "cout": c,
+            ("backbone.relu2", "relu", {"count": c * fs * fs}),
+            ("backbone.conv3", "conv", {"k": 3, "cin": c, "cout": c,
                                         "hout": fs, "wout": fs}),
             ("backbone.relu3", "relu", {"count": c * fs * fs}),
             ("memory.keys", "conv", {"k": 1, "cin": c, "cout": ck,

@@ -138,9 +138,6 @@ class Tensor4:
             raise ShapeError(f"item() needs a single-element tensor, got {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Reverse-mode sweep from a scalar output.
 
@@ -247,9 +244,6 @@ class ParamSet:
 
     def __getitem__(self, name):
         return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
 
     def __len__(self):
         return len(self._params)

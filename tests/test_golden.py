@@ -129,18 +129,12 @@ GRADS_SHA256 = "ac79d20201f2acd4580fbc49ffcee5d6bc9def1d4e654a4416c37437a9bdd62f
 N_PARAMS = 50
 
 RUN_CONFIG_JSON = {
-    "attention_mode": "gated", "batch": 4, "budget": None,
-    "channels": 32, "crop_size": 64, "fast_multiplier": 6.0,
-    "frame_height": 128, "frame_width": 128, "gate_scale": 4, "key_channels": 16,
-    "lambda_cost": 0.01, "lr_end": 0.0001, "lr_start": 0.005, "memory_capacity": 3,
-    "momentum": 0.9, "n_eval_sequences": 20, "n_train_sequences": 20,
-    "occlusion_high": 0.8, "occlusion_low": 0.6,
-    "phase_schedule": [["stable", 20], ["occlusion", 15], ["fast", 15]],
-    "reduction": 4, "seed": 0,
-    "static_branches": ["se", "ca", "cbam"], "stem_channels": [16, 32], "steps": 2000,
-    "stride": 4, "target_intensity": 0.8, "target_sigma": 6.0, "tau": 1.0,
-    "value_channels": 16,
-    "weight_decay": 0.0001, "write_period": 5, "write_threshold": 0.6,
+    "attention_mode": "gated", "batch": 4, "channels": 32, "crop_size": 64,
+    "gate_scale": 4, "key_channels": 16, "lambda_cost": 0.01, "lr_end": 0.0001,
+    "lr_start": 0.005, "memory_capacity": 3, "momentum": 0.9, "reduction": 4,
+    "static_branches": ["se", "ca", "cbam"], "stem_width": 16, "steps": 2000,
+    "tau": 1.0, "value_channels": 16, "weight_decay": 0.0001, "write_period": 5,
+    "write_threshold": 0.6,
 }
 
 

@@ -51,6 +51,17 @@ class TestMemoryBank:
         bank.update(0, T.zeros((1, 1, 1, 1)), 1.0)
         assert not bank.update(7, T.zeros((1, 1, 1, 1)), 1.0)
 
+    @pytest.mark.parametrize("first", [5, 7])
+    def test_first_write_is_initial_whatever_the_frame(self, first):
+        """A bank that never saw frame 0 (a re-initialised tracker) takes its
+        first write as the initial entry, on or off the write period."""
+        bank = M.MemoryBank(capacity=2, write_period=5, write_threshold=0.9)
+        assert bank.update(first, T.full((1, 1, 1, 1), 1.0), confidence=0.0)
+        assert bank.frame_indices == [first]
+        assert bank.update(10, T.full((1, 1, 1, 1), 2.0), 1.0)
+        assert bank.update(15, T.full((1, 1, 1, 1), 3.0), 1.0)
+        assert bank.frame_indices == [first, 15]  # the initial entry is never evicted
+
     def test_non_monotone_frame_rejected(self):
         bank = M.MemoryBank(capacity=3)
         bank.update(0, T.zeros((1, 1, 1, 1)), 1.0)

@@ -2,10 +2,12 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from gatetrack import flops
 from gatetrack import head as H
 from gatetrack import model as M
 from gatetrack import tensor as T
@@ -15,24 +17,33 @@ from gatetrack.errors import ConfigError, NumericError, ShapeError
 
 class TestRunConfig:
     def test_json_round_trip(self, tmp_path):
-        config = RunConfig(seed=3, channels=16, stem_channels=(8, 16),
-                           attention_mode="static", static_branches=("se",),
-                           budget=5000.0,
-                           phase_schedule=(("stable", 4), ("fast", 2)))
+        config = RunConfig(channels=16, stem_width=8, attention_mode="static",
+                           static_branches=("se",), steps=10, lr_end=0.001)
         assert from_dict(json.loads(config.to_json())) == config
         write_resolved(config, tmp_path / "out")
         assert load_config(tmp_path / "out" / "config_used.json") == config
 
     def test_overrides_skip_none(self, tmp_path):
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"seed": 5, "tau": 0.5}))
-        config = load_config(path, overrides={"seed": 9, "steps": None})
-        assert (config.seed, config.tau, config.steps) == (9, 0.5, RunConfig().steps)
+        path.write_text(json.dumps({"batch": 5, "tau": 0.5}))
+        config = load_config(path, overrides={"batch": 9, "steps": None})
+        assert (config.batch, config.tau, config.steps) == (9, 0.5, RunConfig().steps)
 
-    @pytest.mark.parametrize("key", ["figures", "no_such_key"])
+    def test_fields(self):
+        """13 model fields and the 7 training settings; nothing else is settable."""
+        names = [f.name for f in fields(RunConfig)]
+        assert names[:13] == [f.name for f in fields(M.ModelConfig)]
+        assert names[13:] == ["steps", "batch", "lr_start", "lr_end", "momentum",
+                              "weight_decay", "lambda_cost"]
+
+    # removed keys: scenes are configured by ScenarioSpec, the stride is the
+    # backbone's and the stem has one free width
+    @pytest.mark.parametrize("key", [
+        "figures", "no_such_key", "phase_schedule", "seed", "budget", "target_sigma",
+        "occlusion_low", "frame_width", "n_eval_sequences", "stride", "stem_channels"])
     def test_unknown_key_rejected(self, key):
-        with pytest.raises(ConfigError, match=key):
-            from_dict({key: True})
+        with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
+            from_dict({key: 8})
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read"),
@@ -58,13 +69,13 @@ class TestRunConfig:
         {"value_channels": 0},
         {"crop_size": 64.0},
         {"channels": True},
-        {"stem_channels": (16,)},
-        {"stem_channels": (16.0, 32)},
+        {"stem_width": 0},
+        {"stem_width": 16.0},
         {"write_threshold": "0.6"},
         {"write_threshold": 1.5},
-        {"channels": 30, "stem_channels": (16, 30)},
+        {"channels": 30},
         {"gate_scale": 3},
-        {"stem_channels": (16, 8)},
+        {"stem_width": True},
         {"static_branches": (["se"],)},
         {"static_branches": ("se", "se")},
     ])
@@ -76,16 +87,14 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("values, key", [
         ({"crop_size": "64"}, "crop_size"),
-        ({"phase_schedule": [["stable"]]}, "phase_schedule"),
-        ({"phase_schedule": [["stable", "ten"]]}, "phase_schedule"),
-        ({"stem_channels": 5}, "stem_channels"),
+        ({"stem_width": 16.0}, "stem_width"),
         ({"tau": 0}, "tau"),
         ({"memory_capacity": 0}, "memory_capacity"),
         ({"key_channels": 0}, "key_channels"),
         ({"value_channels": 0}, "value_channels"),
-        ({"stem_channels": [16, 8]}, "stem_channels"),
-    ], ids=["crop_size_str", "schedule_short", "schedule_str", "stem_int", "tau_zero",
-            "capacity_zero", "key_zero", "value_zero", "stem_last_width"])
+        ({"static_branches": 5}, "static_branches"),
+    ], ids=["crop_size_str", "stem_int", "tau_zero", "capacity_zero", "key_zero",
+            "value_zero", "static_branches_int"])
     def test_mistyped_values_raise_config_error_naming_the_key(self, values, key):
         with pytest.raises(ConfigError, match=key):
             from_dict(values)
@@ -96,33 +105,24 @@ class TestRunConfig:
         ({"momentum": "0.9"}, "momentum"),
         ({"momentum": 1.0}, "momentum"),
         ({"batch": 0}, "batch"),
-        ({"n_eval_sequences": 0}, "n_eval_sequences"),
-        ({"frame_width": 128.0}, "frame_width"),
-        ({"seed": 1.5}, "seed"),
-        ({"seed": -1}, "seed"),
-        ({"budget": -5}, "budget"),
-        ({"budget": "5000"}, "budget"),
         ({"lambda_cost": float("nan")}, "lambda_cost"),
         ({"weight_decay": -1e-4}, "weight_decay"),
-        ({"target_sigma": 0.0}, "target_sigma"),
-        ({"occlusion_low": "0.6"}, "occlusion_low"),
     ], ids=["steps_str", "lr_start_str", "momentum_str", "momentum_one", "batch_zero",
-            "n_eval_zero", "frame_width_float", "seed_float", "seed_negative",
-            "budget_negative", "budget_str", "lambda_cost_nan", "weight_decay_negative",
-            "target_sigma_zero", "occlusion_low_str"])
+            "lambda_cost_nan", "weight_decay_negative"])
     def test_run_keys_checked_naming_the_key(self, values, key):
         with pytest.raises(ConfigError, match=key):
             from_dict(values)
 
     def test_run_key_bounds_accepted(self):
-        config = from_dict({"seed": 0, "budget": 0, "momentum": 0.0, "lambda_cost": 0})
-        assert config.budget == 0
+        config = from_dict({"momentum": 0.0, "weight_decay": 0, "lambda_cost": 0,
+                            "lr_start": 0.01, "lr_end": 0.01})
+        assert (config.momentum, config.weight_decay, config.lambda_cost) == (0, 0, 0)
 
     def test_model_config_carries_model_fields(self):
-        config = RunConfig(seed=4, channels=16, stem_channels=(8, 16), memory_capacity=5,
+        config = RunConfig(channels=16, stem_width=8, memory_capacity=5,
                            attention_mode="none", steps=10)
         assert config.model_config() == M.ModelConfig(
-            channels=16, stem_channels=(8, 16), memory_capacity=5, attention_mode="none")
+            channels=16, stem_width=8, memory_capacity=5, attention_mode="none")
 
 
 @pytest.mark.parametrize("attention_mode", ["static", "none"])
@@ -146,6 +146,17 @@ def test_budget_needs_gated_attention(attention_mode):
     model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
     with pytest.raises(ConfigError, match="budget"):
         model.enhance_infer(T.zeros((1, 32, 16, 16)), budget=0.0)
+
+
+@pytest.mark.parametrize("crop_size", [32, 64, 128])
+def test_stride_is_the_backbone_downsampling(crop_size):
+    """Features, cost table and box decoding all use the stride the stem applies."""
+    config = M.ModelConfig(crop_size=crop_size)
+    model = M.TrackModel(config, seed=0)
+    assert model.config.stride == 4
+    fs = model.extract(T.zeros((1, 1, crop_size, crop_size))).shape[2]
+    assert fs == crop_size // config.stride == config.feature_size
+    assert model.cost_table is flops.branch_costs(config.channels, config.reduction, fs, fs)
 
 
 class TestCheckpoint:
