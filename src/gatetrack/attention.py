@@ -93,13 +93,14 @@ def ca_forward(x, p: CAParams):
     _check_channels(x, p, "ca_forward")
     n, c, h, w = x.shape
     zh = T.pool("avg_over_w", x)  # (n, c, h, 1)
-    zw = T.transpose_hw(T.pool("avg_over_h", x))  # (n, c, w, 1)
-    stacked = T.concat_spatial(zh, zw)  # (n, c, h+w, 1)
+    # (n, c, 1, w) and (n, c, w, 1) hold the same element order
+    zw = T.reshape(T.pool("avg_over_h", x), (n, c, w, 1))
+    stacked = T.concat((zh, zw), axis=2)  # (n, c, h+w, 1)
     hidden = T.relu(T.linear(stacked, p.w_shared, p.b_shared))
-    gate_h = T.sigmoid(T.linear(T.slice_rows(hidden, 0, h), p.w_h, p.b_h))
-    gate_w = T.sigmoid(T.linear(T.slice_rows(hidden, h, h + w), p.w_w, p.b_w))
+    gate_h = T.sigmoid(T.linear(T.narrow(hidden, 2, 0, h), p.w_h, p.b_h))
+    gate_w = T.sigmoid(T.linear(T.narrow(hidden, 2, h, h + w), p.w_w, p.b_w))
     out = T.mul_broadcast(x, gate_h)  # (n, c, h, 1) broadcasts over w
-    return T.mul_broadcast(out, T.transpose_hw(gate_w))  # (n, c, 1, w)
+    return T.mul_broadcast(out, T.reshape(gate_w, (n, c, 1, w)))
 
 
 def cbam_forward(x, p: CBAMParams):
@@ -113,7 +114,7 @@ def cbam_forward(x, p: CBAMParams):
         T.add(mlp(T.pool("global_avg", x)), mlp(T.pool("global_max", x)))
     )
     gated = T.mul_broadcast(x, channel_gate)
-    stats = T.concat_channel(T.pool("mean_over_c", gated), T.pool("max_over_c", gated))
+    stats = T.concat((T.pool("mean_over_c", gated), T.pool("max_over_c", gated)), axis=1)
     spatial_gate = T.sigmoid(
         T.conv2d(stats, p.w_spatial, p.b_spatial, stride=1, pad=SPATIAL_KERNEL // 2)
     )

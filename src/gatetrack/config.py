@@ -56,13 +56,8 @@ def from_dict(values):
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     values = dict(values)
-    if "static_branches" in values:  # a JSON list
-        branches = values["static_branches"]
-        try:
-            values["static_branches"] = tuple(branches)
-        except TypeError as err:
-            raise ConfigError(f"config key 'static_branches' has a malformed value "
-                              f"{branches!r}: {err}") from None
+    if isinstance(values.get("static_branches"), list):  # JSON has no tuples
+        values["static_branches"] = tuple(values["static_branches"])
     return RunConfig(**values)
 
 

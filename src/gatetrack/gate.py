@@ -52,12 +52,19 @@ class GateParams:
 
 @dataclass
 class GateDecision:
-    """Record of one gating event for one feature map."""
+    """Record of one enhancement choice for one feature map.
+
+    ``mode`` says how the weights were set: ``soft`` (the training blend),
+    ``hard`` (the gate's argmax, recorded one-hot), ``budgeted`` (the gate's
+    weights filtered by a FLOPs budget) or ``fixed`` (the configured set of a
+    static or none model, weighted evenly; no gate ran, so the logits are
+    zero).
+    """
 
     frame_index: int
     logits: np.ndarray  # (B,)
     weights: np.ndarray  # (B,), sums to 1
-    mode: str  # soft | hard | budgeted
+    mode: str  # soft | hard | budgeted | fixed
     chosen: int  # argmax branch index
 
     @property
@@ -140,7 +147,7 @@ def soft_attention(feature, branches, gate: GateParams, frame_index=0):
     for i, kind in enumerate(BRANCH_ORDER):
         contrib = T.mul_broadcast(
             attention.branch_forward(kind, feature, branches.get(kind)),
-            T.slice_channels(weights_t, i, i + 1),
+            T.narrow(weights_t, 1, i, i + 1),
         )
         out = contrib if out is None else T.add(out, contrib)
     decisions = []

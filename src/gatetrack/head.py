@@ -136,10 +136,9 @@ def decode_detection(out: HeadOutput, stride, crop_origin=(0.0, 0.0)):
 
 @dataclass
 class Labels:
-    cls: np.ndarray  # (1, 1, hf, wf) in {0, 1}
     ctr: np.ndarray  # (1, 1, hf, wf) in [0, 1], zero off positives
     reg: np.ndarray  # (1, 4, hf, wf) distances, zero off positives
-    positive: np.ndarray  # (1, 1, hf, wf) in {0, 1}
+    positive: np.ndarray  # (1, 1, hf, wf) in {0, 1}, also the classification target
 
     @property
     def n_positive(self):
@@ -175,13 +174,12 @@ def make_labels(gt: BBox, stride, shape):
     ctr = np.where(inside, np.nan_to_num(ctr), 0.0)[None, None]
 
     positive = inside.astype(np.float64)[None, None]
-    return Labels(cls=positive.copy(), ctr=ctr, reg=reg, positive=positive)
+    return Labels(ctr=ctr, reg=reg, positive=positive)
 
 
 def stack_labels(label_list):
     """Stack single-sample labels along the batch axis for batched losses."""
     return Labels(
-        cls=np.concatenate([l.cls for l in label_list]),
         ctr=np.concatenate([l.ctr for l in label_list]),
         reg=np.concatenate([l.reg for l in label_list]),
         positive=np.concatenate([l.positive for l in label_list]),
@@ -194,11 +192,11 @@ def iou_loss_map(reg: T.Tensor4, labels: Labels):
     Zero at non-positive locations (their targets are all zero, so the
     intersection vanishes and only the mask keeps them out of the mean).
     """
-    target = T.constant(labels.reg)
+    target = T.Tensor4(labels.reg)
     mask = labels.positive
 
     def side(tensor, k):
-        return T.slice_channels(tensor, k, k + 1)
+        return T.narrow(tensor, 1, k, k + 1)
 
     inter_w = T.add(T.minimum(side(reg, 0), side(target, 0)),
                     T.minimum(side(reg, 2), side(target, 2)))
@@ -207,12 +205,12 @@ def iou_loss_map(reg: T.Tensor4, labels: Labels):
     inter = T.mul_broadcast(inter_w, inter_h)
     area_pred = T.mul_broadcast(T.add(side(reg, 0), side(reg, 2)),
                                 T.add(side(reg, 1), side(reg, 3)))
-    area_gt = T.constant(((labels.reg[:, 0] + labels.reg[:, 2])
-                          * (labels.reg[:, 1] + labels.reg[:, 3]))[:, None])
+    area_gt = T.Tensor4(((labels.reg[:, 0] + labels.reg[:, 2])
+                         * (labels.reg[:, 1] + labels.reg[:, 3]))[:, None])
     union = T.sub(T.add(area_pred, area_gt), inter)
     iou = T.div_broadcast(inter, union)  # union > 0: predicted sides are exp(...)
-    one = T.constant(np.ones_like(labels.cls))
-    return T.mul_broadcast(T.sub(one, iou), T.constant(mask))
+    one = T.Tensor4(np.ones_like(mask))
+    return T.mul_broadcast(T.sub(one, iou), T.Tensor4(mask))
 
 
 def compute_loss(out: HeadOutput, labels: Labels, gate_weight_tensors=None,
@@ -225,12 +223,12 @@ def compute_loss(out: HeadOutput, labels: Labels, gate_weight_tensors=None,
     running every branch.  A ``None`` gate weight tensor, from a fixed
     attention mode, has no decision to regularize and adds no cost term.
     """
-    if labels.cls.shape != out.cls.shape:
+    if labels.positive.shape != out.cls.shape:
         raise ShapeError(
-            f"labels shape {labels.cls.shape} != head output {out.cls.shape}"
+            f"labels shape {labels.positive.shape} != head output {out.cls.shape}"
         )
     n_pos = labels.n_positive
-    loss = T.bce_with_logits(out.cls, labels.cls)
+    loss = T.bce_with_logits(out.cls, labels.positive)
     if n_pos > 0:
         loss = T.add(loss, T.bce_with_logits(out.ctr, labels.ctr,
                                              mask=labels.positive,
@@ -239,7 +237,7 @@ def compute_loss(out: HeadOutput, labels: Labels, gate_weight_tensors=None,
         loss = T.add(loss, T.scale(box_term, 1.0 / n_pos))
     weight_tensors = [w for w in gate_weight_tensors or () if w is not None]
     if lambda_cost and weight_tensors:
-        cost_vec = T.constant(cost_table.costs.reshape(1, -1, 1, 1))
+        cost_vec = T.Tensor4(cost_table.costs.reshape(1, -1, 1, 1))
         total = None
         count = 0
         for weights in weight_tensors:

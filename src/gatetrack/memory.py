@@ -121,8 +121,8 @@ def readout(query_feature, memory_features, p: ReadoutParams):
 
     # every stored pixel as one column, so a single key and a single value
     # projection cover the whole memory whatever the size of each map
-    stack = T.concat_spatial(
-        *[T.reshape(m, (n, c, m.shape[2] * m.shape[3], 1)) for m in memory_features])
+    stack = T.concat(
+        [T.reshape(m, (n, c, m.shape[2] * m.shape[3], 1)) for m in memory_features], axis=2)
     mem_keys = T.linear(stack, p.key_w, p.key_b)
     mem_values = T.linear(stack, p.value_w, p.value_b)
     query_keys = T.reshape(T.linear(query_feature, p.key_w, p.key_b), (n, ck, hq * wq, 1))
@@ -130,5 +130,5 @@ def readout(query_feature, memory_features, p: ReadoutParams):
     # tau = sqrt(ck) is the 1/sqrt(ck) logit scale; rows over memory pixels
     attn = T.softmax_tau(T.matmul_cc(query_keys, mem_keys), tau=ck ** 0.5, axis=3)
     read = T.reshape(T.apply_attention(mem_values, attn), (n, cv, hq, wq))
-    fused = T.linear(T.concat_channel(read, query_feature), p.fuse_w, p.fuse_b)
+    fused = T.linear(T.concat((read, query_feature), axis=1), p.fuse_w, p.fuse_b)
     return fused, attn

@@ -64,6 +64,9 @@ class ModelConfig:
             raise ConfigError("crop size must be divisible by the feature stride")
         if self.attention_mode not in ("gated", "static", "none"):
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
+        if not isinstance(self.static_branches, tuple):
+            raise ConfigError(f"static_branches must be a tuple of branch names, "
+                              f"got {self.static_branches!r}")
         for b in self.static_branches:
             if not isinstance(b, str) or b not in attention.BRANCHES:
                 raise ConfigError(f"unknown static branch {b!r}")
@@ -173,7 +176,8 @@ class TrackModel:
 
         In gated mode :func:`gate.decide` picks one branch for the single
         feature map, within ``budget`` when one is given.  Static and none
-        modes run ``fixed_branches`` and take no budget.
+        modes run ``fixed_branches``, recorded as a ``fixed`` decision, and
+        take no budget.
         """
         if self.config.attention_mode == "gated":
             decision = gate.decide(feature, self.gate, budget, self.cost_table, frame_index)
@@ -186,7 +190,7 @@ class TrackModel:
             weights = np.array([n in names for n in flops.BRANCH_ORDER]) / len(names)
             decision = gate.GateDecision(frame_index=frame_index,
                                          logits=np.zeros(gate.N_BRANCHES), weights=weights,
-                                         mode="hard", chosen=int(np.argmax(weights)))
+                                         mode="fixed", chosen=int(np.argmax(weights)))
         enhanced, cost = self._run(feature, names)
         return enhanced, decision, cost
 

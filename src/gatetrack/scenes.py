@@ -216,12 +216,11 @@ def _draw_occluder(frame, box: BBox, fraction):
     return frame
 
 
-def split_benchmark(n_train, n_eval, base_seed, spec_kwargs=None):
+def split_benchmark(n_train, n_eval, base_seed):
     """Disjoint seeded train/eval scenario specs; every spec covers all phases."""
     if n_train < 1 or n_eval < 1:
         raise ConfigError("need at least one sequence per split")
-    kwargs = dict(spec_kwargs or {})
-    train = [ScenarioSpec(seed=base_seed + 1 + i, **kwargs) for i in range(n_train)]
-    eval_ = [ScenarioSpec(seed=base_seed + 100000 + 1 + i, **kwargs) for i in range(n_eval)]
+    train = [ScenarioSpec(seed=base_seed + 1 + i) for i in range(n_train)]
+    eval_ = [ScenarioSpec(seed=base_seed + 100000 + 1 + i) for i in range(n_eval)]
     return train, eval_
 

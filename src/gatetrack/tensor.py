@@ -3,10 +3,18 @@
 Every value in the tracker flows through :class:`Tensor4`: a ``(n, c, h, w)``
 float64 array that optionally records the operations applied to it so that
 gradients can be pushed back through the graph.  The op set is deliberately
-small — convolution, fully connected layers, activations, pooling, softmax
-with temperature, broadcasting arithmetic and the two attention contractions —
-which keeps every backward rule short enough to verify against the
-finite-difference oracle in :func:`grad_check`.
+small, one op per operation, each with one backward rule short enough to
+verify against the finite-difference oracle in :func:`grad_check`:
+
+  * ``conv2d`` and ``linear`` (a 1x1 ``conv2d``);
+  * ``relu``, ``sigmoid``, ``exp`` and ``softmax_tau`` (softmax with
+    temperature);
+  * ``pool``: mean or max over the axes its kind names;
+  * ``add``, ``sub``, ``scale``, ``mul_broadcast``, ``div_broadcast`` and
+    ``minimum``;
+  * layout: ``concat`` and ``narrow`` along one axis, and ``reshape``;
+  * the attention contractions ``matmul_cc`` and ``apply_attention``;
+  * the losses' ``bce_with_logits`` and ``sum_all``.
 
 Design notes:
   * float64 everywhere, so gradients stay checkable.  The hot kernels
@@ -39,9 +47,6 @@ __all__ = [
     "Tensor4",
     "ParamSet",
     "no_grad",
-    "constant",
-    "vector",
-    "scalar",
     "zeros",
     "full",
     "he_normal",
@@ -56,11 +61,8 @@ __all__ = [
     "mul_broadcast",
     "div_broadcast",
     "minimum",
-    "concat_channel",
-    "concat_spatial",
-    "slice_channels",
-    "slice_rows",
-    "transpose_hw",
+    "concat",
+    "narrow",
     "reshape",
     "conv2d",
     "linear",
@@ -191,21 +193,6 @@ def _result(data, parents, backward_fn, flops=0):
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-def constant(values):
-    """A non-tracked tensor from any rank-4 array-like."""
-    return Tensor4(values, requires_grad=False)
-
-
-def vector(values, requires_grad=False):
-    """Lay a 1-D sequence out along the channel axis: shape (1, k, 1, 1)."""
-    arr = np.asarray(values, dtype=np.float64).reshape(1, -1, 1, 1)
-    return Tensor4(arr, requires_grad=requires_grad)
-
-
-def scalar(value, requires_grad=False):
-    return Tensor4(np.full((1, 1, 1, 1), float(value)), requires_grad=requires_grad)
-
 
 def zeros(shape, requires_grad=False):
     return Tensor4(np.zeros(shape), requires_grad=requires_grad)
@@ -346,66 +333,50 @@ def softmax_tau(x, tau, axis=1):
 # pooling
 # ---------------------------------------------------------------------------
 
-_MEAN_POOL_AXES = {
-    "global_avg": (2, 3),
-    "avg_over_w": (3,),
-    "avg_over_h": (2,),
-    "mean_over_c": (1,),
-}
-_MAX_POOL_AXES = {
-    "global_max": (2, 3),
-    "max_over_c": (1,),
+# kind -> (reduction, reduced axes); the reduced axes of every kind are adjacent
+_POOLS = {
+    "global_avg": ("mean", (2, 3)),
+    "avg_over_w": ("mean", (3,)),
+    "avg_over_h": ("mean", (2,)),
+    "mean_over_c": ("mean", (1,)),
+    "global_max": ("max", (2, 3)),
+    "max_over_c": ("max", (1,)),
 }
 
 
 def pool(kind, x):
     """Reduce the named axes, keeping rank 4 with size-1 reduced dims."""
-    if kind in _MEAN_POOL_AXES:
-        axes = _MEAN_POOL_AXES[kind]
-        for ax in axes:
-            if x.shape[ax] == 0:
-                raise ShapeError(f"pool {kind!r} over empty axis {ax}")
-        count = 1
-        for ax in axes:
-            count *= x.shape[ax]
+    if kind not in _POOLS:
+        raise ConfigError(f"unknown pool kind {kind!r}")
+    reduction, axes = _POOLS[kind]
+    shape = x.shape
+    count = math.prod(shape[ax] for ax in axes)
+    if count == 0:
+        raise ShapeError(f"pool {kind!r} over empty axes {axes} of {shape}")
+
+    if reduction == "mean":
         y = x.data.mean(axis=axes, keepdims=True)
-        shape = x.shape
 
         def backward_mean(g):
             return (np.broadcast_to(g / count, shape),)
 
         return _result(y, (x,), backward_mean, x.size)
 
-    if kind == "global_max":
-        n, c, h, w = x.shape
-        if h * w == 0:
-            raise ShapeError("pool 'global_max' over empty spatial axes")
-        flat = x.data.reshape(n, c, h * w)
-        idx = flat.argmax(axis=2)  # first occurrence on ties
-        y = np.take_along_axis(flat, idx[:, :, None], axis=2).reshape(n, c, 1, 1)
+    # one axis of ``count`` entries stands for the reduced axes, so one argmax
+    # (first occurrence on ties) serves every kind without a copy
+    lo, hi = axes[0], axes[-1] + 1
+    merged = shape[:lo] + (count,) + shape[hi:]
+    flat = x.data.reshape(merged)
+    idx = np.expand_dims(flat.argmax(axis=lo), lo)
+    kept = shape[:lo] + (1,) * (hi - lo) + shape[hi:]
+    y = np.take_along_axis(flat, idx, axis=lo).reshape(kept)
 
-        def backward_gmax(g):
-            dflat = np.zeros((n, c, h * w))
-            np.put_along_axis(dflat, idx[:, :, None], g.reshape(n, c, 1), axis=2)
-            return (dflat.reshape(n, c, h, w),)
+    def backward_max(g):
+        dflat = np.zeros(merged)
+        np.put_along_axis(dflat, idx, g.reshape(idx.shape), axis=lo)
+        return (dflat.reshape(shape),)
 
-        return _result(y, (x,), backward_gmax, x.size)
-
-    if kind == "max_over_c":
-        if x.shape[1] == 0:
-            raise ShapeError("pool 'max_over_c' over empty channel axis")
-        idx = x.data.argmax(axis=1)  # (n, h, w), first occurrence on ties
-        y = np.take_along_axis(x.data, idx[:, None], axis=1)
-        shape = x.shape
-
-        def backward_cmax(g):
-            dx = np.zeros(shape)
-            np.put_along_axis(dx, idx[:, None], g, axis=1)
-            return (dx,)
-
-        return _result(y, (x,), backward_cmax, x.size)
-
-    raise ConfigError(f"unknown pool kind {kind!r}")
+    return _result(y, (x,), backward_max, x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -492,69 +463,41 @@ def minimum(a, b):
     return _result(np.where(take_a, a.data, b.data), (a, b), backward, a.size)
 
 
-def _concat(tensors, axis):
-    sizes = [t.shape[axis] for t in tensors]
+def _along(axis, lo, hi):
+    """Index of the ``lo:hi`` range along ``axis`` of a rank-4 array."""
+    index = [slice(None)] * 4
+    index[axis] = slice(lo, hi)
+    return tuple(index)
+
+
+def concat(tensors, axis):
+    """Join tensors along ``axis``; every other extent must match."""
+    tensors = tuple(tensors)
     ref = tensors[0].shape
     for t in tensors:
-        for ax in range(4):
-            if ax != axis and t.shape[ax] != ref[ax]:
-                raise ShapeError(
-                    f"concat along axis {axis}: shape {t.shape} incompatible with {ref}"
-                )
-    offsets = np.cumsum([0] + sizes)
+        if any(t.shape[ax] != ref[ax] for ax in range(4) if ax != axis):
+            raise ShapeError(f"concat along axis {axis}: shape {t.shape} incompatible with {ref}")
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g):
-        slicer = [slice(None)] * 4
-        grads = []
-        for i in range(len(tensors)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(slicer)])
-        return tuple(grads)
+        return tuple(g[_along(axis, lo, hi)] for lo, hi in zip(offsets[:-1], offsets[1:]))
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def concat_channel(a, b):
-    return _concat((a, b), axis=1)
-
-
-def concat_spatial(*tensors):
-    """Stack tensors along the h axis (pixel columns of several maps)."""
-    return _concat(tensors, axis=2)
-
-
-def slice_channels(x, lo, hi):
-    if not (0 <= lo < hi <= x.shape[1]):
-        raise ShapeError(f"channel slice [{lo}:{hi}] out of range for {x.shape}")
+def narrow(x, axis, lo, hi):
+    """The ``lo:hi`` range of ``x`` along ``axis``."""
+    index = _along(axis, lo, hi)
+    if not (0 <= lo < hi <= x.shape[axis]):
+        raise ShapeError(f"slice [{lo}:{hi}] along axis {axis} out of range for {x.shape}")
     shape = x.shape
 
     def backward(g):
         dx = np.zeros(shape)
-        dx[:, lo:hi] = g
+        dx[index] = g
         return (dx,)
 
-    return _result(x.data[:, lo:hi], (x,), backward)
-
-
-def slice_rows(x, lo, hi):
-    """Slice along the h axis (used to split concatenated spatial paths)."""
-    if not (0 <= lo < hi <= x.shape[2]):
-        raise ShapeError(f"row slice [{lo}:{hi}] out of range for {x.shape}")
-    shape = x.shape
-
-    def backward(g):
-        dx = np.zeros(shape)
-        dx[:, :, lo:hi] = g
-        return (dx,)
-
-    return _result(x.data[:, :, lo:hi], (x,), backward)
-
-
-def transpose_hw(x):
-    def backward(g):
-        return (g.transpose(0, 1, 3, 2),)
-
-    return _result(x.data.transpose(0, 1, 3, 2), (x,), backward)
+    return _result(x.data[index], (x,), backward)
 
 
 def reshape(x, shape):

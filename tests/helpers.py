@@ -12,3 +12,13 @@ def zeroed(init, *args):
     for _, tensor in params.items():
         tensor.data[:] = 0.0
     return block
+
+
+def vector(values):
+    """A 1-D sequence laid out along the channel axis: shape (1, k, 1, 1)."""
+    return T.Tensor4(np.asarray(values, dtype=np.float64).reshape(1, -1, 1, 1))
+
+
+def scalar(value):
+    """A (1, 1, 1, 1) tensor holding ``value``."""
+    return T.Tensor4(np.full((1, 1, 1, 1), float(value)))

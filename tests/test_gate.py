@@ -8,7 +8,7 @@ from gatetrack import flops
 from gatetrack import gate as G
 from gatetrack import tensor as T
 from gatetrack.errors import ConfigError, ParameterError, ShapeError
-from helpers import zeroed
+from helpers import vector, zeroed
 
 
 def make_setup(rng, channels=8, reduction=2, scale=2, tau=1.0):
@@ -61,29 +61,29 @@ class TestGateLogits:
 
 class TestGateWeights:
     def test_uniform(self):
-        w = G.gate_weights(T.vector([0.0, 0.0, 0.0, 0.0]), tau=1.0)
+        w = G.gate_weights(vector([0.0, 0.0, 0.0, 0.0]), tau=1.0)
         assert np.allclose(w.data.ravel(), 0.25, atol=1e-15)
 
     def test_hand_two_logits(self):
-        w = G.gate_weights(T.vector([1.0, 2.0]), tau=0.5).data.ravel()
+        w = G.gate_weights(vector([1.0, 2.0]), tau=0.5).data.ravel()
         e2, e4 = np.exp(2.0), np.exp(4.0)
         assert np.allclose(w, [e2 / (e2 + e4), e4 / (e2 + e4)], atol=1e-12)
         assert w == pytest.approx([0.1192, 0.8808], abs=5e-5)
 
     def test_high_temperature_uniform(self):
-        w = G.gate_weights(T.vector([3.0, -1.0, 0.5, 2.0]), tau=1e6).data.ravel()
+        w = G.gate_weights(vector([3.0, -1.0, 0.5, 2.0]), tau=1e6).data.ravel()
         assert np.max(np.abs(w - 0.25)) < 1e-6
 
     def test_invalid_tau(self):
         with pytest.raises(ParameterError):
-            G.gate_weights(T.vector([1.0]), tau=-1.0)
+            G.gate_weights(vector([1.0]), tau=-1.0)
 
     def test_sum_positive_argmax(self):
         rng = np.random.default_rng(2)
         for tau in [1e-3, 0.3, 1.0, 30.0]:
             s = rng.standard_normal(4)
             s[rng.integers(4)] += 2.5
-            w = G.gate_weights(T.vector(s), tau=tau).data.ravel()
+            w = G.gate_weights(vector(s), tau=tau).data.ravel()
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w > 0)
             assert np.argmax(w) == np.argmax(s)

@@ -179,7 +179,7 @@ class TestComputeLoss:
         params, p = make_head(rng)
         out = H.head_forward(T.Tensor4(rng.standard_normal((1, 8, 4, 4))), p)
         labels = H.make_labels(H.BBox(500.0, 500.0, 8.0, 8.0), 4, (4, 4))
-        direct = T.bce_with_logits(out.cls, labels.cls)
+        direct = T.bce_with_logits(out.cls, labels.positive)
         assert H.compute_loss(out, labels).item() == direct.item()
 
     def test_near_perfect_predictions_near_zero_loss(self):
@@ -189,7 +189,7 @@ class TestComputeLoss:
         gt = H.BBox(0.0, 0.0, 4.0, 4.0)  # center (2, 2) == only location's center
         labels = H.make_labels(gt, 4, (1, 1))
         assert labels.n_positive == 1 and labels.ctr[0, 0, 0, 0] == 1.0
-        cls = T.Tensor4(np.where(labels.cls > 0, 20.0, -20.0))
+        cls = T.Tensor4(np.where(labels.positive > 0, 20.0, -20.0))
         ctr = T.Tensor4(np.where(labels.positive > 0, 20.0, -20.0))
         reg = T.Tensor4(np.where(labels.reg > 0, labels.reg, 1.0))
         out = H.HeadOutput(cls=cls, ctr=ctr, reg=reg, reg_raw=reg)
@@ -203,7 +203,7 @@ class TestComputeLoss:
         eps = 1e-12
         t = np.clip(labels.ctr, eps, 1 - eps)
         ctr = T.Tensor4(np.log(t / (1 - t)))  # sigmoid(logit) == target
-        cls = T.Tensor4(np.where(labels.cls > 0, 20.0, -20.0))
+        cls = T.Tensor4(np.where(labels.positive > 0, 20.0, -20.0))
         reg = T.Tensor4(np.where(labels.reg > 0, labels.reg, 1.0))
         out = H.HeadOutput(cls=cls, ctr=ctr, reg=reg, reg_raw=reg)
         floor = float((np.where(labels.positive > 0,

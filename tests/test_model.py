@@ -78,6 +78,8 @@ class TestRunConfig:
         {"stem_width": True},
         {"static_branches": (["se"],)},
         {"static_branches": ("se", "se")},
+        {"static_branches": 5},
+        {"static_branches": None},
     ])
     def test_model_fields_validated_at_construction(self, overrides):
         with pytest.raises(ConfigError):
@@ -146,6 +148,17 @@ def test_budget_needs_gated_attention(attention_mode):
     model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
     with pytest.raises(ConfigError, match="budget"):
         model.enhance_infer(T.zeros((1, 32, 16, 16)), budget=0.0)
+
+
+@pytest.mark.parametrize("attention_mode, weights", [
+    ("static", [0.0, 1 / 3, 1 / 3, 1 / 3]), ("none", [1.0, 0.0, 0.0, 0.0])])
+def test_fixed_branch_set_is_recorded_as_fixed(attention_mode, weights):
+    """No gate runs in static or none mode, so the record is not a hard choice."""
+    model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
+    _, decision, _ = model.enhance_infer(T.zeros((1, 32, 16, 16)), frame_index=3)
+    assert decision.mode == "fixed" and decision.frame_index == 3
+    assert decision.weights.tolist() == weights
+    assert not decision.logits.any()
 
 
 @pytest.mark.parametrize("crop_size", [32, 64, 128])

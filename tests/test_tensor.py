@@ -8,6 +8,7 @@ import pytest
 
 from gatetrack import tensor as T
 from gatetrack.errors import ConfigError, ParameterError, ShapeError
+from helpers import scalar, vector
 
 
 def rand4(rng, shape):
@@ -26,8 +27,14 @@ class TestConstruction:
             T.Tensor4(np.zeros((2, 3)))
 
     def test_vector_layout(self):
-        v = T.vector([1.0, 2.0, 3.0])
+        v = vector([1.0, 2.0, 3.0])
         assert v.shape == (1, 3, 1, 1)
+
+    def test_public_names_are_tensor_callables(self):
+        # a traced run wraps vars(T)[name] for every listed name
+        for name in T.__all__:
+            obj = vars(T).get(name)
+            assert callable(obj) and obj.__module__ == T.__name__, name
 
     def test_item_requires_scalar(self):
         with pytest.raises(ShapeError):
@@ -52,7 +59,7 @@ class TestConv2d:
         x = T.zeros((1, 2, 4, 4))
         rng = np.random.default_rng(1)
         w = rand4(rng, (3, 2, 3, 3))
-        b = T.vector([0.5, -1.0, 2.0])
+        b = vector([0.5, -1.0, 2.0])
         y = T.conv2d(x, w, b, stride=1, pad=1)
         for c, beta in enumerate([0.5, -1.0, 2.0]):
             assert np.allclose(y.data[:, c], beta)
@@ -115,20 +122,20 @@ class TestConv2d:
 
 class TestLinear:
     def test_identity(self):
-        x = T.vector([0.3, -1.2, 4.0])
+        x = vector([0.3, -1.2, 4.0])
         w = T.Tensor4(np.eye(3).reshape(3, 3, 1, 1))
         assert np.array_equal(T.linear(x, w).data, x.data)
 
     def test_hand_matrix_vector(self):
-        x = T.vector([1.0, 2.0])
+        x = vector([1.0, 2.0])
         w = T.Tensor4(np.array([[1.0, 1.0], [0.0, 1.0]]).reshape(2, 2, 1, 1))
-        b = T.vector([0.0, 1.0])
+        b = vector([0.0, 1.0])
         y = T.linear(x, w, b)
         assert np.array_equal(y.data.ravel(), [3.0, 3.0])
 
     def test_zero_input_gives_bias(self):
         w = T.Tensor4(np.random.default_rng(4).standard_normal((2, 3, 1, 1)))
-        b = T.vector([5.0, -7.0])
+        b = vector([5.0, -7.0])
         y = T.linear(T.zeros((1, 3, 1, 1)), w, b)
         assert np.array_equal(y.data.ravel(), [5.0, -7.0])
 
@@ -139,14 +146,14 @@ class TestLinear:
 
 class TestActivations:
     def test_relu_values(self):
-        y = T.relu(T.vector([-1.0, 0.0, 2.0]))
+        y = T.relu(vector([-1.0, 0.0, 2.0]))
         assert np.array_equal(y.data.ravel(), [0.0, 0.0, 2.0])
 
     def test_sigmoid_zero(self):
-        assert T.sigmoid(T.scalar(0.0)).item() == 0.5
+        assert T.sigmoid(scalar(0.0)).item() == 0.5
 
     def test_sigmoid_ln3(self):
-        assert T.sigmoid(T.scalar(math.log(3.0))).item() == pytest.approx(0.75, abs=1e-12)
+        assert T.sigmoid(scalar(math.log(3.0))).item() == pytest.approx(0.75, abs=1e-12)
 
     def test_relu_subgradient_at_zero(self):
         x = T.Tensor4(np.zeros((1, 1, 1, 1)), requires_grad=True)
@@ -154,38 +161,38 @@ class TestActivations:
         assert x.grad[0, 0, 0, 0] == 0.0
 
     def test_sigmoid_extreme_inputs_finite(self):
-        y = T.sigmoid(T.vector([-1e4, 1e4]))
+        y = T.sigmoid(vector([-1e4, 1e4]))
         assert np.all(np.isfinite(y.data))
 
 
 class TestSoftmaxTau:
     def test_uniform_on_equal_logits(self):
-        y = T.softmax_tau(T.vector([0.0, 0.0, 0.0]), tau=1.0)
+        y = T.softmax_tau(vector([0.0, 0.0, 0.0]), tau=1.0)
         assert np.allclose(y.data.ravel(), 1.0 / 3.0, atol=1e-15)
 
     def test_direct_evaluation(self):
-        y = T.softmax_tau(T.vector([1.0, 2.0, 3.0]), tau=1.0)
+        y = T.softmax_tau(vector([1.0, 2.0, 3.0]), tau=1.0)
         e = np.exp([1.0, 2.0, 3.0])
         assert np.allclose(y.data.ravel(), e / e.sum(), atol=1e-12)
         assert y.data.ravel() == pytest.approx([0.09003, 0.24473, 0.66524], abs=5e-6)
 
     def test_low_temperature_one_hot(self):
-        y = T.softmax_tau(T.vector([1.0, 2.0, 3.0]), tau=1e-6)
+        y = T.softmax_tau(vector([1.0, 2.0, 3.0]), tau=1e-6)
         assert np.max(np.abs(y.data.ravel() - [0.0, 0.0, 1.0])) < 1e-9
 
     def test_high_temperature_uniform(self):
-        y = T.softmax_tau(T.vector([1.0, 2.0, 3.0]), tau=1e6)
+        y = T.softmax_tau(vector([1.0, 2.0, 3.0]), tau=1e6)
         assert np.max(np.abs(y.data.ravel() - 1.0 / 3.0)) < 1e-6
 
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ParameterError):
-            T.softmax_tau(T.vector([1.0]), tau=0.0)
+            T.softmax_tau(vector([1.0]), tau=0.0)
 
     def test_sum_one_and_positive_over_tau_range(self):
         rng = np.random.default_rng(5)
         for tau in [1e-6, 1e-3, 1.0, 1e3, 1e6]:
             for _ in range(20):
-                s = T.vector(rng.standard_normal(6) * 10)
+                s = vector(rng.standard_normal(6) * 10)
                 y = T.softmax_tau(s, tau=tau).data.ravel()
                 assert abs(y.sum() - 1.0) <= 1e-12
                 assert np.all(y > 0.0)
@@ -196,7 +203,7 @@ class TestSoftmaxTau:
             for _ in range(20):
                 s = rng.standard_normal(5)
                 s[rng.integers(5)] += 3.0  # unique max
-                y = T.softmax_tau(T.vector(s), tau=tau).data.ravel()
+                y = T.softmax_tau(vector(s), tau=tau).data.ravel()
                 assert np.argmax(y) == np.argmax(s)
 
     def test_shift_invariance_exact(self):
@@ -204,15 +211,15 @@ class TestSoftmaxTau:
         rng = np.random.default_rng(7)
         for shift in [1.0, -2.0, 0.5, 4.0]:
             s = rng.integers(-16, 16, size=5) / 8.0
-            a = T.softmax_tau(T.vector(s), tau=0.7).data
-            b = T.softmax_tau(T.vector(s + shift), tau=0.7).data
+            a = T.softmax_tau(vector(s), tau=0.7).data
+            b = T.softmax_tau(vector(s + shift), tau=0.7).data
             assert np.array_equal(a, b)
 
     def test_entropy_nondecreasing_in_tau(self):
         rng = np.random.default_rng(8)
         taus = np.logspace(-2, 2, 9)
         for _ in range(100):
-            s = T.vector(rng.standard_normal(4) * 3)
+            s = vector(rng.standard_normal(4) * 3)
             ent = []
             for tau in taus:
                 k = T.softmax_tau(s, tau=tau).data.ravel()
@@ -247,6 +254,16 @@ class TestPooling:
         T.sum_all(T.pool("global_max", x)).backward()
         assert np.array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
+        # over channels, batch 2: each pixel's gradient goes to its first tied channel
+        pixels = np.array([[[1.0, 4.0], [5.0, 4.0], [5.0, 4.0]],
+                           [[2.0, 0.0], [1.0, 3.0], [2.0, 3.0]]])  # (n, c, w)
+        x = T.Tensor4(pixels[:, :, None, :], requires_grad=True)
+        y = T.pool("max_over_c", x)
+        assert np.array_equal(y.data[:, 0, 0], [[5.0, 4.0], [2.0, 3.0]])
+        T.sum_all(y).backward()
+        assert np.array_equal(x.grad[:, :, 0], [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]],
+                                                [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]])
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             T.pool("sum", T.zeros((1, 1, 1, 1)))
@@ -266,22 +283,38 @@ class TestCombine:
         assert np.array_equal(y.data, x.data)
 
     def test_concat_channel_shape(self):
-        y = T.concat_channel(T.zeros((1, 2, 4, 4)), T.zeros((1, 3, 4, 4)))
+        y = T.concat((T.zeros((1, 2, 4, 4)), T.zeros((1, 3, 4, 4))), axis=1)
         assert y.shape == (1, 5, 4, 4)
 
     def test_concat_spatial_shape(self):
-        y = T.concat_spatial(T.zeros((1, 2, 3, 4)), T.zeros((1, 2, 5, 4)))
+        y = T.concat((T.zeros((1, 2, 3, 4)), T.zeros((1, 2, 5, 4))), axis=2)
         assert y.shape == (1, 2, 8, 4)
         parts = [T.full((1, 2, k, 4), k) for k in (1, 2, 3)]
-        y = T.concat_spatial(*parts)
+        y = T.concat(parts, axis=2)
         assert y.shape == (1, 2, 6, 4)
         assert np.array_equal(y.data[0, 0, :, 0], [1, 2, 2, 3, 3, 3])
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_narrow_inverts_concat(self, axis):
+        rng = np.random.default_rng(29)
+        a, b = rand4(rng, (2, 3, 4, 5)), rand4(rng, (2, 3, 4, 5))
+        joined = T.concat((a, b), axis=axis)
+        size = a.shape[axis]
+        assert np.array_equal(T.narrow(joined, axis, 0, size).data, a.data)
+        assert np.array_equal(T.narrow(joined, axis, size, 2 * size).data, b.data)
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 2), (2, 2), (3, 2), (0, 4)])
+    def test_narrow_out_of_range(self, lo, hi):
+        with pytest.raises(ShapeError):
+            T.narrow(T.zeros((1, 3, 2, 2)), 1, lo, hi)
 
     def test_incompatible_shapes(self):
         with pytest.raises(ShapeError):
             T.add(T.zeros((1, 1, 2, 2)), T.zeros((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
             T.mul_broadcast(T.zeros((1, 2, 2, 2)), T.zeros((1, 3, 1, 1)))
+        with pytest.raises(ShapeError):
+            T.concat((T.zeros((1, 2, 3, 4)), T.zeros((1, 3, 3, 4))), axis=2)
 
     def test_minimum_tie_break(self):
         a = T.Tensor4(np.full((1, 1, 1, 2), 1.0), requires_grad=True)
@@ -332,7 +365,7 @@ class TestBackprop:
     def test_shared_parameter_accumulates(self):
         params = T.ParamSet()
         w = params.add("w", T.Tensor4(np.full((1, 1, 1, 1), 2.0)))
-        x = T.scalar(3.0)
+        x = scalar(3.0)
         # y = w*x + w*x -> dy/dw = 2x
         y = T.add(T.mul_broadcast(x, w), T.mul_broadcast(x, w))
         grads = T.backprop(T.sum_all(y), params)
@@ -365,8 +398,13 @@ def _op_cases(rng):
                  "mean_over_c", "max_over_c"]:
         cases.append((f"pool_{kind}", shape, lambda ps, k=kind: T.sum_all(
             T.mul_broadcast(p1(ps), T.pool(k, p1(ps))))))
-    cases.append(("transpose", shape, lambda ps: T.sum_all(
-        T.mul_broadcast(T.transpose_hw(T.transpose_hw(p1(ps))), p1(ps)))))
+    for axis in (1, 2, 3):
+        # concat rotates x by one step along the axis, weighted by x * x
+        cases.append((f"concat_axis{axis}", shape, lambda ps, a=axis: T.sum_all(T.mul_broadcast(
+            T.concat((T.narrow(p1(ps), a, 1, shape[a]), T.narrow(p1(ps), a, 0, 1)), axis=a),
+            T.mul_broadcast(p1(ps), p1(ps))))))
+        cases.append((f"narrow_axis{axis}", shape, lambda ps, a=axis: T.sum_all(T.mul_broadcast(
+            T.narrow(p1(ps), a, 1, shape[a]), T.narrow(p1(ps), a, 0, shape[a] - 1)))))
     cases.append(("reshape", shape, lambda ps: T.sum_all(T.mul_broadcast(
         T.reshape(p1(ps), (shape[0], shape[1], shape[2] * shape[3], 1)),
         T.reshape(p1(ps), (shape[0], shape[1], shape[2] * shape[3], 1))))))
@@ -377,7 +415,7 @@ class TestGradCheck:
     def test_constant_function_zero_error(self):
         params = T.ParamSet()
         params.add("w", T.Tensor4(np.ones((1, 2, 1, 1))))
-        assert T.grad_check(lambda ps: T.scalar(3.0), params) == 0.0
+        assert T.grad_check(lambda ps: scalar(3.0), params) == 0.0
 
     def test_linear_layer(self):
         rng = np.random.default_rng(15)
@@ -560,13 +598,14 @@ class TestCountFlops:
 
     @pytest.mark.parametrize("op", [
         lambda x: T.reshape(x, (1, 4, 12, 1)),
-        lambda x: T.transpose_hw(x),
-        lambda x: T.concat_channel(x, x),
-        lambda x: T.concat_spatial(x, x, x),
-        lambda x: T.slice_channels(x, 1, 3),
-        lambda x: T.slice_rows(x, 0, 2),
-    ], ids=["reshape", "transpose_hw", "concat_channel", "concat_spatial", "slice_channels",
-            "slice_rows"])
+        lambda x: T.concat((x, x), axis=1),
+        lambda x: T.concat((x, x, x), axis=2),
+        lambda x: T.concat((x, x), axis=3),
+        lambda x: T.narrow(x, 1, 1, 3),
+        lambda x: T.narrow(x, 2, 0, 2),
+        lambda x: T.narrow(x, 3, 1, 4),
+    ], ids=["reshape", "concat_channel", "concat_spatial", "concat_columns", "slice_channels",
+            "slice_rows", "slice_columns"])
     def test_layout_ops_count_zero(self, op):
         assert self.counted(op, rand4(np.random.default_rng(28), (1, 4, 3, 4))) == 0
 
