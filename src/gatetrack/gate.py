@@ -58,17 +58,21 @@ class GateDecision:
     ``hard`` (the gate's argmax, recorded one-hot), ``budgeted`` (the gate's
     weights filtered by a FLOPs budget) or ``fixed`` (the configured set of a
     static or none model, weighted evenly; no gate ran, so the logits are
-    zero).
+    zero and ``chosen`` is None).  ``chosen_name`` names the chosen branch,
+    or for a fixed record every branch that ran, joined by "+" in branch
+    order (``"se+ca+cbam"``).
     """
 
     frame_index: int
     logits: np.ndarray  # (B,)
     weights: np.ndarray  # (B,), sums to 1
     mode: str  # soft | hard | budgeted | fixed
-    chosen: int  # argmax branch index
+    chosen: int | None  # argmax branch index; None for a fixed record
 
     @property
     def chosen_name(self):
+        if self.chosen is None:
+            return "+".join(BRANCH_ORDER[i] for i in np.flatnonzero(self.weights))
         return BRANCH_ORDER[self.chosen]
 
 

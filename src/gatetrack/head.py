@@ -1,10 +1,12 @@
 """Anchor-free prediction head: classification, centerness, box regression.
 
 Each branch is two 3x3 convs (pad 1, ReLU) and a final 1x1 conv over the
-fused feature map.  Regression outputs are distances (left, top, right,
-bottom) from each location's mapped center to the box sides, made positive
-with an exponential.  Location (i, j) of a stride-s map corresponds to crop
-coordinates ((j + 0.5) s, (i + 0.5) s).
+fused feature map.  The branches' first convs share that input, so they run
+as one conv with 3c outputs, and each branch reads its c channels of the
+result; the parameters stay per branch.  Regression outputs are distances
+(left, top, right, bottom) from each location's mapped center to the box
+sides, made positive with an exponential.  Location (i, j) of a stride-s
+map corresponds to crop coordinates ((j + 0.5) s, (i + 0.5) s).
 
 Label assignment marks locations whose center falls inside the ground-truth
 box shrunk by 0.5 about its center; centerness is the usual geometric mean
@@ -91,21 +93,21 @@ def init_head(params, rng, channels, prefix="head"):
     )
 
 
-def _branch_forward(feature, weights):
-    w1, b1, w2, b2, w3, b3 = weights
-    h = T.relu(T.conv2d(feature, w1, b1, stride=1, pad=1))
-    h = T.relu(T.conv2d(h, w2, b2, stride=1, pad=1))
-    return T.conv2d(h, w3, b3)
-
-
 def head_forward(fused, p: HeadParams):
-    if fused.shape[1] != p.cls[0].shape[1]:
-        raise ShapeError(
-            f"head expects {p.cls[0].shape[1]} channels, feature has {fused.shape[1]}"
-        )
-    cls = _branch_forward(fused, p.cls)
-    ctr = _branch_forward(fused, p.ctr)
-    reg_raw = _branch_forward(fused, p.reg)
+    c = p.cls[0].shape[1]
+    if fused.shape[1] != c:
+        raise ShapeError(f"head expects {c} channels, feature has {fused.shape[1]}")
+    branches = (p.cls, p.ctr, p.reg)
+    w1 = T.concat([b[0] for b in branches], axis=0)
+    b1 = T.concat([b[1] for b in branches], axis=1)
+    hidden = T.relu(T.conv2d(fused, w1, b1, stride=1, pad=1))
+
+    def rest(k, weights):
+        _, _, w2, b2, w3, b3 = weights
+        h = T.relu(T.conv2d(T.narrow(hidden, 1, k * c, (k + 1) * c), w2, b2, stride=1, pad=1))
+        return T.conv2d(h, w3, b3)
+
+    cls, ctr, reg_raw = (rest(k, weights) for k, weights in enumerate(branches))
     return HeadOutput(cls=cls, ctr=ctr, reg=T.exp(reg_raw), reg_raw=reg_raw)
 
 

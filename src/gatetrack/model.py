@@ -190,7 +190,7 @@ class TrackModel:
             weights = np.array([n in names for n in flops.BRANCH_ORDER]) / len(names)
             decision = gate.GateDecision(frame_index=frame_index,
                                          logits=np.zeros(gate.N_BRANCHES), weights=weights,
-                                         mode="fixed", chosen=int(np.argmax(weights)))
+                                         mode="fixed", chosen=None)
         enhanced, cost = self._run(feature, names)
         return enhanced, decision, cost
 

@@ -21,8 +21,11 @@ Design notes:
     (k x k convolution, softmax) avoid full-size temporaries: im2col keeps
     the output pixels innermost and softmax works in place on one array.
   * summation order is part of the output: numpy sums a matrix-vector
-    product in an order set by the operand layout, so a kernel picks its
-    operand layouts to keep the bits that ``tests/test_golden.py`` pins.
+    product in an order set by the operand layout, so the ``cout == 1``
+    k x k convolution keeps the pixel-major layout whose bits
+    ``tests/test_golden.py`` pins.  Every other product, forward or
+    backward, reads its operands in place, through transposed views where
+    needed.
   * all forward ops are deterministic; max pooling breaks ties by the first
     (lowest flat index) occurrence and relu's subgradient at 0 is 0.
   * graphs are built through closures; ``backward`` runs a deterministic
@@ -324,7 +327,10 @@ def softmax_tau(x, tau, axis=1):
 
     def backward(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - inner) * y / tau,)
+        dx = g - inner
+        dx *= y
+        dx /= tau
+        return (dx,)
 
     return _result(y, (x,), backward, y.size)
 
@@ -547,13 +553,15 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
 
     if kh == 1 and kw == 1 and stride == 1 and pad == 0:
         w2d = weight.data[:, :, 0, 0]
-        y = np.tensordot(x.data, w2d, axes=([1], [1])).transpose(0, 3, 1, 2)
+        x3 = x.data.reshape(n, cin, h * w)
+        y = np.matmul(w2d, x3).reshape(n, cout, h, w)
         if bias is not None:
-            y = y + bias.data
+            y += bias.data
 
         def backward_1x1(g):
-            dx = np.tensordot(g, w2d, axes=([1], [0])).transpose(0, 3, 1, 2)
-            dw = np.tensordot(g, x.data, axes=([0, 2, 3], [0, 2, 3]))[:, :, None, None]
+            g3 = g.reshape(n, cout, h * w)
+            dx = np.matmul(w2d.T, g3).reshape(n, cin, h, w) if x.requires_grad else None
+            dw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
             db = None
             if bias is not None:
                 db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
@@ -569,10 +577,10 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         xp = x.data
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     # im2col with the output pixels innermost: the copy runs along contiguous
-    # rows and wmat @ cols lands in NCHW order without a transpose.  A
-    # matrix-vector product (cout == 1) and dw sum in an order set by the
-    # operand layout, so both take a pixel-major (n, P, K) copy: that order
-    # is the one the pinned golden maps and gradients hold.
+    # rows and wmat @ cols lands in NCHW order without a transpose; dw reads
+    # a transposed view of the same columns.  A matrix-vector product
+    # (cout == 1) sums in an order set by the operand layout, so that forward
+    # takes a pixel-major (n, P, K) copy: the order the pinned golden maps hold.
     cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
         n, cin * kh * kw, oh * ow
     )
@@ -586,15 +594,17 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
 
     def backward(g):
         gmat = g.reshape(n, cout, oh * ow)
-        dw = np.matmul(gmat, _pixel_major(cols)).sum(axis=0).reshape(cout, cin, kh, kw)
-        dcols = np.matmul(wmat.T, gmat).reshape(n, cin, kh, kw, oh, ow)
-        dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
-        for ki in range(kh):
-            for kj in range(kw):
-                dxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += (
-                    dcols[:, :, ki, kj]
-                )
-        dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + w])
+        dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, kh, kw)
+        dx = None
+        if x.requires_grad:
+            dcols = np.matmul(wmat.T, gmat).reshape(n, cin, kh, kw, oh, ow)
+            dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
+            for ki in range(kh):
+                for kj in range(kw):
+                    dxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += (
+                        dcols[:, :, ki, kj]
+                    )
+            dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + w])
         db = None
         if bias is not None:
             db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
@@ -605,7 +615,8 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
 
 
 def _pixel_major(cols):
-    """A contiguous (n, P, K) copy of channel-major (n, K, P) im2col columns."""
+    """A contiguous (n, P, K) copy of channel-major (n, K, P) im2col columns,
+    the layout of the ``cout == 1`` forward."""
     return np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 

@@ -61,6 +61,44 @@ class TestHeadForward:
         assert err < 1e-4, f"head rel err {err}"
 
 
+def per_branch_forward(fused, p):
+    """The head with each branch running its own first conv: the oracle of
+    the joined first conv in :func:`H.head_forward`."""
+    def branch(weights):
+        w1, b1, w2, b2, w3, b3 = weights
+        h = T.relu(T.conv2d(fused, w1, b1, stride=1, pad=1))
+        h = T.relu(T.conv2d(h, w2, b2, stride=1, pad=1))
+        return T.conv2d(h, w3, b3)
+
+    cls, ctr, reg_raw = branch(p.cls), branch(p.ctr), branch(p.reg)
+    return H.HeadOutput(cls=cls, ctr=ctr, reg=T.exp(reg_raw), reg_raw=reg_raw)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_joined_first_conv_matches_per_branch_oracle(batch):
+    rng = np.random.default_rng(6)
+    params, p = make_head(rng, channels=32)
+    for _, t in params.items():  # nonzero biases, so a misrouted bias shows
+        t.data += 0.1 * rng.standard_normal(t.shape)
+    fused = T.Tensor4(rng.standard_normal((batch, 32, 16, 16)))
+    probes = [rng.standard_normal((batch, cout, 16, 16)) for cout in (1, 1, 4)]
+
+    def run(forward):
+        out = forward(fused, p)
+        loss = None
+        for part, probe in zip((out.cls, out.ctr, out.reg), probes):
+            term = T.sum_all(T.mul_broadcast(part, T.Tensor4(probe)))
+            loss = term if loss is None else T.add(loss, term)
+        grads = T.backprop(loss, params)
+        return [part.data.tobytes() for part in (out.cls, out.ctr, out.reg)], grads
+
+    maps, grads = run(H.head_forward)
+    oracle_maps, oracle_grads = run(per_branch_forward)
+    assert maps == oracle_maps
+    for name, g in oracle_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
 class TestDecode:
     def _single_location_output(self, cls_logit, ctr_logit, ltrb):
         cls = T.Tensor4(np.full((1, 1, 1, 1), cls_logit))

@@ -150,15 +150,18 @@ def test_budget_needs_gated_attention(attention_mode):
         model.enhance_infer(T.zeros((1, 32, 16, 16)), budget=0.0)
 
 
-@pytest.mark.parametrize("attention_mode, weights", [
-    ("static", [0.0, 1 / 3, 1 / 3, 1 / 3]), ("none", [1.0, 0.0, 0.0, 0.0])])
-def test_fixed_branch_set_is_recorded_as_fixed(attention_mode, weights):
-    """No gate runs in static or none mode, so the record is not a hard choice."""
+@pytest.mark.parametrize("attention_mode, weights, name", [
+    ("static", [0.0, 1 / 3, 1 / 3, 1 / 3], "se+ca+cbam"),
+    ("none", [1.0, 0.0, 0.0, 0.0], "identity")])
+def test_fixed_branch_set_is_recorded_as_fixed(attention_mode, weights, name):
+    """No gate runs in static or none mode, so the record is not a hard choice:
+    it chooses no branch and is named after every branch that ran."""
     model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
     _, decision, _ = model.enhance_infer(T.zeros((1, 32, 16, 16)), frame_index=3)
     assert decision.mode == "fixed" and decision.frame_index == 3
     assert decision.weights.tolist() == weights
     assert not decision.logits.any()
+    assert decision.chosen is None and decision.chosen_name == name
 
 
 @pytest.mark.parametrize("crop_size", [32, 64, 128])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gatetrack import head as H
 from gatetrack import tensor as T
 from gatetrack.errors import ConfigError, ParameterError, ShapeError
 from helpers import scalar, vector
@@ -91,12 +92,13 @@ class TestConv2d:
         y = T.conv2d(x, w, stride=2, pad=1)
         assert y.shape == (2, 4, 5, 5)
 
-    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (7, 1, 3)],
-                             ids=["k3s1p1", "k3s2p1", "k7s1p3"])
+    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (7, 1, 3), (1, 1, 0)],
+                             ids=["k3s1p1", "k3s2p1", "k7s1p3", "k1s1p0"])
     @pytest.mark.parametrize("batch", [1, 2], ids=["batch1", "batch2"])
     @pytest.mark.parametrize("cout", [1, 4], ids=["cout1", "cout4"])
     def test_nested_loop_oracle(self, cout, batch, k, stride, pad):
-        # cout == 1 is the matrix-vector branch of the k x k path
+        # cout == 1 is the matrix-vector branch of the k x k path; k == 1 is
+        # the 1x1 path, here on a non-square input
         rng = np.random.default_rng(3)
         x = rand4(rng, (batch, 3, 5, 7))
         w = rand4(rng, (cout, 3, k, k))
@@ -118,6 +120,26 @@ class TestConv2d:
                                     )
                         expect[n, o, i, j] = acc
         assert np.max(np.abs(y.data - expect)) < 1e-12
+
+
+    @pytest.mark.parametrize("k, stride, pad, cout", [
+        (3, 1, 1, 4), (3, 2, 1, 1), (1, 1, 0, 4)], ids=["k3", "k3_cout1_strided", "k1"])
+    def test_weight_gradients_ignore_input_grad_flag(self, k, stride, pad, cout):
+        # an input that needs no gradient gets none, and the weight
+        # gradients it feeds are byte-equal to those of one that does
+        rng = np.random.default_rng(30)
+        data = rng.standard_normal((2, 3, 5, 5))
+        w = T.Tensor4(rng.standard_normal((cout, 3, k, k)), requires_grad=True)
+        b = T.Tensor4(rng.standard_normal((1, cout, 1, 1)), requires_grad=True)
+        grads = []
+        for requires_grad in (True, False):
+            x = T.Tensor4(data, requires_grad=requires_grad)
+            w.grad = b.grad = None
+            y = T.conv2d(x, w, b, stride=stride, pad=pad)
+            T.sum_all(T.mul_broadcast(y, y)).backward()
+            assert (x.grad is not None) == requires_grad
+            grads.append((w.grad.tobytes(), b.grad.tobytes()))
+        assert grads[0] == grads[1]
 
 
 class TestLinear:
@@ -477,6 +499,18 @@ class TestGradCheck:
 
         assert T.grad_check(attn_loss, params, eps=1e-5) < 1e-4
 
+        # a batch through the 1x1 path, input gradient included
+        params = T.ParamSet()
+        as_param(rng, params, "x", (2, 3, 3, 5))
+        as_param(rng, params, "w", (4, 3, 1, 1))
+        params.add("b", T.Tensor4(rng.standard_normal((1, 4, 1, 1))), decay=False)
+
+        def conv_1x1_loss(ps):
+            y = T.conv2d(ps["x"], ps["w"], ps["b"])
+            return T.sum_all(T.mul_broadcast(y, y))
+
+        assert T.grad_check(conv_1x1_loss, params, eps=1e-5) < 1e-4
+
     def test_bce_and_div_and_minimum(self):
         rng = np.random.default_rng(18)
         params = T.ParamSet()
@@ -525,6 +559,21 @@ class TestInputsUntouched:
         T.sum_all(T.mul_broadcast(y, y)).backward()
         after = {name: t.data.tobytes() for name, t in [("x", x), *weights.items()]}
         assert after == before
+
+    def test_head_forward(self):
+        # the head joins its first-layer weights and narrows the joined map
+        rng = np.random.default_rng(25)
+        params = T.ParamSet()
+        p = H.init_head(params, rng, 4)
+        for _, t in params.items():
+            t.data[:] = rng.standard_normal(t.shape)
+        fused = T.Tensor4(rng.standard_normal((2, 4, 5, 5)), requires_grad=True)
+        tensors = [("fused", fused), *params.items()]
+        before = {name: t.data.tobytes() for name, t in tensors}
+        out = H.head_forward(fused, p)
+        loss = T.add(T.add(T.sum_all(out.cls), T.sum_all(out.ctr)), T.sum_all(out.reg))
+        loss.backward()
+        assert {name: t.data.tobytes() for name, t in tensors} == before
 
 
 class TestDeterminism:
