@@ -151,8 +151,8 @@ def test_budget_needs_gated_attention(attention_mode):
 
 
 @pytest.mark.parametrize("attention_mode, weights, name", [
-    ("static", [0.0, 1 / 3, 1 / 3, 1 / 3], "se+ca+cbam"),
-    ("none", [1.0, 0.0, 0.0, 0.0], "identity")])
+    pytest.param("static", [0.0, 1 / 3, 1 / 3, 1 / 3], "se+ca+cbam", id="static-weights0"),
+    pytest.param("none", [1.0, 0.0, 0.0, 0.0], "identity", id="none-weights1")])
 def test_fixed_branch_set_is_recorded_as_fixed(attention_mode, weights, name):
     """No gate runs in static or none mode, so the record is not a hard choice:
     it chooses no branch and is named after every branch that ran."""
