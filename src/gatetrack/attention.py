@@ -78,8 +78,8 @@ def se_forward(x, p: SEParams):
     """Channel reweighting from the global average of each channel."""
     _check_channels(x, p, "se_forward")
     squeezed = T.pool("global_avg", x)
-    hidden = T.relu(T.linear(squeezed, p.w1, p.b1))
-    gate = T.sigmoid(T.linear(hidden, p.w2, p.b2))
+    hidden = T.relu(T.conv2d(squeezed, p.w1, p.b1))
+    gate = T.sigmoid(T.conv2d(hidden, p.w2, p.b2))
     return T.mul_broadcast(x, gate)
 
 
@@ -96,9 +96,9 @@ def ca_forward(x, p: CAParams):
     # (n, c, 1, w) and (n, c, w, 1) hold the same element order
     zw = T.reshape(T.pool("avg_over_h", x), (n, c, w, 1))
     stacked = T.concat((zh, zw), axis=2)  # (n, c, h+w, 1)
-    hidden = T.relu(T.linear(stacked, p.w_shared, p.b_shared))
-    gate_h = T.sigmoid(T.linear(T.narrow(hidden, 2, 0, h), p.w_h, p.b_h))
-    gate_w = T.sigmoid(T.linear(T.narrow(hidden, 2, h, h + w), p.w_w, p.b_w))
+    hidden = T.relu(T.conv2d(stacked, p.w_shared, p.b_shared))
+    gate_h = T.sigmoid(T.conv2d(T.narrow(hidden, 2, 0, h), p.w_h, p.b_h))
+    gate_w = T.sigmoid(T.conv2d(T.narrow(hidden, 2, h, h + w), p.w_w, p.b_w))
     out = T.mul_broadcast(x, gate_h)  # (n, c, h, 1) broadcasts over w
     return T.mul_broadcast(out, T.reshape(gate_w, (n, c, 1, w)))
 
@@ -108,7 +108,7 @@ def cbam_forward(x, p: CBAMParams):
     _check_channels(x, p, "cbam_forward")
 
     def mlp(pooled):
-        return T.linear(T.relu(T.linear(pooled, p.w1, p.b1)), p.w2, p.b2)
+        return T.conv2d(T.relu(T.conv2d(pooled, p.w1, p.b1)), p.w2, p.b2)
 
     channel_gate = T.sigmoid(
         T.add(mlp(T.pool("global_avg", x)), mlp(T.pool("global_max", x)))
@@ -128,39 +128,39 @@ def _bottleneck(channels, divisor, key="reduction"):
     return channels // divisor
 
 
-def init_se(params, rng, channels, reduction, prefix="se"):
+def init_se(params, rng, channels, reduction):
     """Allocate SE parameters inside ``params`` and return the view."""
     mid = _bottleneck(channels, reduction)
     return SEParams(
-        w1=params.add(f"{prefix}.w1", T.he_normal(rng, (mid, channels, 1, 1))),
-        b1=params.add(f"{prefix}.b1", T.zeros((1, mid, 1, 1)), decay=False),
-        w2=params.add(f"{prefix}.w2", T.he_normal(rng, (channels, mid, 1, 1))),
-        b2=params.add(f"{prefix}.b2", T.zeros((1, channels, 1, 1)), decay=False),
+        w1=params.add("se.w1", T.he_normal(rng, (mid, channels, 1, 1))),
+        b1=params.add("se.b1", T.zeros((1, mid, 1, 1)), decay=False),
+        w2=params.add("se.w2", T.he_normal(rng, (channels, mid, 1, 1))),
+        b2=params.add("se.b2", T.zeros((1, channels, 1, 1)), decay=False),
     )
 
 
-def init_ca(params, rng, channels, reduction, prefix="ca"):
+def init_ca(params, rng, channels, reduction):
     mid = _bottleneck(channels, reduction)
     return CAParams(
-        w_shared=params.add(f"{prefix}.conv_shared.w", T.he_normal(rng, (mid, channels, 1, 1))),
-        b_shared=params.add(f"{prefix}.conv_shared.b", T.zeros((1, mid, 1, 1)), decay=False),
-        w_h=params.add(f"{prefix}.conv_h.w", T.he_normal(rng, (channels, mid, 1, 1))),
-        b_h=params.add(f"{prefix}.conv_h.b", T.zeros((1, channels, 1, 1)), decay=False),
-        w_w=params.add(f"{prefix}.conv_w.w", T.he_normal(rng, (channels, mid, 1, 1))),
-        b_w=params.add(f"{prefix}.conv_w.b", T.zeros((1, channels, 1, 1)), decay=False),
+        w_shared=params.add("ca.conv_shared.w", T.he_normal(rng, (mid, channels, 1, 1))),
+        b_shared=params.add("ca.conv_shared.b", T.zeros((1, mid, 1, 1)), decay=False),
+        w_h=params.add("ca.conv_h.w", T.he_normal(rng, (channels, mid, 1, 1))),
+        b_h=params.add("ca.conv_h.b", T.zeros((1, channels, 1, 1)), decay=False),
+        w_w=params.add("ca.conv_w.w", T.he_normal(rng, (channels, mid, 1, 1))),
+        b_w=params.add("ca.conv_w.b", T.zeros((1, channels, 1, 1)), decay=False),
     )
 
 
-def init_cbam(params, rng, channels, reduction, prefix="cbam"):
+def init_cbam(params, rng, channels, reduction):
     mid = _bottleneck(channels, reduction)
     k = SPATIAL_KERNEL
     return CBAMParams(
-        w1=params.add(f"{prefix}.mlp.w1", T.he_normal(rng, (mid, channels, 1, 1))),
-        b1=params.add(f"{prefix}.mlp.b1", T.zeros((1, mid, 1, 1)), decay=False),
-        w2=params.add(f"{prefix}.mlp.w2", T.he_normal(rng, (channels, mid, 1, 1))),
-        b2=params.add(f"{prefix}.mlp.b2", T.zeros((1, channels, 1, 1)), decay=False),
-        w_spatial=params.add(f"{prefix}.spatial.w", T.he_normal(rng, (1, 2, k, k))),
-        b_spatial=params.add(f"{prefix}.spatial.b", T.zeros((1, 1, 1, 1)), decay=False),
+        w1=params.add("cbam.mlp.w1", T.he_normal(rng, (mid, channels, 1, 1))),
+        b1=params.add("cbam.mlp.b1", T.zeros((1, mid, 1, 1)), decay=False),
+        w2=params.add("cbam.mlp.w2", T.he_normal(rng, (channels, mid, 1, 1))),
+        b2=params.add("cbam.mlp.b2", T.zeros((1, channels, 1, 1)), decay=False),
+        w_spatial=params.add("cbam.spatial.w", T.he_normal(rng, (1, 2, k, k))),
+        b_spatial=params.add("cbam.spatial.b", T.zeros((1, 1, 1, 1)), decay=False),
     )
 
 

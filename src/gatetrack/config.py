@@ -38,9 +38,6 @@ class RunConfig(ModelConfig):
         if self.lr_start < self.lr_end:
             raise ConfigError(f"lr_start ({self.lr_start}) must be >= lr_end ({self.lr_end})")
 
-    def model_config(self):
-        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
-
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 

@@ -76,16 +76,16 @@ class GateDecision:
         return BRANCH_ORDER[self.chosen]
 
 
-def init_gate(params, rng, channels, scale, tau, prefix="gate"):
+def init_gate(params, rng, channels, scale, tau):
     """Allocate gate parameters; the output layer starts at zero so the
     initial weights are exactly uniform."""
     mid = attention._bottleneck(channels, scale, "gate_scale")
     return GateParams(
         tau=tau,
-        w1=params.add(f"{prefix}.w1", T.he_normal(rng, (mid, channels, 1, 1))),
-        b1=params.add(f"{prefix}.b1", T.zeros((1, mid, 1, 1)), decay=False),
-        w2=params.add(f"{prefix}.w2", T.zeros((N_BRANCHES, mid, 1, 1))),
-        b2=params.add(f"{prefix}.b2", T.zeros((1, N_BRANCHES, 1, 1)), decay=False),
+        w1=params.add("gate.w1", T.he_normal(rng, (mid, channels, 1, 1))),
+        b1=params.add("gate.b1", T.zeros((1, mid, 1, 1)), decay=False),
+        w2=params.add("gate.w2", T.zeros((N_BRANCHES, mid, 1, 1))),
+        b2=params.add("gate.b2", T.zeros((1, N_BRANCHES, 1, 1)), decay=False),
     )
 
 
@@ -108,8 +108,8 @@ def gate_logits(feature, p: GateParams):
             f"gate expects {p.channels} channels, feature has {feature.shape[1]}"
         )
     pooled = T.pool("global_avg", feature)
-    hidden = T.relu(T.linear(pooled, p.w1, p.b1))
-    return T.linear(hidden, p.w2, p.b2)
+    hidden = T.relu(T.conv2d(pooled, p.w1, p.b1))
+    return T.conv2d(hidden, p.w2, p.b2)
 
 
 def gate_weights(logits, tau):

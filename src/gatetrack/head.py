@@ -74,14 +74,14 @@ class HeadParams:
     reg: tuple
 
 
-def init_head(params, rng, channels, prefix="head"):
+def init_head(params, rng, channels):
     def branch(name, cout, final_bias):
-        w1 = params.add(f"{prefix}.{name}.w1", T.he_normal(rng, (channels, channels, 3, 3)))
-        b1 = params.add(f"{prefix}.{name}.b1", T.zeros((1, channels, 1, 1)), decay=False)
-        w2 = params.add(f"{prefix}.{name}.w2", T.he_normal(rng, (channels, channels, 3, 3)))
-        b2 = params.add(f"{prefix}.{name}.b2", T.zeros((1, channels, 1, 1)), decay=False)
-        w3 = params.add(f"{prefix}.{name}.w3", T.he_normal(rng, (cout, channels, 1, 1)))
-        b3 = params.add(f"{prefix}.{name}.b3",
+        w1 = params.add(f"head.{name}.w1", T.he_normal(rng, (channels, channels, 3, 3)))
+        b1 = params.add(f"head.{name}.b1", T.zeros((1, channels, 1, 1)), decay=False)
+        w2 = params.add(f"head.{name}.w2", T.he_normal(rng, (channels, channels, 3, 3)))
+        b2 = params.add(f"head.{name}.b2", T.zeros((1, channels, 1, 1)), decay=False)
+        w3 = params.add(f"head.{name}.w3", T.he_normal(rng, (cout, channels, 1, 1)))
+        b3 = params.add(f"head.{name}.b3",
                         T.full((1, cout, 1, 1), final_bias), decay=False)
         return (w1, b1, w2, b2, w3, b3)
 

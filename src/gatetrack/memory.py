@@ -36,17 +36,15 @@ class ReadoutParams:
         return self.value_w.shape[0]
 
 
-def init_readout(params, rng, channels, key_channels, value_channels, prefix="memory"):
+def init_readout(params, rng, channels, key_channels, value_channels):
     return ReadoutParams(
-        key_w=params.add(f"{prefix}.key.w",
-                         T.he_normal(rng, (key_channels, channels, 1, 1))),
-        key_b=params.add(f"{prefix}.key.b", T.zeros((1, key_channels, 1, 1)), decay=False),
-        value_w=params.add(f"{prefix}.value.w",
-                           T.he_normal(rng, (value_channels, channels, 1, 1))),
-        value_b=params.add(f"{prefix}.value.b", T.zeros((1, value_channels, 1, 1)), decay=False),
-        fuse_w=params.add(f"{prefix}.fuse.w",
+        key_w=params.add("memory.key.w", T.he_normal(rng, (key_channels, channels, 1, 1))),
+        key_b=params.add("memory.key.b", T.zeros((1, key_channels, 1, 1)), decay=False),
+        value_w=params.add("memory.value.w", T.he_normal(rng, (value_channels, channels, 1, 1))),
+        value_b=params.add("memory.value.b", T.zeros((1, value_channels, 1, 1)), decay=False),
+        fuse_w=params.add("memory.fuse.w",
                           T.he_normal(rng, (channels, value_channels + channels, 1, 1))),
-        fuse_b=params.add(f"{prefix}.fuse.b", T.zeros((1, channels, 1, 1)), decay=False),
+        fuse_b=params.add("memory.fuse.b", T.zeros((1, channels, 1, 1)), decay=False),
     )
 
 
@@ -57,18 +55,25 @@ class MemoryBank:
     Entry 0 is the initial frame: the first write to an empty bank, whatever
     its frame index, so a tracker re-initialised mid-sequence can start a
     fresh bank.  It is always written and never evicted.  Later entries are
-    admitted by :meth:`update` (periodic, confidence gated) and evicted
-    first-in-first-out once the bank is full.
+    admitted by :meth:`update` on every ``write_period``-th frame whose
+    confidence is at least ``write_threshold`` (a NaN confidence never is),
+    and evicted first-in-first-out once the bank is full.  The model builds
+    its bank from the ``ModelConfig`` keys of the same names.
     """
 
     capacity: int
-    write_period: int = 5
-    write_threshold: float = 0.6
+    write_period: int
+    write_threshold: float
     entries: list = field(default_factory=list)  # (frame_index, Tensor4)
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ConfigError(f"memory capacity must be >= 1, got {self.capacity}")
+        if self.write_period < 1:
+            raise ConfigError(f"memory write period must be >= 1, got {self.write_period}")
+        if not 0.0 <= self.write_threshold <= 1.0:  # also rejects NaN
+            raise ConfigError(
+                f"memory write threshold must be in [0, 1], got {self.write_threshold}")
 
     def __len__(self):
         return len(self.entries)
@@ -89,9 +94,7 @@ class MemoryBank:
         if not self.entries:
             self.entries.append((frame_index, feature))
             return True
-        if frame_index % self.write_period != 0:
-            return False
-        if confidence < self.write_threshold:
+        if frame_index % self.write_period or not confidence >= self.write_threshold:
             return False
         if len(self.entries) == self.capacity:
             if self.capacity == 1:
@@ -123,12 +126,12 @@ def readout(query_feature, memory_features, p: ReadoutParams):
     # projection cover the whole memory whatever the size of each map
     stack = T.concat(
         [T.reshape(m, (n, c, m.shape[2] * m.shape[3], 1)) for m in memory_features], axis=2)
-    mem_keys = T.linear(stack, p.key_w, p.key_b)
-    mem_values = T.linear(stack, p.value_w, p.value_b)
-    query_keys = T.reshape(T.linear(query_feature, p.key_w, p.key_b), (n, ck, hq * wq, 1))
+    mem_keys = T.conv2d(stack, p.key_w, p.key_b)
+    mem_values = T.conv2d(stack, p.value_w, p.value_b)
+    query_keys = T.reshape(T.conv2d(query_feature, p.key_w, p.key_b), (n, ck, hq * wq, 1))
 
     # tau = sqrt(ck) is the 1/sqrt(ck) logit scale; rows over memory pixels
     attn = T.softmax_tau(T.matmul_cc(query_keys, mem_keys), tau=ck ** 0.5, axis=3)
     read = T.reshape(T.apply_attention(mem_values, attn), (n, cv, hq, wq))
-    fused = T.linear(T.concat((read, query_feature), axis=1), p.fuse_w, p.fuse_b)
+    fused = T.conv2d(T.concat((read, query_feature), axis=1), p.fuse_w, p.fuse_b)
     return fused, attn

@@ -1,26 +1,29 @@
 """Tracking evaluation metrics and gate-trace statistics.
 
-Conventions, frozen for golden files: success rates use strict inequality
+Every metric counts every frame of a :class:`TrackResult`.  Conventions,
+frozen for golden files: success rates use strict inequality
 (IoU > threshold); the overlap success curve is sampled at 101 thresholds
 0, 0.01, ..., 1 and the normalized-precision curve at 51 thresholds
-0, 0.01, ..., 0.5; trace statistics use the population standard deviation.
+0, 0.01, ..., 0.5; VOT restarts ``VOT_REINIT_SKIP`` frames after a failure.
+The gate trace is the list of per-frame :class:`gate.GateDecision` records;
+its statistics use the population standard deviation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 from .flops import BRANCH_ORDER
 from .head import BBox
 
 SUCCESS_THRESHOLDS = np.round(np.linspace(0.0, 1.0, 101), 2)
 NORM_PRECISION_THRESHOLDS = np.round(np.linspace(0.0, 0.5, 51), 2)
 PRECISION_RADIUS_PX = 20.0
-COSTLIEST_BRANCH = "cbam"
+VOT_REINIT_SKIP = 5  # frames skipped while the tracker restarts after a failure
 
 
 @dataclass
@@ -29,7 +32,6 @@ class TrackResult:
 
     pred: list  # list[BBox]
     gt: list  # list[BBox]
-    valid: list = None  # frames counted in metrics; default all
 
     def __post_init__(self):
         if len(self.pred) != len(self.gt):
@@ -38,49 +40,12 @@ class TrackResult:
             )
         if not self.pred:
             raise ShapeError("empty track result")
-        if self.valid is None:
-            self.valid = [True] * len(self.pred)
-        elif len(self.valid) != len(self.pred):
-            raise ShapeError("valid mask length mismatch")
 
     def __len__(self):
         return len(self.pred)
 
     def ious(self):
         return np.array([iou(p, g) for p, g in zip(self.pred, self.gt)])
-
-    def counted(self):
-        return np.asarray(self.valid, dtype=bool)
-
-
-@dataclass
-class TraceRow:
-    frame: int
-    phase: str
-    weights: np.ndarray  # (B,), sums to 1
-    selected: int  # branch index
-    flops: float
-
-
-@dataclass
-class GateTrace:
-    rows: list = field(default_factory=list)
-
-    def append(self, frame, phase, weights, selected, cost):
-        w = np.asarray(weights, dtype=np.float64).ravel()
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ShapeError(f"trace weights must sum to 1, got {w.sum()}")
-        self.rows.append(TraceRow(int(frame), str(phase), w, int(selected), float(cost)))
-
-    def __len__(self):
-        return len(self.rows)
-
-    def phases(self):
-        seen = []
-        for row in self.rows:
-            if row.phase not in seen:
-                seen.append(row.phase)
-        return seen
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -104,14 +69,10 @@ def center_distance(a: BBox, b: BBox) -> float:
 
 def otb_success_precision(result: TrackResult):
     """Overlap success curve (101 points), its AUC, and precision at 20 px."""
-    counted = result.counted()
-    if not counted.any():
-        raise ShapeError("no counted frames")
-    ious = result.ious()[counted]
+    ious = result.ious()
     curve = np.array([(ious > th).mean() for th in SUCCESS_THRESHOLDS])
     auc = float(curve.mean())
-    dists = np.array([center_distance(p, g)
-                      for p, g, keep in zip(result.pred, result.gt, counted) if keep])
+    dists = np.array([center_distance(p, g) for p, g in zip(result.pred, result.gt)])
     precision = float((dists < PRECISION_RADIUS_PX).mean())
     return curve, auc, precision
 
@@ -119,14 +80,10 @@ def otb_success_precision(result: TrackResult):
 def normalized_precision(result: TrackResult) -> float:
     """AUC of the size-normalized center-error curve over [0, 0.5]."""
     errors = []
-    for p, g, keep in zip(result.pred, result.gt, result.counted()):
-        if not keep:
-            continue
+    for p, g in zip(result.pred, result.gt):
         if g.w <= 0 or g.h <= 0:
-            raise ShapeError("degenerate ground-truth box on a counted frame")
+            raise ShapeError(f"degenerate ground-truth box {g}")
         errors.append(np.hypot((p.cx - g.cx) / g.w, (p.cy - g.cy) / g.h))
-    if not errors:
-        raise ShapeError("no counted frames")
     errors = np.array(errors)
     curve = np.array([(errors < th).mean() for th in NORM_PRECISION_THRESHOLDS])
     return float(curve.mean())
@@ -142,10 +99,7 @@ def got10k_ao_sr(results):
         raise ShapeError("no sequences to evaluate")
     aos, sr50, sr75 = [], [], []
     for r in results:
-        counted = r.counted()
-        if not counted.any():
-            raise ShapeError("sequence with no counted frames")
-        ious = r.ious()[counted]
+        ious = r.ious()
         aos.append(float(ious.mean()))
         sr50.append(float((ious > 0.5).mean()))
         sr75.append(float((ious > 0.75).mean()))
@@ -153,25 +107,21 @@ def got10k_ao_sr(results):
     return math.fsum(aos) / n, math.fsum(sr50) / n, math.fsum(sr75) / n
 
 
-def vot_accuracy_robustness(result: TrackResult, reinit_skip: int = 5):
+def vot_accuracy_robustness(result: TrackResult):
     """Simplified reinitializing protocol: accuracy and failure count.
 
-    A failure is a counted frame with IoU exactly 0; the following
-    ``reinit_skip`` frames are skipped as the tracker restarts from ground
-    truth.  Accuracy averages IoU over evaluated non-failure frames.
+    A failure is a frame with IoU exactly 0; the following
+    ``VOT_REINIT_SKIP`` frames are skipped as the tracker restarts from
+    ground truth.  Accuracy averages IoU over evaluated non-failure frames.
     """
     ious = result.ious()
-    counted = result.counted()
     failures = 0
     kept = []
     i = 0
     while i < len(ious):
-        if not counted[i]:
-            i += 1
-            continue
         if ious[i] == 0.0:
             failures += 1
-            i += 1 + reinit_skip
+            i += 1 + VOT_REINIT_SKIP
             continue
         kept.append(ious[i])
         i += 1
@@ -179,22 +129,27 @@ def vot_accuracy_robustness(result: TrackResult, reinit_skip: int = 5):
     return accuracy, failures
 
 
-def gate_trace_stats(trace: GateTrace):
+def gate_trace_stats(decisions, phases, table):
     """Per-phase mean/std of each branch weight plus the activation rate.
 
-    Returns ``(stats, activation_rate)`` where ``stats`` maps phase ->
-    branch name -> (mean, population std), and the activation rate is the
-    fraction of all frames whose selected branch is the costliest (CBAM).
+    ``decisions`` holds one :class:`gate.GateDecision` per frame and
+    ``phases`` each frame's phase.  Returns ``(stats, activation_rate)``:
+    ``stats`` maps phase (in first-seen order) -> branch name -> (mean,
+    population std) of the recorded weights, and the activation rate is the
+    fraction of frames that ran the costliest branch of ``table``: the
+    chosen branch, or for a fixed record any branch of its set.
     """
-    if not trace.rows:
+    if len(decisions) != len(phases):
+        raise ShapeError(f"{len(decisions)} gate decisions for {len(phases)} phases")
+    if not decisions:
         raise ShapeError("empty gate trace")
     stats = {}
-    for phase in trace.phases():
-        weights = np.stack([row.weights for row in trace.rows if row.phase == phase])
+    for phase in dict.fromkeys(phases):
+        weights = np.stack([d.weights for d, p in zip(decisions, phases) if p == phase])
         stats[phase] = {
             name: (float(weights[:, k].mean()), float(weights[:, k].std()))
             for k, name in enumerate(BRANCH_ORDER)
         }
-    costliest = BRANCH_ORDER.index(COSTLIEST_BRANCH)
-    rate = float(np.mean([row.selected == costliest for row in trace.rows]))
+    costliest = BRANCH_ORDER[int(np.argmax(table.costs))]
+    rate = float(np.mean([costliest in d.chosen_name.split("+") for d in decisions]))
     return stats, rate

@@ -162,14 +162,15 @@ class TrackModel:
     def enhance_soft(self, feature, frame_index=0):
         """Training-time enhancement; returns (enhanced, weights, decisions).
 
-        ``weights`` is the in-graph (n, B, 1, 1) tensor in gated mode and
-        None otherwise: a fixed set of branches has no decision to learn, so
-        it trains exactly as it runs at inference.
+        ``decisions`` holds one record per batch row.  ``weights`` is the
+        in-graph (n, B, 1, 1) tensor in gated mode and None otherwise: a
+        fixed set of branches has no decision to learn, so it trains exactly
+        as it runs at inference.
         """
         if self.config.attention_mode == "gated":
             return gate.soft_attention(feature, self.branches, self.gate, frame_index)
         enhanced, decision, _ = self.enhance_infer(feature, frame_index=frame_index)
-        return enhanced, None, [decision]
+        return enhanced, None, [decision] * feature.shape[0]
 
     def enhance_infer(self, feature, budget=None, frame_index=0):
         """Inference enhancement; returns ``(enhanced, decision, attention_flops)``.
@@ -301,6 +302,8 @@ def load_checkpoint(path):
             raise ShapeError(corrupt)
         tensors = {}
         for name, size in index:
+            if name in tensors:
+                raise ShapeError(f"checkpoint {path} names tensor {name} twice")
             try:
                 tensors[name] = T.load_dt64(io.BytesIO(fh.read(size)))
             except ShapeError as err:

@@ -6,7 +6,9 @@ gradients can be pushed back through the graph.  The op set is deliberately
 small, one op per operation, each with one backward rule short enough to
 verify against the finite-difference oracle in :func:`grad_check`:
 
-  * ``conv2d`` and ``linear`` (a 1x1 ``conv2d``);
+  * ``conv2d`` with bias; a 1x1 kernel runs as one matrix product, which
+    serves the fully connected layers of the gate, the attention blocks
+    and the readout;
   * ``relu``, ``sigmoid``, ``exp`` and ``softmax_tau`` (softmax with
     temperature);
   * ``pool``: mean or max over the axes its kind names;
@@ -68,7 +70,6 @@ __all__ = [
     "narrow",
     "reshape",
     "conv2d",
-    "linear",
     "matmul_cc",
     "apply_attention",
     "bce_with_logits",
@@ -197,12 +198,12 @@ def _result(data, parents, backward_fn, flops=0):
 # constructors
 # ---------------------------------------------------------------------------
 
-def zeros(shape, requires_grad=False):
-    return Tensor4(np.zeros(shape), requires_grad=requires_grad)
+def zeros(shape):
+    return Tensor4(np.zeros(shape))
 
 
-def full(shape, value, requires_grad=False):
-    return Tensor4(np.full(shape, float(value)), requires_grad=requires_grad)
+def full(shape, value):
+    return Tensor4(np.full(shape, float(value)))
 
 
 def he_normal(rng, shape):
@@ -524,11 +525,11 @@ def reshape(x, shape):
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def conv2d(x, weight, bias=None, stride=1, pad=0):
-    """2-D cross-correlation with optional bias.
+def conv2d(x, weight, bias, stride=1, pad=0):
+    """2-D cross-correlation plus a per-channel bias.
 
     ``x``: (n, cin, h, w); ``weight``: (cout, cin, kh, kw); ``bias``:
-    (1, cout, 1, 1) or None.  The output size must come out integral:
+    (1, cout, 1, 1).  The output size must come out integral:
     ``(h + 2 pad - kh) / stride + 1``; anything else is a config error.
     """
     n, cin, h, w = x.shape
@@ -539,7 +540,7 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         raise ConfigError(f"conv2d stride must be >= 1, got {stride}")
     if pad < 0:
         raise ConfigError(f"conv2d pad must be >= 0, got {pad}")
-    if bias is not None and bias.shape != (1, cout, 1, 1):
+    if bias.shape != (1, cout, 1, 1):
         raise ShapeError(f"conv2d bias shape {bias.shape} != (1, {cout}, 1, 1)")
     span_h = h + 2 * pad - kh
     span_w = w + 2 * pad - kw
@@ -555,20 +556,15 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         w2d = weight.data[:, :, 0, 0]
         x3 = x.data.reshape(n, cin, h * w)
         y = np.matmul(w2d, x3).reshape(n, cout, h, w)
-        if bias is not None:
-            y += bias.data
+        y += bias.data
 
         def backward_1x1(g):
             g3 = g.reshape(n, cout, h * w)
             dx = np.matmul(w2d.T, g3).reshape(n, cin, h, w) if x.requires_grad else None
             dw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
-            db = None
-            if bias is not None:
-                db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-            return (dx, dw, db)
+            return (dx, dw, g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1))
 
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        return _result(y, parents, backward_1x1, 2 * cin * y.size)
+        return _result(y, (x, weight, bias), backward_1x1, 2 * cin * y.size)
 
     if pad:
         xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
@@ -589,8 +585,7 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         y = np.matmul(_pixel_major(cols), wmat.T).reshape(n, 1, oh, ow)
     else:
         y = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
-    if bias is not None:
-        y += bias.data
+    y += bias.data
 
     def backward(g):
         gmat = g.reshape(n, cout, oh * ow)
@@ -605,30 +600,15 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
                         dcols[:, :, ki, kj]
                     )
             dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + w])
-        db = None
-        if bias is not None:
-            db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-        return (dx, dw, db)
+        return (dx, dw, g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(y, parents, backward, 2 * cin * kh * kw * y.size)
+    return _result(y, (x, weight, bias), backward, 2 * cin * kh * kw * y.size)
 
 
 def _pixel_major(cols):
     """A contiguous (n, P, K) copy of channel-major (n, K, P) im2col columns,
     the layout of the ``cout == 1`` forward."""
     return np.ascontiguousarray(cols.transpose(0, 2, 1))
-
-
-def linear(x, weight, bias=None):
-    """Fully connected layer along channels: y = W x + b per position.
-
-    ``weight`` is stored as (out, in, 1, 1); with a (1, in, 1, 1) input this
-    is a plain matrix-vector product.
-    """
-    if weight.shape[2] != 1 or weight.shape[3] != 1:
-        raise ShapeError(f"linear weight must be (out, in, 1, 1), got {weight.shape}")
-    return conv2d(x, weight, bias, stride=1, pad=0)
 
 
 def matmul_cc(a, b):

@@ -14,6 +14,11 @@ def zeroed(init, *args):
     return block
 
 
+def zero_bias(weight):
+    """A zero (1, cout, 1, 1) bias for a (cout, cin, kh, kw) conv weight."""
+    return T.zeros((1, weight.shape[0], 1, 1))
+
+
 def vector(values):
     """A 1-D sequence laid out along the channel axis: shape (1, k, 1, 1)."""
     return T.Tensor4(np.asarray(values, dtype=np.float64).reshape(1, -1, 1, 1))

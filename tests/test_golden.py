@@ -21,6 +21,11 @@ became one 3c-output conv, and 1x1 convs and conv weight gradients read their
 operands without layout copies.  The forward bits held; 46 of the 50
 gradients moved, by at most 1.4e-15 of a parameter's max |g| and its norm by
 at most 6.6e-16 relative, within ``GRAD_NORMS``, which was recorded before.
+
+``TRACE_STATS`` was recorded through the trace record type that
+``metrics.gate_trace_stats`` read before it took the ``GateDecision`` list
+itself; the costliest branch was then a hard-coded "cbam", which the cost
+table's argmax still picks.
 """
 
 import hashlib
@@ -30,7 +35,7 @@ import math
 import numpy as np
 import pytest
 
-from gatetrack import flops, gate
+from gatetrack import flops, gate, metrics
 from gatetrack import head as H
 from gatetrack import model as M
 from gatetrack import scenes
@@ -129,6 +134,29 @@ DECISIONS = {
                   (0.17218518369980654, 0.1757855537922876, 0.2695127948398789, 0.38251646766802694),
                   "13664b6263c114dfc4ba3f2a2f55e98524a39ee83ba1a3263afa8269c08138f6"),
 }
+
+# per probe phase, branch -> (mean, population std) of the recorded weights of
+# every DECISIONS run, and the share of runs that chose the costliest branch
+TRACE_STATS = ({
+    "stable": {
+        "identity": (0.3875367487673914, 0.3454976272550902),
+        "se": (0.19254798958144928, 0.19038224641093104),
+        "ca": (0.14282465130516625, 0.18304354573390147),
+        "cbam": (0.27709061034599314, 0.39106982071706037),
+    },
+    "occlusion": {
+        "identity": (0.38678977011824084, 0.3457155744108358),
+        "se": (0.1923993963995996, 0.19058417626287888),
+        "ca": (0.14357426718434713, 0.18404174520917144),
+        "cbam": (0.27723656629781246, 0.3911103708351142),
+    },
+    "fast": {
+        "identity": (0.3891723284695525, 0.34495879388401063),
+        "se": (0.19312789757899584, 0.190079877311727),
+        "ca": (0.1411964804178462, 0.18080964256525156),
+        "cbam": (0.27650329353360537, 0.39090881068673006),
+    },
+}, 0.4)
 
 LOSS = 1.8293667210734443
 GRADS_SHA256 = "036b8819c59daa673455b6cc403509ed8970064c5bf7fced3d7570d71c27a0a7"
@@ -248,13 +276,12 @@ def predictions(attention_mode):
     return found
 
 
-def decisions():
-    """Hard and budgeted gate decisions on each probe frame.
+def gate_runs():
+    """Hard and budgeted gate runs on each probe frame.
 
     The gate's output layer is drawn from ``DECISION_SEED`` (the seeded init
-    zeroes it, so every frame would pick identity).  Each row holds the
-    chosen branch, the recorded weights, the mode, the returned cost and the
-    digest of the enhanced map.
+    zeroes it, so every frame would pick identity).  Returns the model, the
+    probe sequence and ``(index, budget key) -> (enhanced, decision, cost)``.
     """
     model = M.TrackModel(M.ModelConfig(), seed=0)
     rng = np.random.default_rng(DECISION_SEED)
@@ -263,16 +290,31 @@ def decisions():
     table = model.cost_table
     budgets = {"none": None, "zero": 0.0, "se": table["se"], "ca": table["ca"], "inf": math.inf}
     seq = probe_sequence()
-    found = {}
+    runs = {}
     with T.no_grad():
         for index in PROBE_FRAMES:
             feature, _ = probe_feature(model, seq, index)
             for key, budget in budgets.items():
-                out, decision, cost = model.enhance_infer(feature, budget=budget,
-                                                          frame_index=index)
-                found[index, key] = (decision.chosen_name, decision.mode, cost,
-                                     tuple(decision.weights.tolist()), digest([out.data]))
-    return found
+                runs[index, key] = model.enhance_infer(feature, budget=budget,
+                                                       frame_index=index)
+    return model, seq, runs
+
+
+def decisions():
+    """Each gate run's chosen branch, mode, returned cost, recorded weights and
+    enhanced-map digest."""
+    _, _, runs = gate_runs()
+    return {key: (decision.chosen_name, decision.mode, cost,
+                  tuple(decision.weights.tolist()), digest([out.data]))
+            for key, (out, decision, cost) in runs.items()}
+
+
+def trace_stats():
+    """Per-phase gate statistics and activation rate over every gate run."""
+    model, seq, runs = gate_runs()
+    return metrics.gate_trace_stats([decision for _, decision, _ in runs.values()],
+                                    [seq.phases[index] for index, _ in runs],
+                                    model.cost_table)
 
 
 def fixed_runs(config):
@@ -348,6 +390,7 @@ def observed():
     return {
         "PREDICTIONS": {mode: predictions(mode) for mode in ("gated", "static", "none")},
         "DECISIONS": decisions(),
+        "TRACE_STATS": trace_stats(),
         "LOSS": loss,
         "GRADS_SHA256": digest(grads.values()),
         "GRAD_NORMS": grad_norms(grads),
@@ -369,6 +412,12 @@ def test_predictions(attention_mode):
 
 def test_decisions():
     assert decisions() == DECISIONS
+
+
+def test_trace_stats():
+    stats, rate = trace_stats()
+    assert list(stats) == ["stable", "occlusion", "fast"]  # first-seen order
+    assert (stats, rate) == TRACE_STATS
 
 
 def test_static_without_branches_runs_identity():

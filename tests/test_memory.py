@@ -20,7 +20,7 @@ def feat(rng, shape):
 
 class TestMemoryBank:
     def test_initial_frame_always_written(self):
-        bank = M.MemoryBank(capacity=3)
+        bank = M.MemoryBank(capacity=3, write_period=5, write_threshold=0.6)
         assert bank.update(0, T.zeros((1, 2, 2, 2)), confidence=0.0)
         assert len(bank) == 1 and bank.frame_indices == [0]
 
@@ -63,14 +63,30 @@ class TestMemoryBank:
         assert bank.frame_indices == [first, 15]  # the initial entry is never evicted
 
     def test_non_monotone_frame_rejected(self):
-        bank = M.MemoryBank(capacity=3)
+        bank = M.MemoryBank(capacity=3, write_period=5, write_threshold=0.6)
         bank.update(0, T.zeros((1, 1, 1, 1)), 1.0)
         with pytest.raises(ConfigError):
             bank.update(0, T.zeros((1, 1, 1, 1)), 1.0)
 
     def test_capacity_validated(self):
         with pytest.raises(ConfigError):
-            M.MemoryBank(capacity=0)
+            M.MemoryBank(capacity=0, write_period=5, write_threshold=0.6)
+
+    def test_nan_confidence_not_written(self):
+        bank = M.MemoryBank(capacity=3, write_period=5, write_threshold=0.6)
+        bank.update(0, T.zeros((1, 1, 1, 1)), 1.0)
+        assert not bank.update(5, T.zeros((1, 1, 1, 1)), float("nan"))
+        assert bank.frame_indices == [0]
+
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_write_period_validated(self, period):
+        with pytest.raises(ConfigError, match="write period"):
+            M.MemoryBank(capacity=3, write_period=period, write_threshold=0.6)
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_write_threshold_validated(self, threshold):
+        with pytest.raises(ConfigError, match="write threshold"):
+            M.MemoryBank(capacity=3, write_period=5, write_threshold=threshold)
 
 
 class TestReadout:

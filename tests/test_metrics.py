@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gatetrack import metrics as M
-from gatetrack.head import BBox
 from gatetrack.errors import NumericError, ShapeError
+from gatetrack.flops import BranchCostTable
+from gatetrack.gate import GateDecision
+from gatetrack.head import BBox
 
 
 def boxes_with_ious(targets):
@@ -164,17 +166,16 @@ class TestVOT:
     def test_protocol_walkthrough(self):
         # IoUs [1, 0, 1, 1, 1, 1, 1, 1], skip 5: failure at frame 1,
         # frames 2..6 skipped, accuracy over frames {0, 7}
+        assert M.VOT_REINIT_SKIP == 5
         pred, gt = boxes_with_ious([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        accuracy, failures = M.vot_accuracy_robustness(
-            M.TrackResult(pred, gt), reinit_skip=5)
+        accuracy, failures = M.vot_accuracy_robustness(M.TrackResult(pred, gt))
         assert failures == 1
         assert accuracy == 1.0
 
     def test_alternating_failures_counted_after_skips(self):
         ious = [0.0, 1.0] * 8  # failures at 0, 6, 12 with skip 5
         pred, gt = boxes_with_ious(ious)
-        accuracy, failures = M.vot_accuracy_robustness(
-            M.TrackResult(pred, gt), reinit_skip=5)
+        accuracy, failures = M.vot_accuracy_robustness(M.TrackResult(pred, gt))
         # simulate the protocol independently
         i, expect_failures, kept = 0, 0, []
         while i < len(ious):
@@ -188,22 +189,32 @@ class TestVOT:
         assert accuracy == pytest.approx(np.mean(kept) if kept else 0.0)
 
     def test_all_failures(self):
-        pred, gt = boxes_with_ious([0.0, 0.0])
-        accuracy, failures = M.vot_accuracy_robustness(
-            M.TrackResult(pred, gt), reinit_skip=0)
+        # failures at 0 and 6; frames 1..5 are skipped, so nothing is kept
+        pred, gt = boxes_with_ious([0.0] * 7)
+        accuracy, failures = M.vot_accuracy_robustness(M.TrackResult(pred, gt))
         assert accuracy == 0.0 and failures == 2
 
 
+# identity/se/ca/cbam costs: CBAM is the costliest branch
+TABLE = BranchCostTable((0.0, 1.0, 2.0, 3.0))
+
+
+def record(weights, chosen, mode="soft"):
+    """A gate decision recording ``weights`` and ``chosen`` (None when fixed)."""
+    return GateDecision(frame_index=0, logits=np.zeros(4),
+                        weights=np.asarray(weights, dtype=np.float64), mode=mode, chosen=chosen)
+
+
 class TestGateTraceStats:
-    def make_trace(self, rows):
-        trace = M.GateTrace()
-        for frame, (phase, weights, selected) in enumerate(rows):
-            trace.append(frame, phase, weights, selected, cost=0.0)
-        return trace
+    @staticmethod
+    def stats(rows, table=TABLE):
+        """Trace statistics of ``(phase, weights, chosen)`` rows."""
+        return M.gate_trace_stats([record(w, chosen) for _, w, chosen in rows],
+                                  [phase for phase, _, _ in rows], table)
 
     def test_constant_weights(self):
         rows = [("stable", [0.25, 0.25, 0.25, 0.25], 0)] * 5
-        stats, rate = M.gate_trace_stats(self.make_trace(rows))
+        stats, rate = self.stats(rows)
         for name in ("identity", "se", "ca", "cbam"):
             assert stats["stable"][name] == (0.25, 0.0)
         assert rate == 0.0
@@ -212,7 +223,7 @@ class TestGateTraceStats:
         w = 0.7
         rows = [("fast", [w, 1 - w, 0.0, 0.0], 0),
                 ("fast", [1 - w, w, 0.0, 0.0], 1)]
-        stats, _ = M.gate_trace_stats(self.make_trace(rows))
+        stats, _ = self.stats(rows)
         mean, std = stats["fast"]["identity"]
         assert mean == pytest.approx(0.5)
         assert std == pytest.approx(abs(w - 0.5))
@@ -222,8 +233,26 @@ class TestGateTraceStats:
                 ("fast", [0, 0, 0, 1], 3),
                 ("fast", [0, 0, 0, 1], 3),
                 ("occlusion", [0, 0, 1, 0], 2)]
-        _, rate = M.gate_trace_stats(self.make_trace(rows))
+        _, rate = self.stats(rows)
         assert rate == 0.5
+
+    def test_costliest_branch_read_from_table(self):
+        rows = [("stable", [0, 1, 0, 0], 1), ("stable", [0, 0, 0, 1], 3),
+                ("stable", [0, 0, 0, 1], 3), ("stable", [0, 0, 0, 1], 3)]
+        assert self.stats(rows)[1] == 0.75
+        assert self.stats(rows, BranchCostTable((0.0, 9.0, 2.0, 3.0)))[1] == 0.25
+
+    def test_fixed_record_activates_every_branch_of_its_set(self):
+        decisions = [record([0, 1 / 3, 1 / 3, 1 / 3], None, "fixed"),
+                     record([0, 0.5, 0.5, 0], None, "fixed"),
+                     record([1, 0, 0, 0], None, "fixed"),
+                     record([0, 0, 0, 1], None, "fixed")]
+        _, rate = M.gate_trace_stats(decisions, ["stable"] * 4, TABLE)
+        assert rate == 0.5
+
+    def test_phases_in_first_seen_order(self):
+        rows = [(phase, [1, 0, 0, 0], 0) for phase in ("fast", "stable", "fast", "occlusion")]
+        assert list(self.stats(rows)[0]) == ["fast", "stable", "occlusion"]
 
     def test_matches_direct_recount(self):
         rng = np.random.default_rng(6)
@@ -232,7 +261,7 @@ class TestGateTraceStats:
         for _ in range(60):
             w = rng.dirichlet(np.ones(4))
             rows.append((phases[rng.integers(3)], w, int(rng.integers(4))))
-        stats, rate = M.gate_trace_stats(self.make_trace(rows))
+        stats, rate = self.stats(rows)
         for phase in phases:
             sel = [w for ph, w, _ in rows if ph == phase]
             arr = np.stack(sel)
@@ -243,16 +272,16 @@ class TestGateTraceStats:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ShapeError):
-            M.gate_trace_stats(M.GateTrace())
+            M.gate_trace_stats([], [], TABLE)
+
+    @pytest.mark.parametrize("n_phases", [1, 3])
+    def test_phase_count_mismatch_rejected(self, n_phases):
+        decisions = [record([1, 0, 0, 0], 0)] * 2
+        with pytest.raises(ShapeError):
+            M.gate_trace_stats(decisions, ["stable"] * n_phases, TABLE)
 
 
 class TestTrackResult:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             M.TrackResult([BBox(0, 0, 1, 1)], [])
-
-    def test_valid_mask_excludes_frames(self):
-        pred, gt = boxes_with_ious([1.0, 0.0, 1.0])
-        r = M.TrackResult(pred, gt, valid=[True, False, True])
-        _, auc, _ = M.otb_success_precision(r)
-        assert auc == pytest.approx(100 / 101)

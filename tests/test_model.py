@@ -120,12 +120,6 @@ class TestRunConfig:
                             "lr_start": 0.01, "lr_end": 0.01})
         assert (config.momentum, config.weight_decay, config.lambda_cost) == (0, 0, 0)
 
-    def test_model_config_carries_model_fields(self):
-        config = RunConfig(channels=16, stem_width=8, memory_capacity=5,
-                           attention_mode="none", steps=10)
-        assert config.model_config() == M.ModelConfig(
-            channels=16, stem_width=8, memory_capacity=5, attention_mode="none")
-
 
 @pytest.mark.parametrize("attention_mode", ["static", "none"])
 def test_fixed_attention_modes_train(attention_mode):
@@ -162,6 +156,18 @@ def test_fixed_branch_set_is_recorded_as_fixed(attention_mode, weights, name):
     assert decision.weights.tolist() == weights
     assert not decision.logits.any()
     assert decision.chosen is None and decision.chosen_name == name
+
+
+@pytest.mark.parametrize("attention_mode", ["static", "none"])
+def test_fixed_soft_enhancement_records_one_decision_per_row(attention_mode):
+    """As in gated mode, a batch of n gets n records: here n copies of the
+    fixed record that inference gives."""
+    model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
+    feature = T.Tensor4(np.random.default_rng(1).standard_normal((2, 32, 16, 16)))
+    _, _, decisions = model.enhance_soft(feature, frame_index=4)
+    _, decision, _ = model.enhance_infer(feature, frame_index=4)
+    assert [(d.mode, d.frame_index, d.chosen_name, d.weights.tolist()) for d in decisions] == 2 * [
+        ("fixed", 4, decision.chosen_name, decision.weights.tolist())]
 
 
 @pytest.mark.parametrize("crop_size", [32, 64, 128])
@@ -206,6 +212,11 @@ def dt64_blob(dims, payload=b""):
     return b"DT64" + struct.pack("<4I", *dims) + payload
 
 
+# an index naming one tensor twice, each entry with a valid blob
+REPEATED_TENSOR = (b"GTCK1 2\nbackbone.conv1.w 28\nbackbone.conv1.w 28\n\n"
+                   + dt64_blob((1, 1, 1, 1), b"\x00" * 8) * 2)
+
+
 @pytest.mark.parametrize("content", [
     b"GTCK1 x\n\n",
     b"GTCK1\n\n",
@@ -216,15 +227,23 @@ def dt64_blob(dims, payload=b""):
     b"GTCK1 1\nw 20\n\n" + dt64_blob((4294967295, 0, 0, 0)),
     b"GTCK1 1\nw 28\n\n" + dt64_blob((1, 1, 1, 0), b"\x00" * 8),
     b"GTCK1 1\nw 12\n\n" + dt64_blob((1, 1, 1, 1))[:12],
+    REPEATED_TENSOR,
 ], ids=["count_not_int", "no_count", "non_ascii_header", "entry_no_size",
         "entry_non_ascii", "entry_negative_size", "dt64_all_zero_extent",
-        "dt64_zero_extent", "dt64_truncated_header"])
+        "dt64_zero_extent", "dt64_truncated_header", "repeated_tensor"])
 def test_corrupt_checkpoint_raises_shape_error_naming_path(tmp_path, content):
     path = tmp_path / "bad.gtck"
     path.write_bytes(content)
     with pytest.raises(ShapeError) as err:
         M.load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+def test_repeated_checkpoint_tensor_is_named(tmp_path):
+    path = tmp_path / "twice.gtck"
+    path.write_bytes(REPEATED_TENSOR)
+    with pytest.raises(ShapeError, match="backbone.conv1.w twice"):
+        M.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("center", [(np.nan, 10.0), (10.0, np.inf), (-np.inf, np.nan)])

@@ -9,7 +9,7 @@ import pytest
 from gatetrack import head as H
 from gatetrack import tensor as T
 from gatetrack.errors import ConfigError, ParameterError, ShapeError
-from helpers import scalar, vector
+from helpers import scalar, vector, zero_bias
 
 
 def rand4(rng, shape):
@@ -46,14 +46,14 @@ class TestConv2d:
     def test_hand_example_2x2_ones_kernel(self):
         x = T.Tensor4(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
         w = T.Tensor4(np.ones((1, 1, 2, 2)))
-        y = T.conv2d(x, w, None, stride=1, pad=0)
+        y = T.conv2d(x, w, zero_bias(w), stride=1, pad=0)
         assert np.array_equal(y.data[0, 0], [[12.0, 16.0], [24.0, 28.0]])
 
     def test_identity_1x1_kernel(self):
         rng = np.random.default_rng(0)
         x = rand4(rng, (2, 3, 4, 5))
         w = T.Tensor4(np.eye(3).reshape(3, 3, 1, 1))
-        y = T.conv2d(x, w)
+        y = T.conv2d(x, w, zero_bias(w))
         assert np.array_equal(y.data, x.data)
 
     def test_zero_input_gives_bias(self):
@@ -70,26 +70,27 @@ class TestConv2d:
         x1 = rand4(rng, (1, 2, 4, 4))
         x2 = rand4(rng, (1, 2, 4, 4))
         w = rand4(rng, (3, 2, 3, 3))
-        both = T.conv2d(T.Tensor4(x1.data + x2.data), w, stride=1, pad=1)
-        sep = T.conv2d(x1, w, stride=1, pad=1).data + T.conv2d(x2, w, stride=1, pad=1).data
+        b = zero_bias(w)
+        both = T.conv2d(T.Tensor4(x1.data + x2.data), w, b, stride=1, pad=1)
+        sep = T.conv2d(x1, w, b, stride=1, pad=1).data + T.conv2d(x2, w, b, stride=1, pad=1).data
         assert np.max(np.abs(both.data - sep)) < 1e-10
 
     def test_channel_mismatch_raises(self):
         x = T.zeros((1, 2, 4, 4))
         w = T.zeros((3, 3, 3, 3))
         with pytest.raises(ShapeError):
-            T.conv2d(x, w)
+            T.conv2d(x, w, zero_bias(w))
 
     def test_non_integral_output_raises(self):
         x = T.zeros((1, 1, 5, 5))
         w = T.zeros((1, 1, 2, 2))
         with pytest.raises(ConfigError):
-            T.conv2d(x, w, stride=2)
+            T.conv2d(x, w, zero_bias(w), stride=2)
 
     def test_strided_shapes(self):
         x = T.zeros((2, 3, 9, 9))
         w = T.zeros((4, 3, 3, 3))
-        y = T.conv2d(x, w, stride=2, pad=1)
+        y = T.conv2d(x, w, zero_bias(w), stride=2, pad=1)
         assert y.shape == (2, 4, 5, 5)
 
     @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (7, 1, 3), (1, 1, 0)],
@@ -143,27 +144,30 @@ class TestConv2d:
 
 
 class TestLinear:
+    """A 1x1 conv2d on a (1, in, 1, 1) vector: the fully connected layer of
+    the gate, the SE/CA/CBAM bottlenecks and the readout projections."""
+
     def test_identity(self):
         x = vector([0.3, -1.2, 4.0])
         w = T.Tensor4(np.eye(3).reshape(3, 3, 1, 1))
-        assert np.array_equal(T.linear(x, w).data, x.data)
+        assert np.array_equal(T.conv2d(x, w, zero_bias(w)).data, x.data)
 
     def test_hand_matrix_vector(self):
         x = vector([1.0, 2.0])
         w = T.Tensor4(np.array([[1.0, 1.0], [0.0, 1.0]]).reshape(2, 2, 1, 1))
         b = vector([0.0, 1.0])
-        y = T.linear(x, w, b)
+        y = T.conv2d(x, w, b)
         assert np.array_equal(y.data.ravel(), [3.0, 3.0])
 
     def test_zero_input_gives_bias(self):
         w = T.Tensor4(np.random.default_rng(4).standard_normal((2, 3, 1, 1)))
         b = vector([5.0, -7.0])
-        y = T.linear(T.zeros((1, 3, 1, 1)), w, b)
+        y = T.conv2d(T.zeros((1, 3, 1, 1)), w, b)
         assert np.array_equal(y.data.ravel(), [5.0, -7.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            T.linear(T.zeros((1, 3, 1, 1)), T.zeros((2, 4, 1, 1)))
+            T.conv2d(T.zeros((1, 3, 1, 1)), T.zeros((2, 4, 1, 1)), T.zeros((1, 2, 1, 1)))
 
 
 class TestActivations:
@@ -362,7 +366,7 @@ class TestBackprop:
         rng = np.random.default_rng(13)
         w = as_param(rng, params, "w", (2, 3, 1, 1))
         x = T.Tensor4(rng.standard_normal((1, 3, 1, 1)))
-        grads = T.backprop(T.sum_all(T.linear(x, w)), params)
+        grads = T.backprop(T.sum_all(T.conv2d(x, w, zero_bias(w))), params)
         assert set(grads) == {"w"}
         assert grads["w"].shape == (2, 3, 1, 1)
 
@@ -373,7 +377,7 @@ class TestBackprop:
         x = T.Tensor4(rng.standard_normal((1, 3, 4, 4)))
 
         def loss():
-            return T.sum_all(T.relu(T.conv2d(x, w, stride=1, pad=1)))
+            return T.sum_all(T.relu(T.conv2d(x, w, zero_bias(w), stride=1, pad=1)))
 
         g1 = T.backprop(loss(), params)["w"].copy()
         g2 = T.backprop(loss(), params)["w"].copy()
@@ -447,7 +451,7 @@ class TestGradCheck:
         x = T.Tensor4(rng.standard_normal((2, 4, 1, 1)))
 
         def loss(ps):
-            y = T.linear(x, ps["w"], ps["b"])
+            y = T.conv2d(x, ps["w"], ps["b"])
             return T.sum_all(T.mul_broadcast(y, y))
 
         assert T.grad_check(loss, params, eps=1e-5) < 1e-6
@@ -538,7 +542,7 @@ class TestInputsUntouched:
 
     @pytest.mark.parametrize("op", [
         lambda x, w: T.conv2d(x, w["k3"], w["b4"], stride=1, pad=1),
-        lambda x, w: T.conv2d(x, w["k3_one"], None, stride=2, pad=1),
+        lambda x, w: T.conv2d(x, w["k3_one"], w["b1"], stride=2, pad=1),
         lambda x, w: T.conv2d(x, w["k1"], w["b4"]),
         lambda x, w: T.softmax_tau(x, tau=1.0, axis=3),
         lambda x, w: T.softmax_tau(x, tau=0.3, axis=1),
@@ -553,6 +557,7 @@ class TestInputsUntouched:
             "k3_one": T.Tensor4(rng.standard_normal((1, 3, 3, 3)), requires_grad=True),
             "k1": T.Tensor4(rng.standard_normal((4, 3, 1, 1)), requires_grad=True),
             "b4": T.Tensor4(rng.standard_normal((1, 4, 1, 1)), requires_grad=True),
+            "b1": T.Tensor4(rng.standard_normal((1, 1, 1, 1)), requires_grad=True),
         }
         before = {name: t.data.tobytes() for name, t in [("x", x), *weights.items()]}
         y = op(x, weights)
@@ -581,8 +586,8 @@ class TestDeterminism:
         rng = np.random.default_rng(19)
         x = rand4(rng, (2, 3, 6, 6))
         w = rand4(rng, (4, 3, 3, 3))
-        a = T.conv2d(x, w, stride=1, pad=1).data
-        b = T.conv2d(x, w, stride=1, pad=1).data
+        a = T.conv2d(x, w, zero_bias(w), stride=1, pad=1).data
+        b = T.conv2d(x, w, zero_bias(w), stride=1, pad=1).data
         assert np.array_equal(a, b)
 
     def test_finite_outputs_on_finite_inputs(self):
@@ -605,8 +610,8 @@ class TestCountFlops:
 
     @pytest.mark.parametrize("op, expect", [
         (lambda x, w: T.conv2d(x, w["k3"], w["b4"], stride=1, pad=1), 2 * 3 * 9 * 2 * 4 * 25),
-        (lambda x, w: T.conv2d(x, w["k3"], None, stride=2, pad=1), 2 * 3 * 9 * 2 * 4 * 9),
-        (lambda x, w: T.linear(x, w["k1"], w["b4"]), 2 * 3 * 2 * 4 * 25),
+        (lambda x, w: T.conv2d(x, w["k3"], w["b4"], stride=2, pad=1), 2 * 3 * 9 * 2 * 4 * 9),
+        (lambda x, w: T.conv2d(x, w["k1"], w["b4"]), 2 * 3 * 2 * 4 * 25),
         (lambda x, w: T.pool("global_max", x), 150),
         (lambda x, w: T.pool("avg_over_w", x), 150),
         (lambda x, w: T.softmax_tau(x, tau=0.5, axis=3), 150),
@@ -632,7 +637,7 @@ class TestCountFlops:
         w = T.Tensor4(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
 
         def forward(x, w):
-            return T.sum_all(T.sigmoid(T.conv2d(x, w, None, stride=1, pad=1)))
+            return T.sum_all(T.sigmoid(T.conv2d(x, w, zero_bias(w), stride=1, pad=1)))
 
         with T.no_grad():
             inference = self.counted(forward, x, w)
@@ -642,8 +647,9 @@ class TestCountFlops:
         rng = np.random.default_rng(27)
         x = rand4(rng, (2, 3, 6, 6))
         w = rand4(rng, (4, 3, 3, 3))
-        one = self.counted(T.conv2d, T.Tensor4(x.data[:1]), w, None, 1, 1)
-        assert self.counted(T.conv2d, x, w, None, 1, 1) == 2 * one > 0
+        b = zero_bias(w)
+        one = self.counted(T.conv2d, T.Tensor4(x.data[:1]), w, b, 1, 1)
+        assert self.counted(T.conv2d, x, w, b, 1, 1) == 2 * one > 0
 
     @pytest.mark.parametrize("op", [
         lambda x: T.reshape(x, (1, 4, 12, 1)),
