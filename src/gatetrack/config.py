@@ -15,8 +15,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
-from .model import ModelConfig, _require_real, _require_size
+from .errors import ConfigError, _require_real, _require_size
+from .model import ModelConfig
 
 
 @dataclass

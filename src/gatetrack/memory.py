@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _require_real, _require_size
 
 
 @dataclass
@@ -67,13 +67,9 @@ class MemoryBank:
     entries: list = field(default_factory=list)  # (frame_index, Tensor4)
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ConfigError(f"memory capacity must be >= 1, got {self.capacity}")
-        if self.write_period < 1:
-            raise ConfigError(f"memory write period must be >= 1, got {self.write_period}")
-        if not 0.0 <= self.write_threshold <= 1.0:  # also rejects NaN
-            raise ConfigError(
-                f"memory write threshold must be in [0, 1], got {self.write_threshold}")
+        _require_size("memory capacity", self.capacity)
+        _require_size("memory write period", self.write_period)
+        _require_real("memory write threshold", self.write_threshold, "in [0, 1]")
 
     def __len__(self):
         return len(self.entries)

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attention, flops, gate, head, memory
 from . import tensor as T
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, _require_real, _require_size
 
 STEM_STRIDES = (2, 2, 1)  # backbone conv1..conv3
 
@@ -85,24 +84,6 @@ class ModelConfig:
 
 _SIZE_KEYS = ("channels", "stem_width", "reduction", "gate_scale", "key_channels",
               "value_channels", "memory_capacity", "write_period", "crop_size")
-
-
-def _require_size(key, value, low=1):
-    """A size, count or period must be an int >= ``low`` (bool is not a size)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-
-
-_RANGES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
-           "in [0, 1]": lambda v: 0 <= v <= 1, "in [0, 1)": lambda v: 0 <= v < 1}
-
-
-def _require_real(key, value, rule="> 0"):
-    """A rate, scale or weight must be a finite real number (bool is not one)
-    satisfying ``rule``, a key of ``_RANGES``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or not _RANGES[rule](value)):
-        raise ConfigError(f"{key} must be a finite number {rule}, got {value!r}")
 
 
 class TrackModel:
@@ -304,10 +285,16 @@ def load_checkpoint(path):
         for name, size in index:
             if name in tensors:
                 raise ShapeError(f"checkpoint {path} names tensor {name} twice")
+            blob = io.BytesIO(fh.read(size))
             try:
-                tensors[name] = T.load_dt64(io.BytesIO(fh.read(size)))
+                tensors[name] = T.load_dt64(blob)
             except ShapeError as err:
                 raise ShapeError(f"checkpoint {path}, tensor {name}: {err}") from None
+            if blob.tell() != size:
+                raise ShapeError(f"checkpoint {path}, tensor {name}: index size {size} "
+                                 f"!= DT64 size {blob.tell()}")
+        if fh.read(1):
+            raise ShapeError(f"checkpoint {path} has bytes after its last tensor")
     return tensors
 
 

@@ -22,6 +22,19 @@ Design notes:
   * float64 everywhere, so gradients stay checkable.  The hot kernels
     (k x k convolution, softmax) avoid full-size temporaries: im2col keeps
     the output pixels innermost and softmax works in place on one array.
+  * im2col is one strided view of the padded input, already in
+    ``(n, c, kh, kw, oh, ow)`` order, copied once into the columns.
+  * a k x k input gradient takes one of two exact forms.  With stride 1,
+    ``cout <= cin`` and ``pad <= k - 1`` it is the convolution of the
+    output gradient, padded by ``k - 1 - pad``, with the kernel flipped in
+    both spatial axes and its channel axes swapped: one im2col and one GEMM
+    (the backbone's conv3, the head's second convs, CBAM's spatial conv).
+    Otherwise col2im scatters the GEMM's columns in k*k strided adds.  The
+    rule keeps the columns no larger than col2im's: the transposed form
+    builds ``cout k k`` rows per input pixel where col2im builds ``cin k k``
+    per output pixel, so a strided conv or one with more outputs than inputs
+    (the head's joined 32 -> 96 first conv) keeps col2im, and so does a
+    non-square kernel.
   * summation order is part of the output: numpy sums a matrix-vector
     product in an order set by the operand layout, so the ``cout == 1``
     k x k convolution keeps the pixel-major layout whose bits
@@ -32,6 +45,10 @@ Design notes:
     (lowest flat index) occurrence and relu's subgradient at 0 is 0.
   * graphs are built through closures; ``backward`` runs a deterministic
     topological order so repeated calls produce bitwise-identical gradients.
+    It adds a node's gradients into one buffer per node that the sweep
+    allocates itself, and ``narrow`` hands it only its range, so slices of
+    one map share one zeroed buffer; an array an op returned is never
+    written, since another node may hold it too.
   * every op reports its own forward FLOPs to :func:`_result`, under the
     conventions in :mod:`gatetrack.flops`; :func:`count_flops` sums them for
     a block, so branch and gate costs are counted, not restated by hand.
@@ -44,7 +61,6 @@ import struct
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ParameterError, ShapeError
 
@@ -169,13 +185,29 @@ class Tensor4:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones((1, 1, 1, 1))
+        owned = set()  # ids of the nodes whose .grad this sweep allocated
         for node in reversed(topo):
             if node._backward_fn is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._backward_fn(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+                # a returned array may be held by another node too (add hands
+                # the same one to both operands), so only an owned one is
+                # written in place
+                if isinstance(g, _Range):
+                    if id(parent) not in owned:
+                        parent.grad = (np.zeros(parent.shape) if parent.grad is None
+                                       else parent.grad.copy())
+                        owned.add(id(parent))
+                    parent.grad[g.index] += g.grad
+                elif parent.grad is None:
+                    parent.grad = g
+                elif id(parent) in owned:
+                    parent.grad += g
+                else:
+                    parent.grad = parent.grad + g
+                    owned.add(id(parent))
 
     def __repr__(self):
         return f"Tensor4(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -497,14 +529,22 @@ def narrow(x, axis, lo, hi):
     index = _along(axis, lo, hi)
     if not (0 <= lo < hi <= x.shape[axis]):
         raise ShapeError(f"slice [{lo}:{hi}] along axis {axis} out of range for {x.shape}")
-    shape = x.shape
 
     def backward(g):
-        dx = np.zeros(shape)
-        dx[index] = g
-        return (dx,)
+        return (_Range(index, g),)
 
     return _result(x.data[index], (x,), backward)
+
+
+class _Range:
+    """The gradient of one range of a parent, as ``narrow`` returns it: the
+    backward sweep adds it into one zeroed buffer per parent."""
+
+    __slots__ = ("index", "grad")
+
+    def __init__(self, index, grad):
+        self.index = index
+        self.grad = grad
 
 
 def reshape(x, shape):
@@ -566,32 +606,30 @@ def conv2d(x, weight, bias, stride=1, pad=0):
 
         return _result(y, (x, weight, bias), backward_1x1, 2 * cin * y.size)
 
-    if pad:
-        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
-        xp[:, :, pad:pad + h, pad:pad + w] = x.data
-    else:
-        xp = x.data
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # im2col with the output pixels innermost: the copy runs along contiguous
-    # rows and wmat @ cols lands in NCHW order without a transpose; dw reads
-    # a transposed view of the same columns.  A matrix-vector product
-    # (cout == 1) sums in an order set by the operand layout, so that forward
-    # takes a pixel-major (n, P, K) copy: the order the pinned golden maps hold.
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        n, cin * kh * kw, oh * ow
-    )
+    # im2col with the output pixels innermost: wmat @ cols lands in NCHW
+    # order without a transpose, and dw reads a transposed view of the same
+    # columns.  A matrix-vector product (cout == 1) sums in an order set by
+    # the operand layout, so that forward takes a pixel-major (n, P, K) copy:
+    # the order the pinned golden maps hold.
+    cols = _im2col(x.data, kh, kw, stride, pad, oh, ow)
     wmat = weight.data.reshape(cout, cin * kh * kw)
     if cout == 1:
         y = np.matmul(_pixel_major(cols), wmat.T).reshape(n, 1, oh, ow)
     else:
         y = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
     y += bias.data
+    # the input gradient's form, by the rule in the design notes
+    transposed = stride == 1 and kh == kw and pad <= kh - 1 and cout <= cin
 
     def backward(g):
         gmat = g.reshape(n, cout, oh * ow)
         dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, kh, kw)
         dx = None
-        if x.requires_grad:
+        if x.requires_grad and transposed:
+            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gcols = _im2col(g, kh, kw, 1, kh - 1 - pad, h, w)
+            dx = np.matmul(wflip.reshape(cin, cout * kh * kw), gcols).reshape(n, cin, h, w)
+        elif x.requires_grad:
             dcols = np.matmul(wmat.T, gmat).reshape(n, cin, kh, kw, oh, ow)
             dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
             for ki in range(kh):
@@ -603,6 +641,21 @@ def conv2d(x, weight, bias, stride=1, pad=0):
         return (dx, dw, g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1))
 
     return _result(y, (x, weight, bias), backward, 2 * cin * kh * kw * y.size)
+
+
+def _im2col(data, kh, kw, stride, pad, oh, ow):
+    """The ``(n, c kh kw, oh ow)`` im2col columns of ``data`` zero-padded by
+    ``pad``: one strided view in ``(n, c, kh, kw, oh, ow)`` order, copied once."""
+    n, c, h, w = data.shape
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad:pad + h, pad:pad + w] = data
+    else:
+        xp = np.ascontiguousarray(data)
+    sn, sc, sh, sw = xp.strides
+    windows = np.ndarray((n, c, kh, kw, oh, ow), np.float64, xp, 0,
+                         (sn, sc, sh, sw, stride * sh, stride * sw))
+    return windows.reshape(n, c * kh * kw, oh * ow)
 
 
 def _pixel_major(cols):

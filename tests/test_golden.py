@@ -16,11 +16,15 @@ threads); the checkpoint bytes depend on the RNG alone.  With the untrained
 gate, whose output layer starts at zero, ``gated`` picks identity on every
 frame and so gives the same maps as ``none``.
 
-``GRADS_SHA256`` is the one value recorded again since: the head's first convs
-became one 3c-output conv, and 1x1 convs and conv weight gradients read their
-operands without layout copies.  The forward bits held; 46 of the 50
-gradients moved, by at most 1.4e-15 of a parameter's max |g| and its norm by
-at most 6.6e-16 relative, within ``GRAD_NORMS``, which was recorded before.
+``GRADS_SHA256`` is the one value recorded again since, twice.  First the
+head's first convs became one 3c-output conv, and 1x1 convs and conv weight
+gradients read their operands without layout copies: 46 of the 50 gradients
+moved, by at most 1.4e-15 of a parameter's max |g| and its norm by at most
+6.6e-16 relative.  Then the input gradient of a stride-1 conv with no more
+outputs than inputs became a convolution of the output gradient with the
+flipped kernel: 36 of the 50 moved, by at most 2.0e-15 of the max |g| and the
+norm by at most 5.1e-16 relative.  Both times the forward bits held, and the
+norms stayed within ``GRAD_NORMS``, which was recorded before the first.
 
 ``TRACE_STATS`` was recorded through the trace record type that
 ``metrics.gate_trace_stats`` read before it took the ``GateDecision`` list
@@ -159,7 +163,7 @@ TRACE_STATS = ({
 }, 0.4)
 
 LOSS = 1.8293667210734443
-GRADS_SHA256 = "036b8819c59daa673455b6cc403509ed8970064c5bf7fced3d7570d71c27a0a7"
+GRADS_SHA256 = "e1ce976884465c80e96f2f5783487761de2900853f70ca4b0262a8a1392e3d7d"
 N_PARAMS = 50
 # L2 norm of each gradient of the soft loss.  Compared within GRAD_NORMS_RTOL,
 # so a change that only reorders a sum passes; an exact zero (the gate's first

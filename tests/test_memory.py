@@ -88,6 +88,17 @@ class TestMemoryBank:
         with pytest.raises(ConfigError, match="write threshold"):
             M.MemoryBank(capacity=3, write_period=5, write_threshold=threshold)
 
+    @pytest.mark.parametrize("key, value", [
+        ("capacity", 2.5), ("capacity", True),
+        ("write_period", 2.5), ("write_period", True),
+        ("write_threshold", float("nan")), ("write_threshold", True),
+    ])
+    def test_settings_follow_model_config_rules(self, key, value):
+        # a period of 2.5 used to pass and write frame 5 (5 % 2.5 == 0)
+        settings = {"capacity": 3, "write_period": 2, "write_threshold": 0.5, key: value}
+        with pytest.raises(ConfigError, match=key.replace("_", " ")):
+            M.MemoryBank(**settings)
+
 
 class TestReadout:
     def test_single_memory_pixel_broadcast(self):

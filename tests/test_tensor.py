@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gatetrack import head as H
+from gatetrack import model as M
 from gatetrack import tensor as T
 from gatetrack.errors import ConfigError, ParameterError, ShapeError
 from helpers import scalar, vector, zero_bias
@@ -20,6 +22,28 @@ def as_param(rng, params, name, shape, scale=1.0):
     t = T.Tensor4(rng.standard_normal(shape) * scale)
     params.add(name, t)
     return t
+
+
+# (cout, cin, k, stride, pad) of a conv whose input gradient takes each form:
+# a convolution of the padded output gradient (stride 1, cout <= cin) or the
+# col2im scatter (strided, or more outputs than inputs)
+DX_PATHS = [
+    pytest.param(3, 3, 3, 1, 1, "transposed", id="transposed_k3p1"),
+    pytest.param(1, 2, 7, 1, 3, "transposed", id="transposed_k7p3"),
+    pytest.param(4, 3, 4, 2, 1, "col2im", id="col2im_k4s2p1"),
+    pytest.param(4, 3, 3, 1, 1, "col2im", id="col2im_k3_cout_gt_cin"),
+]
+
+
+def sliding_window_columns(data, kh, kw, stride, pad):
+    """im2col columns built the way conv2d used to: sliding_window_view, then
+    a transposing copy into (n, c kh kw, oh ow)."""
+    n, c = data.shape[:2]
+    xp = np.pad(data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = windows.shape[2:4]
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
+        n, c * kh * kw, oh * ow)
 
 
 class TestConstruction:
@@ -141,6 +165,65 @@ class TestConv2d:
             assert (x.grad is not None) == requires_grad
             grads.append((w.grad.tobytes(), b.grad.tobytes()))
         assert grads[0] == grads[1]
+
+
+    @pytest.mark.parametrize("cout, cin, k, stride, pad, path", DX_PATHS)
+    def test_input_gradient_nested_loop_oracle(self, monkeypatch, cout, cin, k, stride, pad,
+                                               path):
+        # the gradient of sum(y * gy) by x, summed pixel by pixel; the number
+        # of im2col calls tells which form the backward pass took
+        calls = []
+        im2col = T._im2col
+        monkeypatch.setattr(T, "_im2col", lambda *a: calls.append(a) or im2col(*a))
+        rng = np.random.default_rng(31)
+        x = T.Tensor4(rng.standard_normal((2, cin, 8, 8)), requires_grad=True)
+        w = rand4(rng, (cout, cin, k, k))
+        y = T.conv2d(x, w, zero_bias(w), stride=stride, pad=pad)
+        gy = rng.standard_normal(y.shape)
+        T.sum_all(T.mul_broadcast(y, T.Tensor4(gy))).backward()
+        assert len(calls) == {"transposed": 2, "col2im": 1}[path]
+        dxp = np.zeros((2, cin, 8 + 2 * pad, 8 + 2 * pad))
+        for n in range(2):
+            for o in range(cout):
+                for i in range(y.shape[2]):
+                    for j in range(y.shape[3]):
+                        for c in range(cin):
+                            for ki in range(k):
+                                for kj in range(k):
+                                    dxp[n, c, i * stride + ki, j * stride + kj] += (
+                                        gy[n, o, i, j] * w.data[o, c, ki, kj])
+        expect = dxp[:, :, pad:pad + 8, pad:pad + 8]
+        assert np.max(np.abs(x.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_im2col_matches_sliding_window_columns_on_model_shapes(self, monkeypatch, batch):
+        # every im2col call of a tracked frame and of a training step, input
+        # gradients included, gives the columns byte for byte
+        seen = {}
+        im2col = T._im2col
+
+        def spy(data, kh, kw, stride, pad, oh, ow):
+            cols = im2col(data, kh, kw, stride, pad, oh, ow)
+            key = (data.shape, kh, stride, pad)
+            seen[key] = cols.tobytes() == sliding_window_columns(data, kh, kw, stride,
+                                                                 pad).tobytes()
+            return cols
+
+        monkeypatch.setattr(T, "_im2col", spy)
+        model = M.TrackModel(M.ModelConfig(), seed=0)
+        rng = np.random.default_rng(32)
+        crops = T.Tensor4(rng.random((batch, 1, 64, 64)))
+        feature, _, _ = model.enhance_soft(model.extract(crops))
+        out = model.predict(model.read_memory(feature, [feature])[0])
+        T.add(T.add(T.sum_all(out.cls), T.sum_all(out.ctr)), T.sum_all(out.reg)).backward()
+        assert set(seen) == {
+            ((batch, 1, 64, 64), 4, 2, 1),  # backbone conv1
+            ((batch, 16, 32, 32), 4, 2, 1),  # backbone conv2
+            ((batch, 32, 16, 16), 3, 1, 1),  # conv3 and the head, forward and dx
+            ((batch, 2, 16, 16), 7, 1, 3),  # CBAM's spatial conv
+            ((batch, 1, 16, 16), 7, 1, 3),  # its dx
+        }
+        assert all(seen.values())
 
 
 class TestLinear:
@@ -397,6 +480,22 @@ class TestBackprop:
         grads = T.backprop(T.sum_all(y), params)
         assert grads["w"].ravel()[0] == 6.0
 
+    @pytest.mark.parametrize("other_first", [True, False])
+    @pytest.mark.parametrize("other, expect", [
+        (lambda u: T.narrow(u, 1, 0, 1), [2.0, 1.0]),
+        (lambda u: u, [2.0, 2.0]),
+    ], ids=["narrow", "whole"])
+    def test_accumulation_never_writes_a_shared_gradient(self, other, expect, other_first):
+        # add hands one gradient array to both operands; u's second gradient
+        # is added to its own buffer and must not reach v's
+        u = T.Tensor4(np.zeros((1, 2, 2, 2)), requires_grad=True)
+        v = T.Tensor4(np.zeros((1, 2, 2, 2)), requires_grad=True)
+        both = T.sum_all(T.scale(T.add(u, v), 1.0))
+        part = T.sum_all(T.scale(other(u), 1.0))
+        T.add(*((part, both) if other_first else (both, part))).backward()
+        assert np.array_equal(v.grad, np.ones((1, 2, 2, 2)))
+        assert np.array_equal(u.grad[0, :, 0, 0], expect)
+
     def test_no_grad_blocks_recording(self):
         x = T.Tensor4(np.ones((1, 1, 1, 1)), requires_grad=True)
         with T.no_grad():
@@ -515,6 +614,20 @@ class TestGradCheck:
 
         assert T.grad_check(conv_1x1_loss, params, eps=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("cout, cin, k, stride, pad, path", DX_PATHS)
+    def test_conv_input_gradient_paths(self, cout, cin, k, stride, pad, path):
+        rng = np.random.default_rng(19)
+        params = T.ParamSet()
+        as_param(rng, params, "x", (1, cin, 6, 6))
+        as_param(rng, params, "w", (cout, cin, k, k))
+        params.add("b", T.Tensor4(rng.standard_normal((1, cout, 1, 1))), decay=False)
+
+        def conv_loss(ps):
+            y = T.conv2d(ps["x"], ps["w"], ps["b"], stride=stride, pad=pad)
+            return T.sum_all(T.mul_broadcast(y, y))
+
+        assert T.grad_check(conv_loss, params, eps=1e-5) < 1e-4
+
     def test_bce_and_div_and_minimum(self):
         rng = np.random.default_rng(18)
         params = T.ParamSet()
@@ -564,6 +677,17 @@ class TestInputsUntouched:
         T.sum_all(T.mul_broadcast(y, y)).backward()
         after = {name: t.data.tobytes() for name, t in [("x", x), *weights.items()]}
         assert after == before
+
+    @pytest.mark.parametrize("cout, cin, k, stride, pad, path", DX_PATHS)
+    def test_conv_backward_leaves_gradient_and_weight(self, cout, cin, k, stride, pad, path):
+        rng = np.random.default_rng(26)
+        x = T.Tensor4(rng.standard_normal((2, cin, 8, 8)), requires_grad=True)
+        w = T.Tensor4(rng.standard_normal((cout, cin, k, k)), requires_grad=True)
+        y = T.conv2d(x, w, zero_bias(w), stride=stride, pad=pad)
+        g = rng.standard_normal(y.shape)
+        before = (g.tobytes(), w.data.tobytes())
+        y._backward_fn(g)
+        assert (g.tobytes(), w.data.tobytes()) == before
 
     def test_head_forward(self):
         # the head joins its first-layer weights and narrows the joined map
