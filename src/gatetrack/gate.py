@@ -114,7 +114,7 @@ def gate_logits(feature, p: GateParams):
 
 def gate_weights(logits, tau):
     """Temperature softmax over the branch axis."""
-    return T.softmax_tau(logits, tau=tau, axis=1)
+    return T.softmax_tau(logits, tau=tau)
 
 
 def budget_filter(weights, table, remaining_budget):

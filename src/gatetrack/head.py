@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 SHRINK = 0.5  # positive-region shrink factor about the gt center
 MIN_SIDE = 1.0  # decoded boxes never get thinner than this
@@ -119,7 +119,11 @@ def location_centers(hf, wf, stride):
 
 
 def decode_detection(out: HeadOutput, stride, crop_origin=(0.0, 0.0)):
-    """Best-scoring box of a single-sample head output, in image coordinates."""
+    """Best-scoring box of a single-sample head output, in image coordinates.
+
+    A NaN or infinite score or box raises :class:`NumericError` here, at the
+    frame that produced it, rather than at the next frame's crop.
+    """
     if out.cls.shape[0] != 1:
         raise ShapeError("decode_detection handles one sample at a time")
     score_map = T.sigmoid_array(out.cls.data[0, 0]) * T.sigmoid_array(out.ctr.data[0, 0])
@@ -133,7 +137,11 @@ def decode_detection(out: HeadOutput, stride, crop_origin=(0.0, 0.0)):
     h = max(top + bottom, MIN_SIDE)
     x = cx - left + float(crop_origin[0])
     y = cy - top + float(crop_origin[1])
-    return Detection(score=float(score_map[i, j]), box=BBox(x, y, w, h))
+    score = float(score_map[i, j])
+    if not np.isfinite((score, x, y, w, h)).all():
+        raise NumericError(f"head output decodes to a non-finite detection: "
+                           f"score {score}, box {(x, y, w, h)}")
+    return Detection(score=score, box=BBox(x, y, w, h))
 
 
 @dataclass

@@ -3,11 +3,13 @@
 The bank stores enhanced feature maps for a few past frames.  Reading out
 stacks every stored pixel into one column, runs one key and one value
 projection over the whole stack and one key projection over the query,
-attends from every query pixel over all memory pixels (scaled dot product,
-softmax rows), gathers the projected values and fuses the read with the
-query feature through a 1x1 conv.  The fused map always has the query's
-spatial size no matter how many frames are stored, and is invariant to any
-permutation of the memory pixels.
+attends from every query pixel over all memory pixels, gathers the
+projected values and fuses the read with the query feature through a 1x1
+conv.  The attention is one op, ``tensor.attend``: the scaled dot product
+of the query and memory keys is written straight into the (n, 1, Q, P)
+rows it returns, and the row softmax runs in place on them.  The fused map
+always has the query's spatial size no matter how many frames are stored,
+and is invariant to any permutation of the memory pixels.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ def readout(query_feature, memory_features, p: ReadoutParams):
     """Fuse a query feature with every stored memory pixel.
 
     ``memory_features`` is a non-empty list of (n, c, hm, wm) tensors; the
-    query is (n, c, hq, wq).  Attention logits are scaled by 1/sqrt(ck);
-    each query pixel's attention row sums to 1.
+    query is (n, c, hq, wq).  Attention logits are scaled by 1/sqrt(ck),
+    applied to the query keys; each query pixel's attention row sums to 1.
     """
     if not memory_features:
         raise ShapeError("readout requires a non-empty memory")
@@ -127,7 +129,7 @@ def readout(query_feature, memory_features, p: ReadoutParams):
     query_keys = T.reshape(T.conv2d(query_feature, p.key_w, p.key_b), (n, ck, hq * wq, 1))
 
     # tau = sqrt(ck) is the 1/sqrt(ck) logit scale; rows over memory pixels
-    attn = T.softmax_tau(T.matmul_cc(query_keys, mem_keys), tau=ck ** 0.5, axis=3)
+    attn = T.attend(query_keys, mem_keys, ck ** 0.5)
     read = T.reshape(T.apply_attention(mem_values, attn), (n, cv, hq, wq))
     fused = T.conv2d(T.concat((read, query_feature), axis=1), p.fuse_w, p.fuse_b)
     return fused, attn

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,10 +282,17 @@ def load_checkpoint(path):
         index = [_index_line(fh, corrupt) for _ in range(count)]
         if fh.readline() != b"\n":
             raise ShapeError(corrupt)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         tensors = {}
         for name, size in index:
             if name in tensors:
                 raise ShapeError(f"checkpoint {path} names tensor {name} twice")
+            # checked before reading: a read of a huge size overflows or
+            # exhausts memory instead of coming back short
+            if size > left:
+                raise ShapeError(f"checkpoint {path}, tensor {name}: index size {size} "
+                                 f"exceeds the {left} bytes left")
+            left -= size
             blob = io.BytesIO(fh.read(size))
             try:
                 tensors[name] = T.load_dt64(blob)

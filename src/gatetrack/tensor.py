@@ -10,18 +10,23 @@ verify against the finite-difference oracle in :func:`grad_check`:
     serves the fully connected layers of the gate, the attention blocks
     and the readout;
   * ``relu``, ``sigmoid``, ``exp`` and ``softmax_tau`` (softmax with
-    temperature);
+    temperature over channels);
   * ``pool``: mean or max over the axes its kind names;
   * ``add``, ``sub``, ``scale``, ``mul_broadcast``, ``div_broadcast`` and
     ``minimum``;
   * layout: ``concat`` and ``narrow`` along one axis, and ``reshape``;
-  * the attention contractions ``matmul_cc`` and ``apply_attention``;
+  * attention: ``attend`` (the query-key product and its softmax rows in
+    one op) and ``apply_attention`` (the weighted read of values);
   * the losses' ``bce_with_logits`` and ``sum_all``.
 
 Design notes:
   * float64 everywhere, so gradients stay checkable.  The hot kernels
-    (k x k convolution, softmax) avoid full-size temporaries: im2col keeps
-    the output pixels innermost and softmax works in place on one array.
+    (k x k convolution, softmax, attention) avoid full-size temporaries:
+    im2col keeps the output pixels innermost, softmax works in place on one
+    array, and ``attend`` writes the query-key product into the array it
+    returns and runs the softmax in place on it.  Its temperature scales the
+    small query columns instead of the (Q, P) logits, which is exact for a
+    power-of-two tau such as the readout's ``sqrt(16)``.
   * im2col is one strided view of the padded input, already in
     ``(n, c, kh, kw, oh, ow)`` order, copied once into the columns.
   * a k x k input gradient takes one of two exact forms.  With stride 1,
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -86,7 +92,7 @@ __all__ = [
     "narrow",
     "reshape",
     "conv2d",
-    "matmul_cc",
+    "attend",
     "apply_attention",
     "bce_with_logits",
     "sum_all",
@@ -337,8 +343,28 @@ def exp(x):
     return _result(y, (x,), backward, y.size)
 
 
-def softmax_tau(x, tau, axis=1):
-    """Temperature softmax along one axis (default: channels).
+def _softmax_rows(y, axis):
+    """Finish a softmax in place on max-subtracted, scaled logits ``y``.
+
+    After ``exp`` every entry is at most 1, so a row sums to at most its
+    length L.  Entries are floored at L times the smallest subnormal: an
+    underflowed entry then stays positive after the division by the row
+    sum, and no entry above L * 1e-307 moves.
+    """
+    np.exp(y, out=y)
+    y += y.shape[axis] * 5e-324
+    y /= y.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g, y, axis):
+    """Gradient with respect to the scaled logits of softmax rows ``y``."""
+    ds = g - (g * y).sum(axis=axis, keepdims=True)
+    ds *= y
+    return ds
+
+
+def softmax_tau(x, tau):
+    """Temperature softmax over channels.
 
     Computes ``exp(x_i/tau) / sum_j exp(x_j/tau)`` with max-subtraction,
     so the output is shift-invariant, strictly positive and sums to 1.
@@ -349,19 +375,13 @@ def softmax_tau(x, tau, axis=1):
     # subtract the max before dividing so that adding a constant to the
     # logits cannot change the result even at the last bit; every later step
     # works in place on this one temporary (x / 1 is exact, so it is skipped)
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=1, keepdims=True)
     if tau != 1:
         y /= tau
-    np.exp(y, out=y)
-    # floor underflowed entries at the smallest subnormal: keeps the output
-    # strictly positive without perturbing any representable ratio
-    y += 5e-324
-    y /= y.sum(axis=axis, keepdims=True)
+    _softmax_rows(y, 1)
 
     def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        dx = g - inner
-        dx *= y
+        dx = _softmax_grad(g, y, 1)
         dx /= tau
         return (dx,)
 
@@ -664,28 +684,38 @@ def _pixel_major(cols):
     return np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
-def matmul_cc(a, b):
-    """Contract two pixel-column tensors over channels.
+def attend(q, k, tau):
+    """Attention rows of query pixels over key pixels, temperature ``tau``.
 
-    ``a``: (n, c, A, 1) and ``b``: (n, c, B, 1) give (n, 1, A, B) with
-    ``out[q, p] = sum_c a[c, q] * b[c, p]`` — the similarity matrix between
-    two sets of projected pixels.
+    ``q``: (n, c, Q, 1) and ``k``: (n, c, P, 1) give (n, 1, Q, P) with row
+    ``i`` the softmax over ``j`` of ``sum_c q[c, i] k[c, j] / tau``.  The
+    small query columns are scaled by ``1/tau`` and the product lands in the
+    returned array, on which the max subtraction, ``exp``, the subnormal
+    floor and the row normalisation of :func:`softmax_tau` run in place.
+    For a power-of-two ``tau`` (the readout's ``sqrt(16) = 4``) the scaling
+    is exact, so the rows are bitwise those of dividing the logits.
     """
-    if a.shape[0] != b.shape[0] or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"matmul_cc batch/channel mismatch: {a.shape} vs {b.shape}")
-    if a.shape[3] != 1 or b.shape[3] != 1:
-        raise ShapeError("matmul_cc operands must be pixel columns (w == 1)")
-    a3 = a.data[:, :, :, 0]
-    b3 = b.data[:, :, :, 0]
-    y = np.matmul(a3.transpose(0, 2, 1), b3)[:, None]
+    if tau <= 0:
+        raise ParameterError(f"softmax temperature must be > 0, got {tau}")
+    if q.shape[0] != k.shape[0] or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attend batch/channel mismatch: {q.shape} vs {k.shape}")
+    if q.shape[3] != 1 or k.shape[3] != 1:
+        raise ShapeError("attend operands must be pixel columns (w == 1)")
+    qs = q.data[:, :, :, 0] / tau
+    k3 = k.data[:, :, :, 0]
+    y = np.matmul(qs.transpose(0, 2, 1), k3)[:, None]
+    y -= y.max(axis=3, keepdims=True)
+    _softmax_rows(y, 3)
 
     def backward(g):
-        g3 = g[:, 0]
-        da = np.matmul(b3, g3.transpose(0, 2, 1))[:, :, :, None]
-        db = np.matmul(a3, g3)[:, :, :, None]
-        return (da, db)
+        # the logits' 1/tau reaches dk through the scaled query and dq here
+        ds3 = _softmax_grad(g, y, 3)[:, 0]
+        dq = np.matmul(k3, ds3.transpose(0, 2, 1))
+        dq /= tau
+        dk = np.matmul(qs, ds3)
+        return (dq[:, :, :, None], dk[:, :, :, None])
 
-    return _result(y, (a, b), backward, 2 * a.shape[1] * y.size)
+    return _result(y, (q, k), backward, (2 * q.shape[1] + 1) * y.size)
 
 
 def apply_attention(values, attn):
@@ -815,7 +845,8 @@ def load_dt64(fh):
     if 0 in dims:
         raise ShapeError(f"DT64 header has a zero extent: {dims}")
     count = math.prod(dims)
-    raw = fh.read(8 * count)
+    # a read size must fit an index; no payload is as large as sys.maxsize
+    raw = fh.read(min(8 * count, sys.maxsize))
     if len(raw) != 8 * count:
         raise ShapeError("truncated DT64 payload")
     data = np.frombuffer(raw, dtype="<f8").reshape(dims)

@@ -7,7 +7,7 @@ import pytest
 
 from gatetrack import head as H
 from gatetrack import tensor as T
-from gatetrack.errors import ShapeError
+from gatetrack.errors import NumericError, ShapeError
 from helpers import zeroed
 
 
@@ -142,6 +142,17 @@ class TestDecode:
             reg = T.Tensor4(np.abs(rng.standard_normal((1, 4, 3, 3))))
             det = H.decode_detection(H.HeadOutput(cls, ctr, reg, reg), stride=4)
             assert 0.0 < det.score < 1.0
+
+    @pytest.mark.parametrize("cls_logit, ltrb", [
+        (math.nan, [2.0, 2.0, 2.0, 2.0]),
+        (0.0, [math.nan, 2.0, 2.0, 2.0]),
+        (0.0, [2.0, 2.0, math.inf, 2.0]),
+        (0.0, [2.0, -math.inf, 2.0, 2.0]),
+    ], ids=["nan_score", "nan_left", "inf_right", "neg_inf_top"])
+    def test_non_finite_output_raises_numeric_error(self, cls_logit, ltrb):
+        out = self._single_location_output(cls_logit, 0.0, ltrb)
+        with pytest.raises(NumericError):
+            H.decode_detection(out, stride=4)
 
 
 class TestMakeLabels:

@@ -230,10 +230,13 @@ REPEATED_TENSOR = (b"GTCK1 2\nbackbone.conv1.w 28\nbackbone.conv1.w 28\n\n"
     REPEATED_TENSOR,
     b"GTCK1 1\nw 40\n\n" + dt64_blob((1, 1, 1, 1), struct.pack("<d", 3.0)) + b"\x00" * 12,
     b"GTCK1 1\nw 28\n\n" + dt64_blob((1, 1, 1, 1), struct.pack("<d", 3.0)) + b"\x00",
+    b"GTCK1 1\nw %d\n\n" % 2 ** 64 + dt64_blob((1, 1, 1, 1), struct.pack("<d", 3.0)),
+    b"GTCK1 1\nw %d\n\n" % 10 ** 15 + dt64_blob((1, 1, 1, 1), struct.pack("<d", 3.0)),
 ], ids=["count_not_int", "no_count", "non_ascii_header", "entry_no_size",
         "entry_non_ascii", "entry_negative_size", "dt64_all_zero_extent",
         "dt64_zero_extent", "dt64_truncated_header", "repeated_tensor",
-        "entry_larger_than_dt64", "bytes_after_last_tensor"])
+        "entry_larger_than_dt64", "bytes_after_last_tensor", "entry_size_2_pow_64",
+        "entry_size_1e15"])
 def test_corrupt_checkpoint_raises_shape_error_naming_path(tmp_path, content):
     path = tmp_path / "bad.gtck"
     path.write_bytes(content)

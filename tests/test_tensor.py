@@ -297,6 +297,12 @@ class TestSoftmaxTau:
         with pytest.raises(ParameterError):
             T.softmax_tau(vector([1.0]), tau=0.0)
 
+    def test_positive_with_ties_far_above_an_underflowed_entry(self):
+        # three entries of 1 sum to 3; the smallest subnormal / 3 would round to 0
+        y = T.softmax_tau(vector([0.0, 0.0, -1e4, 0.0]), tau=1.0).data.ravel()
+        assert np.all(y > 0.0)
+        assert abs(y.sum() - 1.0) <= 1e-15
+
     def test_sum_one_and_positive_over_tau_range(self):
         rng = np.random.default_rng(5)
         for tau in [1e-6, 1e-3, 1.0, 1e3, 1e6]:
@@ -334,6 +340,68 @@ class TestSoftmaxTau:
                 k = T.softmax_tau(s, tau=tau).data.ravel()
                 ent.append(float(-(k * np.log(k)).sum()))
             assert all(b >= a - 1e-12 for a, b in zip(ent, ent[1:]))
+
+
+def softmax_rows_reference(q, k, tau):
+    """Attention rows the way the readout used to compute them: the channel
+    product, the max subtracted, then divided by tau, exp'd, floored at the
+    smallest subnormal and row-normalised.  ``attend``'s floor is the row
+    length L times that subnormal, which moves no entry above L * 1e-307;
+    no row of these random inputs reaches below that."""
+    logits = np.matmul(q[:, :, :, 0].transpose(0, 2, 1), k[:, :, :, 0])[:, None]
+    y = (logits - logits.max(axis=3, keepdims=True)) / tau
+    y = np.exp(y) + 5e-324
+    return y / y.sum(axis=3, keepdims=True)
+
+
+class TestAttend:
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("tau", [1.0, 2.0, 4.0])
+    def test_power_of_two_tau_is_bitwise_the_reference(self, n, tau):
+        rng = np.random.default_rng(30)
+        q = rng.standard_normal((n, 5, 12, 1))
+        k = rng.standard_normal((n, 5, 20, 1))
+        y = T.attend(T.Tensor4(q), T.Tensor4(k), tau).data
+        assert y.tobytes() == softmax_rows_reference(q, k, tau).tobytes()
+
+    def test_readout_shape_is_bitwise_the_reference(self):
+        # track_deep: 16 key channels, a 16x16 query over 8 stored 16x16 maps
+        rng = np.random.default_rng(31)
+        q = rng.standard_normal((1, 16, 256, 1))
+        k = rng.standard_normal((1, 16, 2048, 1))
+        y = T.attend(T.Tensor4(q), T.Tensor4(k), 16 ** 0.5).data
+        assert y.tobytes() == softmax_rows_reference(q, k, 4.0).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_other_tau_within_a_few_ulp(self, n):
+        # q / 3 rounds once per element, so the rows differ in the last bits
+        rng = np.random.default_rng(32)
+        q = rng.standard_normal((n, 4, 32, 1))
+        k = rng.standard_normal((n, 4, 48, 1))
+        y = T.attend(T.Tensor4(q), T.Tensor4(k), 3.0).data
+        ref = softmax_rows_reference(q, k, 3.0)
+        assert np.max(np.abs(y - ref) / np.spacing(ref)) <= 32
+
+    def test_rows_sum_to_one_and_stay_positive_far_below_the_max(self):
+        keys = np.zeros((1, 1, 6, 1))
+        keys[0, 0, 2, 0] = -1e4  # exp underflows to 0 before the floor
+        y = T.attend(T.Tensor4(np.ones((1, 1, 3, 1))), T.Tensor4(keys), 1.0).data
+        assert np.all(y > 0.0)
+        assert np.allclose(y.sum(axis=3), 1.0, rtol=0, atol=1e-15)
+        assert np.all(y[:, :, :, 2] < 1e-300)
+
+    @pytest.mark.parametrize("q_shape, k_shape", [
+        ((1, 3, 4, 1), (1, 2, 5, 1)),
+        ((1, 3, 4, 1), (2, 3, 5, 1)),
+        ((1, 3, 4, 2), (1, 3, 5, 1)),
+    ], ids=["channels", "batch", "not_columns"])
+    def test_mismatched_operands_raise_shape_error(self, q_shape, k_shape):
+        with pytest.raises(ShapeError):
+            T.attend(T.zeros(q_shape), T.zeros(k_shape), 1.0)
+
+    def test_nonpositive_tau_rejected(self):
+        with pytest.raises(ParameterError):
+            T.attend(T.zeros((1, 1, 2, 1)), T.zeros((1, 1, 3, 1)), 0.0)
 
 
 class TestPooling:
@@ -517,8 +585,14 @@ def _op_cases(rng):
     cases.append(("exp", shape, lambda ps: T.sum_all(T.exp(p1(ps)))))
     cases.append(("softmax", shape, lambda ps: T.sum_all(
         T.mul_broadcast(T.softmax_tau(p1(ps), tau=0.7), p1(ps)))))
-    cases.append(("softmax_last_axis", shape, lambda ps: T.sum_all(
-        T.mul_broadcast(T.softmax_tau(p1(ps), tau=2.5, axis=3), p1(ps)))))
+
+    def attend_read(ps):
+        # every pixel attends over every pixel of the same map and reads it
+        cols = T.reshape(p1(ps), (shape[0], shape[1], shape[2] * shape[3], 1))
+        read = T.apply_attention(cols, T.attend(cols, cols, 2.5))
+        return T.sum_all(T.mul_broadcast(read, cols))
+
+    cases.append(("attend", shape, attend_read))
     for kind in ["global_avg", "global_max", "avg_over_w", "avg_over_h",
                  "mean_over_c", "max_over_c"]:
         cases.append((f"pool_{kind}", shape, lambda ps, k=kind: T.sum_all(
@@ -589,14 +663,14 @@ class TestGradCheck:
 
         assert T.grad_check(conv_one_loss, params, eps=1e-5) < 1e-4
 
+        # a batch, and a tau whose 1/tau is inexact
         params = T.ParamSet()
-        as_param(rng, params, "q", (1, 3, 4, 1))
-        as_param(rng, params, "k", (1, 3, 5, 1))
-        as_param(rng, params, "v", (1, 2, 5, 1))
+        as_param(rng, params, "q", (2, 3, 4, 1))
+        as_param(rng, params, "k", (2, 3, 5, 1))
+        as_param(rng, params, "v", (2, 2, 5, 1))
 
         def attn_loss(ps):
-            logits = T.matmul_cc(ps["q"], ps["k"])
-            attn = T.softmax_tau(logits, tau=1.0, axis=3)
+            attn = T.attend(ps["q"], ps["k"], 2.5)
             read = T.apply_attention(ps["v"], attn)
             return T.sum_all(T.mul_broadcast(read, read))
 
@@ -657,10 +731,10 @@ class TestInputsUntouched:
         lambda x, w: T.conv2d(x, w["k3"], w["b4"], stride=1, pad=1),
         lambda x, w: T.conv2d(x, w["k3_one"], w["b1"], stride=2, pad=1),
         lambda x, w: T.conv2d(x, w["k1"], w["b4"]),
-        lambda x, w: T.softmax_tau(x, tau=1.0, axis=3),
-        lambda x, w: T.softmax_tau(x, tau=0.3, axis=1),
+        lambda x, w: T.attend(T.reshape(x, (2, 3, 25, 1)), w["keys"], 2.0),
+        lambda x, w: T.softmax_tau(x, tau=0.3),
         lambda x, w: T.relu(x),
-    ], ids=["conv_k3", "conv_k3_cout1_strided", "conv_1x1", "softmax", "softmax_tau",
+    ], ids=["conv_k3", "conv_k3_cout1_strided", "conv_1x1", "attend", "softmax_tau",
             "relu"])
     def test_input_bytes_untouched(self, op):
         rng = np.random.default_rng(24)
@@ -671,6 +745,7 @@ class TestInputsUntouched:
             "k1": T.Tensor4(rng.standard_normal((4, 3, 1, 1)), requires_grad=True),
             "b4": T.Tensor4(rng.standard_normal((1, 4, 1, 1)), requires_grad=True),
             "b1": T.Tensor4(rng.standard_normal((1, 1, 1, 1)), requires_grad=True),
+            "keys": T.Tensor4(rng.standard_normal((2, 3, 7, 1)), requires_grad=True),
         }
         before = {name: t.data.tobytes() for name, t in [("x", x), *weights.items()]}
         y = op(x, weights)
@@ -738,15 +813,16 @@ class TestCountFlops:
         (lambda x, w: T.conv2d(x, w["k1"], w["b4"]), 2 * 3 * 2 * 4 * 25),
         (lambda x, w: T.pool("global_max", x), 150),
         (lambda x, w: T.pool("avg_over_w", x), 150),
-        (lambda x, w: T.softmax_tau(x, tau=0.5, axis=3), 150),
+        (lambda x, w: T.softmax_tau(x, tau=0.5), 150),
         (lambda x, w: T.mul_broadcast(x, w["c3"]), 150),
         (lambda x, w: T.sum_all(x), 150),
-        (lambda x, w: T.matmul_cc(T.reshape(x, (2, 3, 25, 1)), T.reshape(x, (2, 3, 25, 1))),
-         2 * 3 * 2 * 25 * 25),
+        # the query-key product and the softmax over its rows
+        (lambda x, w: T.attend(T.reshape(x, (2, 3, 25, 1)), T.reshape(x, (2, 3, 25, 1)), 2.0),
+         2 * 3 * 2 * 25 * 25 + 2 * 25 * 25),
         (lambda x, w: T.apply_attention(T.reshape(x, (2, 3, 25, 1)), w["attn"]),
          2 * 25 * 2 * 3 * 7),
     ], ids=["conv_k3", "conv_strided", "linear", "pool_max", "pool_avg", "softmax",
-            "mul_broadcast", "sum_all", "matmul_cc", "apply_attention"])
+            "mul_broadcast", "sum_all", "attend", "apply_attention"])
     def test_op_counts_follow_conventions(self, op, expect):
         rng = np.random.default_rng(25)
         x = rand4(rng, (2, 3, 5, 5))
