@@ -27,7 +27,7 @@ import numpy as np
 
 from . import attention
 from . import tensor as T
-from .errors import ConfigError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .flops import BRANCH_ORDER
 
 N_BRANCHES = len(BRANCH_ORDER)
@@ -40,10 +40,6 @@ class GateParams:
     b1: T.Tensor4
     w2: T.Tensor4  # (B, c/d, 1, 1)
     b2: T.Tensor4
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ParameterError(f"gate temperature must be > 0, got {self.tau}")
 
     @property
     def channels(self):
@@ -97,7 +93,7 @@ def gate_cost(channels, scale, height, width):
     """
     p = init_gate(T.ParamSet(), np.random.default_rng(0), channels, scale, tau=1.0)
     with T.no_grad(), T.count_flops() as total:
-        gate_weights(gate_logits(T.zeros((1, channels, height, width)), p), p.tau)
+        T.softmax_tau(gate_logits(T.zeros((1, channels, height, width)), p), p.tau)
     return float(total[0])
 
 
@@ -110,11 +106,6 @@ def gate_logits(feature, p: GateParams):
     pooled = T.pool("global_avg", feature)
     hidden = T.relu(T.conv2d(pooled, p.w1, p.b1))
     return T.conv2d(hidden, p.w2, p.b2)
-
-
-def gate_weights(logits, tau):
-    """Temperature softmax over the branch axis."""
-    return T.softmax_tau(logits, tau=tau)
 
 
 def budget_filter(weights, table, remaining_budget):
@@ -146,7 +137,7 @@ def soft_attention(feature, branches, gate: GateParams, frame_index=0):
     holds one soft :class:`GateDecision` per batch row.
     """
     logits_t = gate_logits(feature, gate)
-    weights_t = gate_weights(logits_t, gate.tau)
+    weights_t = T.softmax_tau(logits_t, gate.tau)
     out = None
     for i, kind in enumerate(BRANCH_ORDER):
         contrib = T.mul_broadcast(
@@ -167,26 +158,24 @@ def soft_attention(feature, branches, gate: GateParams, frame_index=0):
     return out, weights_t, decisions
 
 
-def decide(feature, gate: GateParams, budget=None, table=None, frame_index=0):
+def decide(feature, gate: GateParams, table, budget=None, frame_index=0):
     """The one branch to run on a single feature map.
 
     Without a budget the decision is hard: the argmax branch, recorded
-    one-hot.  With a budget it is budgeted: ``table`` prices the branches,
-    :func:`budget_filter` masks those that do not fit, and the filtered
-    weights are recorded.
+    one-hot.  With a budget it is budgeted: :func:`budget_filter` masks the
+    branches whose ``table`` cost does not fit, and the filtered weights are
+    recorded.
     """
     if feature.shape[0] != 1:
         raise ShapeError(f"a decision gates one feature at a time, got batch {feature.shape[0]}")
     logits = gate_logits(feature, gate)
-    weights = gate_weights(logits, gate.tau).data.ravel()
+    weights = T.softmax_tau(logits, gate.tau).data.ravel()
     if budget is None:
         chosen = int(np.argmax(weights))
         recorded = np.zeros(N_BRANCHES)
         recorded[chosen] = 1.0
         mode = "hard"
     else:
-        if table is None:
-            raise ConfigError("a budgeted decision requires a branch cost table")
         recorded = budget_filter(weights, table, budget)
         chosen = int(np.argmax(recorded))
         mode = "budgeted"

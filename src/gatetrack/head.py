@@ -205,18 +205,14 @@ def iou_loss_map(reg: T.Tensor4, labels: Labels):
     target = T.Tensor4(labels.reg)
     mask = labels.positive
 
-    def side(tensor, k):
-        return T.narrow(tensor, 1, k, k + 1)
+    def width_height(sides):
+        """``(l + r, t + b)`` of (n, 4, h, w) side distances (l, t, r, b)."""
+        l, t, r, b = (T.narrow(sides, 1, k, k + 1) for k in range(4))
+        return T.add(l, r), T.add(t, b)
 
-    inter_w = T.add(T.minimum(side(reg, 0), side(target, 0)),
-                    T.minimum(side(reg, 2), side(target, 2)))
-    inter_h = T.add(T.minimum(side(reg, 1), side(target, 1)),
-                    T.minimum(side(reg, 3), side(target, 3)))
-    inter = T.mul_broadcast(inter_w, inter_h)
-    area_pred = T.mul_broadcast(T.add(side(reg, 0), side(reg, 2)),
-                                T.add(side(reg, 1), side(reg, 3)))
-    area_gt = T.Tensor4(((labels.reg[:, 0] + labels.reg[:, 2])
-                         * (labels.reg[:, 1] + labels.reg[:, 3]))[:, None])
+    inter = T.mul_broadcast(*width_height(T.minimum(reg, target)))
+    area_pred = T.mul_broadcast(*width_height(reg))
+    area_gt = T.mul_broadcast(*width_height(target))
     union = T.sub(T.add(area_pred, area_gt), inter)
     iou = T.div_broadcast(inter, union)  # union > 0: predicted sides are exp(...)
     one = T.Tensor4(np.ones_like(mask))

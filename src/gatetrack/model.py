@@ -17,15 +17,18 @@ attention mode fixes how the set is chosen:
 
 The attention FLOPs of a frame are the cost-table sum over its set.
 
-Checkpoints are a text index followed by the concatenated binary tensors,
-written in parameter order, so identical parameters give identical bytes.
+Checkpoints are a text index, ``GTCK1 <count>`` then one ``<name> <size>``
+line per tensor and a blank line, followed by one DT64 blob per entry (the
+magic ``DT64``, four little-endian uint32 extents, float64 data) in parameter
+order, so identical parameters give identical bytes.  This module owns the
+format; every fault raises ``ShapeError`` naming the file, tensor and reason.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +166,7 @@ class TrackModel:
         take no budget.
         """
         if self.config.attention_mode == "gated":
-            decision = gate.decide(feature, self.gate, budget, self.cost_table, frame_index)
+            decision = gate.decide(feature, self.gate, self.cost_table, budget, frame_index)
             names = (decision.chosen_name,)
         elif budget is not None:
             raise ConfigError(f"a budget needs gated attention, not "
@@ -243,15 +246,36 @@ class TrackModel:
 # ---------------------------------------------------------------------------
 
 _CKPT_HEADER = "GTCK1"
+_DT64_HEADER = struct.Struct("<4s4I")  # magic, then the four extents
+_DT64_MAGIC = b"DT64"
+
+
+def _dt64_bytes(tensor):
+    """One tensor as a DT64 blob: magic, extents, little-endian float64 data."""
+    return (_DT64_HEADER.pack(_DT64_MAGIC, *tensor.shape)
+            + np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+
+
+def _dt64_tensor(blob, where):
+    """The tensor in one index entry's bytes; ``where`` prefixes every error."""
+    if blob[:4] != _DT64_MAGIC:
+        raise ShapeError(f"{where}: bad DT64 magic {blob[:4]!r}")
+    if len(blob) < _DT64_HEADER.size:
+        raise ShapeError(f"{where}: truncated DT64 header")
+    dims = _DT64_HEADER.unpack_from(blob)[1:]
+    if 0 in dims:
+        raise ShapeError(f"{where}: DT64 header has a zero extent: {dims}")
+    expected = _DT64_HEADER.size + 8 * math.prod(dims)
+    if len(blob) != expected:
+        raise ShapeError(f"{where}: index size {len(blob)} != DT64 size {expected}")
+    # copied: the data starts 20 bytes in, off float64 alignment
+    data = np.frombuffer(blob, dtype="<f8", offset=_DT64_HEADER.size).reshape(dims)
+    return T.Tensor4(data.copy())
 
 
 def save_checkpoint(path, params):
     names = params.names()
-    blobs = []
-    for name in names:
-        buf = io.BytesIO()
-        T.save_dt64(params[name], buf)
-        blobs.append(buf.getvalue())
+    blobs = [_dt64_bytes(params[name]) for name in names]
     with open(path, "wb") as fh:
         fh.write(f"{_CKPT_HEADER} {len(names)}\n".encode("ascii"))
         for name, blob in zip(names, blobs):
@@ -293,14 +317,7 @@ def load_checkpoint(path):
                 raise ShapeError(f"checkpoint {path}, tensor {name}: index size {size} "
                                  f"exceeds the {left} bytes left")
             left -= size
-            blob = io.BytesIO(fh.read(size))
-            try:
-                tensors[name] = T.load_dt64(blob)
-            except ShapeError as err:
-                raise ShapeError(f"checkpoint {path}, tensor {name}: {err}") from None
-            if blob.tell() != size:
-                raise ShapeError(f"checkpoint {path}, tensor {name}: index size {size} "
-                                 f"!= DT64 size {blob.tell()}")
+            tensors[name] = _dt64_tensor(fh.read(size), f"checkpoint {path}, tensor {name}")
         if fh.read(1):
             raise ShapeError(f"checkpoint {path} has bytes after its last tensor")
     return tensors

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, _require_real, _require_size
 from .head import BBox
 
 PHASES = ("stable", "occlusion", "fast")
@@ -45,12 +45,15 @@ class ScenarioSpec:
     fast_multiplier: float = 6.0
 
     def __post_init__(self):
-        self.schedule = tuple((str(p), int(d)) for p, d in self.schedule)
+        for key, low in (("seed", 0), ("frame_height", 1), ("frame_width", 1)):
+            _require_size(key, getattr(self, key), low)
+        for key in ("target_sigma", "intensity", "fast_multiplier"):
+            _require_real(key, getattr(self, key))
         for phase, duration in self.schedule:
             if phase not in PHASES:
                 raise ConfigError(f"unknown phase {phase!r}")
-            if duration < 1:
-                raise ConfigError(f"phase duration must be >= 1, got {duration}")
+            _require_size("phase duration", duration)
+        self.schedule = tuple((str(p), int(d)) for p, d in self.schedule)
         lo, hi = self.occlusion_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ConfigError(f"occlusion range {self.occlusion_range} not within [0, 1]")
@@ -67,7 +70,6 @@ class Sequence:
     frames: list  # list[Tensor4], each (1, 1, H, W) in [0, 1]
     gt: list  # list[BBox]
     phases: list  # list[str]
-    spec: ScenarioSpec = None
 
     def __post_init__(self):
         if not (len(self.frames) == len(self.gt) == len(self.phases)):
@@ -78,6 +80,10 @@ class Sequence:
 
 
 def _box_blur_1d(img, radius, axis):
+    # Not a true box filter, kept because every frame depends on its bits:
+    # output 0 sums the 2r+1 taps around it, each later output j sums only the
+    # 2r taps j-r .. j+r-1, and all are divided by 2r+1, so past the first row
+    # and column a constant image of 1 comes out as 2r/(2r+1) per axis.
     if radius < 1:
         return img
     pad = [(0, 0), (0, 0)]
@@ -198,7 +204,7 @@ def generate(spec: ScenarioSpec) -> Sequence:
         boxes.append(box)
         labels.append(phase)
 
-    return Sequence(frames=frames, gt=boxes, phases=labels, spec=spec)
+    return Sequence(frames=frames, gt=boxes, phases=labels)
 
 
 def _draw_occluder(frame, box: BBox, fraction):

@@ -62,8 +62,6 @@ Design notes:
 from __future__ import annotations
 
 import math
-import struct
-import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -98,8 +96,6 @@ __all__ = [
     "sum_all",
     "backprop",
     "grad_check",
-    "save_dt64",
-    "load_dt64",
 ]
 
 _grad_enabled = True
@@ -817,37 +813,3 @@ def grad_check(fn, params, eps=1e-5):
             if err > worst:
                 worst = err
     return worst
-
-
-# ---------------------------------------------------------------------------
-# DT64 binary tensor files
-# ---------------------------------------------------------------------------
-
-_DT64_MAGIC = b"DT64"
-
-
-def save_dt64(tensor, fh):
-    """Write one tensor: magic, four little-endian uint32 dims, float64 data."""
-    n, c, h, w = tensor.shape
-    fh.write(_DT64_MAGIC)
-    fh.write(struct.pack("<4I", n, c, h, w))
-    fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
-
-
-def load_dt64(fh):
-    magic = fh.read(4)
-    if magic != _DT64_MAGIC:
-        raise ShapeError(f"bad DT64 magic: {magic!r}")
-    header = fh.read(16)
-    if len(header) != 16:
-        raise ShapeError("truncated DT64 header")
-    dims = struct.unpack("<4I", header)
-    if 0 in dims:
-        raise ShapeError(f"DT64 header has a zero extent: {dims}")
-    count = math.prod(dims)
-    # a read size must fit an index; no payload is as large as sys.maxsize
-    raw = fh.read(min(8 * count, sys.maxsize))
-    if len(raw) != 8 * count:
-        raise ShapeError("truncated DT64 payload")
-    data = np.frombuffer(raw, dtype="<f8").reshape(dims)
-    return Tensor4(data)

@@ -111,7 +111,7 @@ class TestInventoryMatchesCountedOps:
             counted = self.counted(attention.branch_forward, kind, x, model.branches.get(kind))
             assert counted == model.cost_table[kind]
         g = model.gate
-        counted = self.counted(lambda f: gate.gate_weights(gate.gate_logits(f, g), g.tau), x)
+        counted = self.counted(lambda f: T.softmax_tau(gate.gate_logits(f, g), g.tau), x)
         assert counted == model.gate_flops
 
     def test_one_read_only_table_per_shape(self, monkeypatch):

@@ -7,7 +7,7 @@ from gatetrack import attention as A
 from gatetrack import flops
 from gatetrack import gate as G
 from gatetrack import tensor as T
-from gatetrack.errors import ConfigError, ParameterError, ShapeError
+from gatetrack.errors import ParameterError, ShapeError
 from helpers import vector, zeroed
 
 
@@ -17,9 +17,13 @@ def make_setup(rng, channels=8, reduction=2, scale=2, tau=1.0):
     return params, branches, G.init_gate(params, rng, channels, scale, tau)
 
 
-def run_decision(x, branches, gate, **kwargs):
+# branch costs of the (1, 8, 4, 4) features the decision tests gate
+TABLE = flops.branch_costs(8, 2, 4, 4)
+
+
+def run_decision(x, branches, gate, budget=None):
     """Decide on ``x``, then run the chosen branch: (output, decision)."""
-    decision = G.decide(x, gate, **kwargs)
+    decision = G.decide(x, gate, TABLE, budget)
     kind = decision.chosen_name
     return A.branch_forward(kind, x, branches.get(kind)), decision
 
@@ -61,29 +65,29 @@ class TestGateLogits:
 
 class TestGateWeights:
     def test_uniform(self):
-        w = G.gate_weights(vector([0.0, 0.0, 0.0, 0.0]), tau=1.0)
+        w = T.softmax_tau(vector([0.0, 0.0, 0.0, 0.0]), tau=1.0)
         assert np.allclose(w.data.ravel(), 0.25, atol=1e-15)
 
     def test_hand_two_logits(self):
-        w = G.gate_weights(vector([1.0, 2.0]), tau=0.5).data.ravel()
+        w = T.softmax_tau(vector([1.0, 2.0]), tau=0.5).data.ravel()
         e2, e4 = np.exp(2.0), np.exp(4.0)
         assert np.allclose(w, [e2 / (e2 + e4), e4 / (e2 + e4)], atol=1e-12)
         assert w == pytest.approx([0.1192, 0.8808], abs=5e-5)
 
     def test_high_temperature_uniform(self):
-        w = G.gate_weights(vector([3.0, -1.0, 0.5, 2.0]), tau=1e6).data.ravel()
+        w = T.softmax_tau(vector([3.0, -1.0, 0.5, 2.0]), tau=1e6).data.ravel()
         assert np.max(np.abs(w - 0.25)) < 1e-6
 
     def test_invalid_tau(self):
         with pytest.raises(ParameterError):
-            G.gate_weights(vector([1.0]), tau=-1.0)
+            T.softmax_tau(vector([1.0]), tau=-1.0)
 
     def test_sum_positive_argmax(self):
         rng = np.random.default_rng(2)
         for tau in [1e-3, 0.3, 1.0, 30.0]:
             s = rng.standard_normal(4)
             s[rng.integers(4)] += 2.5
-            w = G.gate_weights(vector(s), tau=tau).data.ravel()
+            w = T.softmax_tau(vector(s), tau=tau).data.ravel()
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w > 0)
             assert np.argmax(w) == np.argmax(s)
@@ -178,22 +182,15 @@ class TestApplyGatedAttention:
         rng = np.random.default_rng(8)
         params, branches, gate = make_setup(rng)
         gate.b2.data[0, 3, 0, 0] = 10.0  # gate prefers cbam
-        table = flops.branch_costs(8, 2, 4, 4)
         x = T.Tensor4(rng.standard_normal((1, 8, 4, 4)))
-        out, decision = run_decision(x, branches, gate, budget=0.0, table=table)
+        out, decision = run_decision(x, branches, gate, budget=0.0)
         assert decision.chosen_name == "identity" and decision.mode == "budgeted"
         assert np.array_equal(out.data, x.data)
-
-    def test_budgeted_requires_budget_and_table(self):
-        branches, gate = zeroed_setup()
-        x = T.zeros((1, 8, 2, 2))  # a budget makes the decision budgeted
-        with pytest.raises(ConfigError):
-            G.decide(x, gate, budget=1.0)
 
     def test_hard_mode_rejects_batch(self):
         branches, gate = zeroed_setup()
         with pytest.raises(ShapeError):
-            G.decide(T.zeros((2, 8, 2, 2)), gate)
+            G.decide(T.zeros((2, 8, 2, 2)), gate, TABLE)
 
     def test_decisions_deterministic(self):
         rng = np.random.default_rng(9)

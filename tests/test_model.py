@@ -208,6 +208,16 @@ class TestCheckpoint:
             M.load_model(M.ModelConfig(), path)
 
 
+def test_checkpoint_layout_is_index_then_dt64_blobs(tmp_path):
+    params = T.ParamSet()
+    params.add("w", T.Tensor4(np.arange(24.0).reshape(1, 2, 3, 4)))
+    path = tmp_path / "one.gtck"
+    M.save_checkpoint(path, params)
+    assert path.read_bytes() == (b"GTCK1 1\nw 212\n\n" + b"DT64"
+                                 + struct.pack("<4I", 1, 2, 3, 4)
+                                 + np.arange(24.0).astype("<f8").tobytes())
+
+
 def dt64_blob(dims, payload=b""):
     return b"DT64" + struct.pack("<4I", *dims) + payload
 
@@ -232,11 +242,15 @@ REPEATED_TENSOR = (b"GTCK1 2\nbackbone.conv1.w 28\nbackbone.conv1.w 28\n\n"
     b"GTCK1 1\nw 28\n\n" + dt64_blob((1, 1, 1, 1), struct.pack("<d", 3.0)) + b"\x00",
     b"GTCK1 1\nw %d\n\n" % 2 ** 64 + dt64_blob((1, 1, 1, 1), struct.pack("<d", 3.0)),
     b"GTCK1 1\nw %d\n\n" % 10 ** 15 + dt64_blob((1, 1, 1, 1), struct.pack("<d", 3.0)),
+    b"GTCK1 1\nw 28\n\n" + b"XXXX" + dt64_blob((1, 1, 1, 1), b"\x00" * 8)[4:],
+    b"GTCK1 1\nw 28\n\n" + dt64_blob((2, 1, 1, 1), b"\x00" * 8),
+    b"GTCK1 1\nw 28\n\n" + dt64_blob((4294967295,) * 4, b"\x00" * 8),
 ], ids=["count_not_int", "no_count", "non_ascii_header", "entry_no_size",
         "entry_non_ascii", "entry_negative_size", "dt64_all_zero_extent",
         "dt64_zero_extent", "dt64_truncated_header", "repeated_tensor",
         "entry_larger_than_dt64", "bytes_after_last_tensor", "entry_size_2_pow_64",
-        "entry_size_1e15"])
+        "entry_size_1e15", "dt64_bad_magic", "dt64_payload_short_of_dims",
+        "dt64_huge_extents"])
 def test_corrupt_checkpoint_raises_shape_error_naming_path(tmp_path, content):
     path = tmp_path / "bad.gtck"
     path.write_bytes(content)

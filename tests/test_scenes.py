@@ -43,6 +43,23 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError):
             S.ScenarioSpec(seed=1, occlusion_range=(0.5, 1.2))
 
+    # unchecked, each gives NaN frames, a 0x0 box or a truncated phase, or a
+    # raw OverflowError/ValueError from inside generate()
+    @pytest.mark.parametrize("key, value", [
+        ("target_sigma", 0.0),
+        ("target_sigma", float("nan")),
+        ("intensity", float("nan")),
+        ("fast_multiplier", float("nan")),
+        ("frame_height", 0),
+        ("frame_width", 64.0),
+        ("schedule", (("stable", 2.5),)),
+        ("seed", -1),
+    ], ids=["sigma_zero", "sigma_nan", "intensity_nan", "fast_multiplier_nan",
+            "height_zero", "width_float", "duration_fraction", "seed_negative"])
+    def test_degenerate_numbers_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            S.ScenarioSpec(**{"seed": 1, key: value})
+
 
 class TestGenerate:
     def test_same_seed_bitwise_identical(self):

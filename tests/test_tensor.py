@@ -1,6 +1,5 @@
-"""Tests for the rank-4 tensor engine: forward rules, gradients, DT64 files."""
+"""Tests for the rank-4 tensor engine: forward rules, gradients, FLOP counts."""
 
-import io
 import math
 
 import numpy as np
@@ -882,28 +881,3 @@ class TestCountFlops:
                 T.add(x, T.zeros((1, 2, 3, 4)))
         T.relu(x)
         assert total[0] == 18
-
-
-class TestDT64:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(21)
-        t = rand4(rng, (2, 3, 4, 5))
-        buf = io.BytesIO()
-        T.save_dt64(t, buf)
-        buf.seek(0)
-        back = T.load_dt64(buf)
-        assert back.shape == t.shape
-        assert np.array_equal(back.data, t.data)
-
-    def test_header_layout(self):
-        t = T.zeros((1, 2, 3, 4))
-        buf = io.BytesIO()
-        T.save_dt64(t, buf)
-        raw = buf.getvalue()
-        assert raw[:4] == b"DT64"
-        assert np.array_equal(np.frombuffer(raw[4:20], dtype="<u4"), [1, 2, 3, 4])
-        assert len(raw) == 20 + 8 * 24
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ShapeError):
-            T.load_dt64(io.BytesIO(b"XXXX" + b"\x00" * 16))
