@@ -27,7 +27,7 @@ import numpy as np
 
 from . import attention
 from . import tensor as T
-from .errors import ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError
 from .flops import BRANCH_ORDER
 
 N_BRANCHES = len(BRANCH_ORDER)
@@ -164,11 +164,15 @@ def decide(feature, gate: GateParams, table, budget=None, frame_index=0):
     Without a budget the decision is hard: the argmax branch, recorded
     one-hot.  With a budget it is budgeted: :func:`budget_filter` masks the
     branches whose ``table`` cost does not fit, and the filtered weights are
-    recorded.
+    recorded.  A NaN or infinite logit raises :class:`NumericError` naming
+    ``frame_index``: the argmax would take a NaN for the largest weight.
     """
     if feature.shape[0] != 1:
         raise ShapeError(f"a decision gates one feature at a time, got batch {feature.shape[0]}")
     logits = gate_logits(feature, gate)
+    if not np.isfinite(logits.data).all():
+        raise NumericError(f"gate logits at frame {frame_index} are not finite: "
+                           f"{logits.data.ravel().tolist()}")
     weights = T.softmax_tau(logits, gate.tau).data.ravel()
     if budget is None:
         chosen = int(np.argmax(weights))

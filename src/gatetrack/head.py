@@ -132,7 +132,8 @@ def decode_detection(out: HeadOutput, stride, crop_origin=(0.0, 0.0)):
     i, j = divmod(flat_idx, wf)
     cx = (j + 0.5) * stride
     cy = (i + 0.5) * stride
-    left, top, right, bottom = out.reg.data[0, :, i, j]
+    # Python floats: the box arithmetic runs in float64 for float32 maps too
+    left, top, right, bottom = out.reg.data[0, :, i, j].tolist()
     w = max(left + right, MIN_SIDE)
     h = max(top + bottom, MIN_SIDE)
     x = cx - left + float(crop_origin[0])

@@ -17,6 +17,12 @@ attention mode fixes how the set is chosen:
 
 The attention FLOPs of a frame are the cost-table sum over its set.
 
+Precision follows from whether a graph is recorded (see :mod:`gatetrack.tensor`).
+Training, and any forward that records a graph, runs in float64.  A frame
+tracked inside ``T.no_grad()`` runs its convolutions in float32, so its
+features, memory entries and head maps are float32; the readout's attention
+rows stay float64.  Parameters and checkpoints are float64 either way.
+
 Checkpoints are a text index, ``GTCK1 <count>`` then one ``<name> <size>``
 line per tensor and a blank line, followed by one DT64 blob per entry (the
 magic ``DT64``, four little-endian uint32 extents, float64 data) in parameter

@@ -20,13 +20,23 @@ verify against the finite-difference oracle in :func:`grad_check`:
   * the losses' ``bce_with_logits`` and ``sum_all``.
 
 Design notes:
-  * float64 everywhere, so gradients stay checkable.  The hot kernels
-    (k x k convolution, softmax, attention) avoid full-size temporaries:
-    im2col keeps the output pixels innermost, softmax works in place on one
-    array, and ``attend`` writes the query-key product into the array it
-    returns and runs the softmax in place on it.  Its temperature scales the
-    small query columns instead of the (Q, P) logits, which is exact for a
-    power-of-two tau such as the readout's ``sqrt(16)``.
+  * the dtype follows from whether a graph is recorded.  Every op that
+    records one, and so all of training and :func:`grad_check`, runs in
+    float64, so gradients stay checkable.  Inside :func:`no_grad`, where no
+    gradient is checked, ``conv2d`` multiplies float32 copies of its input,
+    weight and bias (single-precision GEMMs run about twice as fast), so
+    every activation after a tracked frame's first conv is float32 and the
+    elementwise ops keep it.  ``attend`` computes its rows in float64 from
+    float32 operands, so they sum to 1 within 1e-12, and ``apply_attention``
+    then reads the values in float64.  A ``Tensor4`` keeps float32 data
+    as float32 and stores any other data as float64, so parameters,
+    checkpoints and loaded tensors stay float64.
+  * the hot kernels (k x k convolution, softmax, attention) avoid full-size
+    temporaries: im2col keeps the output pixels innermost, softmax works in
+    place on one array, and ``attend`` writes the query-key product into the
+    array it returns and runs the softmax in place on it.  Its temperature
+    scales the small query columns instead of the (Q, P) logits, which is
+    exact for a power-of-two tau such as the readout's ``sqrt(16)``.
   * im2col is one strided view of the padded input, already in
     ``(n, c, kh, kw, oh, ow)`` order, copied once into the columns.
   * a k x k input gradient takes one of two exact forms.  With stride 1,
@@ -107,7 +117,8 @@ _EXP_CLAMP = 50.0
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference / oracles)."""
+    """Disable graph recording inside the block, for inference: ``conv2d``
+    then runs in float32."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -135,12 +146,14 @@ def count_flops():
 
 
 class Tensor4:
-    """A ``(n, c, h, w)`` float64 array with optional gradient tracking."""
+    """A ``(n, c, h, w)`` float32 or float64 array with optional gradient
+    tracking.  Float32 data stays float32; any other data is stored as float64."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        arr = np.ascontiguousarray(data, dtype=dtype)
         if arr.ndim != 4:
             raise ShapeError(f"Tensor4 requires rank-4 data, got shape {arr.shape}")
         self.data = arr
@@ -343,12 +356,13 @@ def _softmax_rows(y, axis):
     """Finish a softmax in place on max-subtracted, scaled logits ``y``.
 
     After ``exp`` every entry is at most 1, so a row sums to at most its
-    length L.  Entries are floored at L times the smallest subnormal: an
-    underflowed entry then stays positive after the division by the row
-    sum, and no entry above L * 1e-307 moves.
+    length L.  Entries are floored at L times the smallest subnormal of
+    ``y``'s dtype: an underflowed entry then stays positive after the
+    division by the row sum, and no entry above L * 1e-307 in float64, or
+    L * 1e-37 in float32, moves.
     """
     np.exp(y, out=y)
-    y += y.shape[axis] * 5e-324
+    y += y.shape[axis] * np.finfo(y.dtype).smallest_subnormal
     y /= y.sum(axis=axis, keepdims=True)
 
 
@@ -587,6 +601,8 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     ``x``: (n, cin, h, w); ``weight``: (cout, cin, kh, kw); ``bias``:
     (1, cout, 1, 1).  The output size must come out integral:
     ``(h + 2 pad - kh) / stride + 1``; anything else is a config error.
+    Inside :func:`no_grad` the product runs on float32 copies of all three
+    and the output is float32.
     """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
@@ -607,12 +623,15 @@ def conv2d(x, weight, bias, stride=1, pad=0):
         )
     oh = span_h // stride + 1
     ow = span_w // stride + 1
+    xd, wd, bd = x.data, weight.data, bias.data
+    if not _grad_enabled:
+        xd, wd, bd = (a.astype(np.float32, copy=False) for a in (xd, wd, bd))
 
     if kh == 1 and kw == 1 and stride == 1 and pad == 0:
-        w2d = weight.data[:, :, 0, 0]
-        x3 = x.data.reshape(n, cin, h * w)
+        w2d = wd[:, :, 0, 0]
+        x3 = xd.reshape(n, cin, h * w)
         y = np.matmul(w2d, x3).reshape(n, cout, h, w)
-        y += bias.data
+        y += bd
 
         def backward_1x1(g):
             g3 = g.reshape(n, cout, h * w)
@@ -627,13 +646,13 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     # columns.  A matrix-vector product (cout == 1) sums in an order set by
     # the operand layout, so that forward takes a pixel-major (n, P, K) copy:
     # the order the pinned golden maps hold.
-    cols = _im2col(x.data, kh, kw, stride, pad, oh, ow)
-    wmat = weight.data.reshape(cout, cin * kh * kw)
+    cols = _im2col(xd, kh, kw, stride, pad, oh, ow)
+    wmat = wd.reshape(cout, cin * kh * kw)
     if cout == 1:
         y = np.matmul(_pixel_major(cols), wmat.T).reshape(n, 1, oh, ow)
     else:
         y = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
-    y += bias.data
+    y += bd
     # the input gradient's form, by the rule in the design notes
     transposed = stride == 1 and kh == kw and pad <= kh - 1 and cout <= cin
 
@@ -664,12 +683,12 @@ def _im2col(data, kh, kw, stride, pad, oh, ow):
     ``pad``: one strided view in ``(n, c, kh, kw, oh, ow)`` order, copied once."""
     n, c, h, w = data.shape
     if pad:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), data.dtype)
         xp[:, :, pad:pad + h, pad:pad + w] = data
     else:
         xp = np.ascontiguousarray(data)
     sn, sc, sh, sw = xp.strides
-    windows = np.ndarray((n, c, kh, kw, oh, ow), np.float64, xp, 0,
+    windows = np.ndarray((n, c, kh, kw, oh, ow), xp.dtype, xp, 0,
                          (sn, sc, sh, sw, stride * sh, stride * sw))
     return windows.reshape(n, c * kh * kw, oh * ow)
 
@@ -689,7 +708,9 @@ def attend(q, k, tau):
     returned array, on which the max subtraction, ``exp``, the subnormal
     floor and the row normalisation of :func:`softmax_tau` run in place.
     For a power-of-two ``tau`` (the readout's ``sqrt(16) = 4``) the scaling
-    is exact, so the rows are bitwise those of dividing the logits.
+    is exact, so the rows are bitwise those of dividing the logits.  The
+    rows are float64 whatever the operands' dtype: float32 rows of 256 or
+    more entries do not sum to 1 within 1e-9.
     """
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
@@ -697,7 +718,8 @@ def attend(q, k, tau):
         raise ShapeError(f"attend batch/channel mismatch: {q.shape} vs {k.shape}")
     if q.shape[3] != 1 or k.shape[3] != 1:
         raise ShapeError("attend operands must be pixel columns (w == 1)")
-    qs = q.data[:, :, :, 0] / tau
+    # float64 query columns make the product, and so the rows, float64
+    qs = np.divide(q.data[:, :, :, 0], tau, dtype=np.float64)
     k3 = k.data[:, :, :, 0]
     y = np.matmul(qs.transpose(0, 2, 1), k3)[:, None]
     y -= y.max(axis=3, keepdims=True)
@@ -715,7 +737,11 @@ def attend(q, k, tau):
 
 
 def apply_attention(values, attn):
-    """Weighted read of value pixels: (n, cv, P, 1) x (n, 1, Q, P) -> (n, cv, Q, 1)."""
+    """Weighted read of value pixels: (n, cv, P, 1) x (n, 1, Q, P) -> (n, cv, Q, 1).
+
+    The product runs in the wider dtype of the two, so float64 rows give a
+    float64 read of float32 values.
+    """
     n, cv, p, one = values.shape
     if one != 1 or attn.shape[1] != 1 or attn.shape[3] != p or attn.shape[0] != n:
         raise ShapeError(f"apply_attention shapes incompatible: {values.shape} vs {attn.shape}")
@@ -791,6 +817,7 @@ def grad_check(fn, params, eps=1e-5):
     ``fn(params)`` must rebuild its graph on every call and return a scalar
     Tensor4.  Every coordinate of every parameter is perturbed by ±eps; the
     relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    The perturbed evaluations record a graph too, so they run in float64.
     """
     if eps <= 0:
         raise ParameterError(f"grad_check eps must be > 0, got {eps}")
@@ -802,11 +829,9 @@ def grad_check(fn, params, eps=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            with no_grad():
-                hi = fn(params).item()
+            hi = fn(params).item()
             flat[i] = orig - eps
-            with no_grad():
-                lo = fn(params).item()
+            lo = fn(params).item()
             flat[i] = orig
             numeric = (hi - lo) / (2.0 * eps)
             err = abs(ana[i] - numeric) / max(1e-8, abs(ana[i]) + abs(numeric))

@@ -2,21 +2,22 @@
 
 The expected values were recorded before the code was simplified, so a
 refactor that claims to keep behaviour is checked rather than assumed.  A
-float array is pinned by the sha256 of its raw float64 bytes and a scalar by
-its exact value.  An intended change of outputs records them again from
+float array is pinned by the sha256 of its values as raw float64 bytes and a
+scalar by its exact value.  An intended change of outputs records them again from
 :func:`observed`::
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
         import test_golden, pprint; pprint.pprint(test_golden.observed())"
 
-The head maps and gradients pass through BLAS matrix products, so their
-digests hold for the numpy/OpenBLAS build they were recorded with (numpy
-2.4.6 with OpenBLAS 0.3.31 on an x86-64 Xeon, identical with 1 and 2 BLAS
-threads); the checkpoint bytes depend on the RNG alone.  With the untrained
+The head maps and gradients pass through BLAS matrix products, float32 ones
+for the maps and float64 ones for the gradients, so their digests hold for
+the numpy/OpenBLAS build they were recorded with (numpy 2.4.6 with OpenBLAS
+0.3.31 on an x86-64 Xeon, identical with 1 and 2 BLAS threads); the
+checkpoint bytes depend on the RNG alone.  With the untrained
 gate, whose output layer starts at zero, ``gated`` picks identity on every
 frame and so gives the same maps as ``none``.
 
-``GRADS_SHA256`` is the one value recorded again since, twice.  First the
+``GRADS_SHA256`` was recorded again twice.  First the
 head's first convs became one 3c-output conv, and 1x1 convs and conv weight
 gradients read their operands without layout copies: 46 of the 50 gradients
 moved, by at most 1.4e-15 of a parameter's max |g| and its norm by at most
@@ -26,7 +27,19 @@ flipped kernel: 36 of the 50 moved, by at most 2.0e-15 of the max |g| and the
 norm by at most 5.1e-16 relative.  Both times the forward bits held, and the
 norms stayed within ``GRAD_NORMS``, which was recorded before the first.
 
-``TRACE_STATS`` was recorded through the trace record type that
+``PREDICTIONS``, ``DECISIONS`` and ``TRACE_STATS``, the goldens that run
+under ``no_grad``, were recorded again once when a graph-free forward moved
+to float32 (``conv2d`` multiplies float32 copies of its operands there).
+Against the float64 forward, which any graph-on run still computes bit for
+bit, the head maps moved by at most 0.0067 of the ``bench/reference.npz``
+tolerance, the decoded boxes by at most 7.8e-7 px and the recorded gate
+weights by at most 5.7e-8, and every decision picked the same branch.
+``test_float32_forward_tracks_the_float64_forward`` and
+``test_float32_gate_picks_the_float64_branch`` keep both forwards that close.
+The graph-on goldens (``LOSS``, ``GRADS_SHA256``, ``GRAD_NORMS``) and the
+checkpoint bytes held.
+
+``TRACE_STATS`` was first recorded through the trace record type that
 ``metrics.gate_trace_stats`` read before it took the ``GateDecision`` list
 itself; the costliest branch was then a hard-coded "cbam", which the cost
 table's argmax still picks.
@@ -60,23 +73,23 @@ DEEP = {"attention_mode": "static", "static_branches": ("se", "ca", "cbam"),
 CHECKPOINT_SHA256 = "a43b42eadf7ab1945ddec6a6f7da5018d9bed1b9ec18ce43f9c1d1ffd8467bd4"
 
 _IDENTITY = {
-    10: ("a6edd93e36f725189f0cbd500216b9d98e7fe63e150a8fa5cc66a756f4473ab4", 0.05922793643286029,
-         (71.75947376415505, 33.650102264617914, 4.0256388033069115, 2.3951427963742313)),
-    25: ("fb03322bad9856eca4c146c35583e5e1bea5c2fa4a9c59c5fe194c20c7dd5dd8", 0.060054540671189476,
-         (50.70310404208645, 42.765848703079904, 4.264254869377887, 2.236034304654373)),
-    40: ("86b1b778d1f6d5f50525e5605ad5fa45eae9e3b77efa3afe56e7285cc6c6d27e", 0.05983578075904944,
-         (48.63452118969904, 64.65314164084889, 4.078347339120264, 2.3997368964440016)),
+    10: ("3c45cf4a2e18e9006175d8c5b7d0428ce01600d6f1d481fcbd2c665cd9a420b8", 0.05922793224453926,
+         (71.7594735622406, 33.65010213851929, 4.025639057159424, 2.3951430320739746)),
+    25: ("56418fd2165c0da8ffbaf889a40c7ad0f189d4875a89c0b723811db2389c4c97", 0.060054533183574677,
+         (50.70310401916504, 42.7658486366272, 4.264255166053772, 2.2360342741012573)),
+    40: ("4b81ba213b985f53d6c369fc8fe4bc997f9ef503e1d5cf8a45a388042ecde1a9", 0.059835776686668396,
+         (48.63452196121216, 64.65314173698425, 4.0783467292785645, 2.3997368812561035)),
 }
 PREDICTIONS = {
     "gated": _IDENTITY,
     "none": _IDENTITY,
     "static": {
-        10: ("bcbca64cf71f93bfb63c6403f8f519f0c094fa348c6446b8522fb9811b1cc906", 0.05878921461660779,
-             (36.68366871127044, 33.91908946735071, 2.556204246432662, 2.0961354880961647)),
-        25: ("f0856042a8ae288991529bcdd97c6f17b2f802d4d454e745ec59eb612a12b665", 0.05879387927497099,
-             (47.72575795718339, 42.928451927274324, 2.5375047886961797, 2.060407535216016)),
-        40: ("0acf0a163328631a3a2955d79f1e8d5bf709805465da0cf82f10050c20930d7b", 0.05854276652352155,
-             (49.68580340359145, 64.91620479935779, 2.5555217681257973, 2.083220006085608)),
+        10: ("9641f8b65fd57816dd4afef2c4e50b748064294de30bde5ac2e446f19a452e8b", 0.058789219707250595,
+             (36.68366873264313, 33.91908943653107, 2.5562044382095337, 2.0961356163024902)),
+        25: ("6a5c89c2af1e541a0db03698a8ef2c0b41adf706443304ece8795c86fc39ace1", 0.05879387632012367,
+             (47.72575807571411, 42.928451895713806, 2.537504553794861, 2.0604077577590942)),
+        40: ("7225aa4f0b4de746225b95e40d00f58f05a3ee52bf3bffc6a55452e3ea24192f", 0.05854277312755585,
+             (49.685803294181824, 64.91620481014252, 2.555521845817566, 2.0832199454307556)),
     },
 }
 
@@ -94,73 +107,80 @@ COST_TABLES = {
 DECISIONS = {
     (10, "none"): ("cbam", "hard", 101712.0,
                   (0.0, 0.0, 0.0, 1.0),
-                  "9069f4a4624896d9434417c88e449a0a358592f018bd5a6c4926b9ff6333d12f"),
+                  "2258a7e711c9c1d18a4143bec983f6ffea2402948d6fa31f89b7b6ec7507f218"),
     (10, "zero"): ("identity", "budgeted", 0.0,
                   (1.0, 0.0, 0.0, 0.0),
-                  "8058164331ec2987e3f5bd4189a5e8b99ca14b2b312968dbf187eee56f61b0f8"),
+                  "054f6e37ae12873804c036a79d90580f2d898fc471c128372c064f41df7f2928"),
     (10, "se"): ("se", "budgeted", 17448.0,
-                  (0.4934077321338557, 0.5065922678661444, 0.0, 0.0),
-                  "cba1c35623a1c323ee72c5509bb60cd53377aefea029d248dc15b551981b4b17"),
+                  (0.4934077252181385, 0.5065922747818615, 0.0, 0.0),
+                  "93b06add7f81f167bcbe445aa95682fb5a7e914d6fc5d834923cb5c0d5ce104c"),
     (10, "ca"): ("ca", "budgeted", 66816.0,
-                  (0.27517069861556953, 0.28252363954473925, 0.4423056618396913, 0.0),
-                  "882b9819f8ee7ff7ae02cdb33dc32d5d91658256691d785baa5d86b7389569f3"),
+                  (0.27517070224496176, 0.28252365108788713, 0.4423056466671511, 0.0),
+                  "725bb405902cfbaa7b30510335ced0148fb957a725ab383a2d82c32258af1634"),
     (10, "inf"): ("cbam", "budgeted", 101712.0,
-                  (0.16910531308753166, 0.1736240404963627, 0.2718175946861401, 0.38545305172996563),
-                  "9069f4a4624896d9434417c88e449a0a358592f018bd5a6c4926b9ff6333d12f"),
+                  (0.16910531864903391, 0.17362405101025027, 0.2718175907162191, 0.38545303962449673),
+                  "2258a7e711c9c1d18a4143bec983f6ffea2402948d6fa31f89b7b6ec7507f218"),
     (25, "none"): ("cbam", "hard", 101712.0,
                   (0.0, 0.0, 0.0, 1.0),
-                  "7369ace97e4d3be69d117968d30c053a68fc6c503f3293e16b284a9c7a732b97"),
+                  "4f055a226a26bd4515a500254d9b0d5bbbc3c91f26dad2566822a57a4318361a"),
     (25, "zero"): ("identity", "budgeted", 0.0,
                   (1.0, 0.0, 0.0, 0.0),
-                  "2d36d9e2a4a975db0b6a613aebfd84d308071572ad60859f84cdd0662ae7c135"),
+                  "aa6fa4907e1e74817b05d0c01b4e98771d75dc534bd744099ad6d1ec1eeb212f"),
     (25, "se"): ("se", "budgeted", 17448.0,
-                  (0.49260312955025465, 0.5073968704497455, 0.0, 0.0),
-                  "a7877a8a9f9947e2291a7fbea8c6087a8edbe6c3859c4d62e372a9d8fd5c0a86"),
+                  (0.49260307291683975, 0.5073969270831602, 0.0, 0.0),
+                  "03e21546cf48fe5a1cc0f806b36d28d361584be8acd4c2a2ab0d68cd06441a81"),
     (25, "ca"): ("ca", "budgeted", 66816.0,
-                  (0.2734793814643683, 0.28169244968914925, 0.4448281688464825, 0.0),
-                  "02c745c45fdc792d81e22f5a7413e4088604ecea36b2cd46ceaa31a8fe1b1d50"),
+                  (0.273479327925498, 0.2816924583691974, 0.44482821370530456, 0.0),
+                  "b3ab1472f0d0f0b80b4a53ff463008ae0185263a961784ab5328f532c1d5b142"),
     (25, "inf"): ("cbam", "budgeted", 101712.0,
-                  (0.16786633957658115, 0.17290766185910336, 0.2730431670752532, 0.38618283148906235),
-                  "7369ace97e4d3be69d117968d30c053a68fc6c503f3293e16b284a9c7a732b97"),
+                  (0.16786631441514746, 0.17290767512000577, 0.2730432071374891, 0.38618280332735766),
+                  "4f055a226a26bd4515a500254d9b0d5bbbc3c91f26dad2566822a57a4318361a"),
     (40, "none"): ("cbam", "hard", 101712.0,
                   (0.0, 0.0, 0.0, 1.0),
-                  "13664b6263c114dfc4ba3f2a2f55e98524a39ee83ba1a3263afa8269c08138f6"),
+                  "4ed2d4b9127875217c7b8c05ff923ce42f42f9368e4a6c5a7319dd7e29989ace"),
     (40, "zero"): ("identity", "budgeted", 0.0,
                   (1.0, 0.0, 0.0, 0.0),
-                  "147271ed04003302e8274e25c432dec5053cf5aa3695ea53e88515b6f951a5b2"),
+                  "0d0478998148718a1cfda4ab3f72ce4ad27591ed7ed7b640a11ea8fa972ab6ec"),
     (40, "se"): ("se", "budgeted", 17448.0,
-                  (0.494826619447328, 0.5051733805526719, 0.0, 0.0),
-                  "5e28bb0d8cb5109dd46c555b17586aaf9d601f8469036c65b4d923c130a883b4"),
+                  (0.49482661360721575, 0.5051733863927842, 0.0, 0.0),
+                  "97911fcab9937e36a4816866f2ba3f981e0042eaaccf19bcb51a288538b12729"),
     (40, "ca"): ("ca", "budgeted", 66816.0,
-                  (0.2788498392006281, 0.28468055355001975, 0.4364696072493521, 0.0),
-                  "2b66b1ad23e921e9fe8140bac0d12e0eafe8044bb26caf96a22abbcca1b054db"),
+                  (0.2788498226183562, 0.28468054327199194, 0.4364696341096519, 0.0),
+                  "913fd19d7b23f441790db5d86820b45095f61d43acce34b985917b11bae25659"),
     (40, "inf"): ("cbam", "budgeted", 101712.0,
-                  (0.17218518369980654, 0.1757855537922876, 0.2695127948398789, 0.38251646766802694),
-                  "13664b6263c114dfc4ba3f2a2f55e98524a39ee83ba1a3263afa8269c08138f6"),
+                  (0.1721851702360089, 0.17578554415383255, 0.2695128063784958, 0.38251647923166276),
+                  "4ed2d4b9127875217c7b8c05ff923ce42f42f9368e4a6c5a7319dd7e29989ace"),
 }
 
 # per probe phase, branch -> (mean, population std) of the recorded weights of
 # every DECISIONS run, and the share of runs that chose the costliest branch
 TRACE_STATS = ({
     "stable": {
-        "identity": (0.3875367487673914, 0.3454976272550902),
-        "se": (0.19254798958144928, 0.19038224641093104),
-        "ca": (0.14282465130516625, 0.18304354573390147),
-        "cbam": (0.27709061034599314, 0.39106982071706037),
+        "identity": (0.3875367492224268, 0.3454976258919543),
+        "se": (0.1925479953759998, 0.19038224957454472),
+        "ca": (0.14282464747667403, 0.18304354020955543),
+        "cbam": (0.2770906079248993, 0.3910698200461939),
     },
     "occlusion": {
-        "identity": (0.38678977011824084, 0.3457155744108358),
-        "se": (0.1923993963995996, 0.19058417626287888),
-        "ca": (0.14357426718434713, 0.18404174520917144),
-        "cbam": (0.27723656629781246, 0.3911103708351142),
+        "identity": (0.3867897430514971, 0.34571557764029237),
+        "se": (0.19239941211447267, 0.1905841955257297),
+        "ca": (0.14357428416855872, 0.18404176553141824),
+        "cbam": (0.27723656066547153, 0.39111036926619025),
     },
     "fast": {
-        "identity": (0.3891723284695525, 0.34495879388401063),
-        "se": (0.19312789757899584, 0.190079877311727),
-        "ca": (0.1411964804178462, 0.18080964256525156),
-        "cbam": (0.27650329353360537, 0.39090881068673006),
+        "identity": (0.38917232129231616, 0.3449587962807234),
+        "se": (0.19312789476372175, 0.19007987841500365),
+        "ca": (0.14119648809762952, 0.18080965297588827),
+        "cbam": (0.27650329584633254, 0.39090881131393407),
     },
 }, 0.4)
+
+# the graph-free (float32) forward against the graph-on (float64) one: head maps
+# within the tolerance of bench/reference.npz, decoded boxes in pixels, and the
+# readout rows' distance from a sum of 1
+MAP_ATOL, MAP_RTOL = 1e-4, 1e-3
+BOX_ATOL_PX = 1e-4
+ROWS_SUM_TOL = 1e-12
 
 LOSS = 1.8293667210734443
 GRADS_SHA256 = "e1ce976884465c80e96f2f5783487761de2900853f70ca4b0262a8a1392e3d7d"
@@ -258,8 +278,9 @@ def probe_feature(model, seq, index):
     return model.extract(T.Tensor4(crop)), origin
 
 
-def predictions(attention_mode):
-    """Maps digest, score and box for each ground-truth-centred probe frame."""
+def probe_outputs(attention_mode):
+    """Head output, detection and readout rows of each ground-truth-centred
+    probe frame, in the grad mode the caller runs it in."""
     model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
     seq = probe_sequence()
 
@@ -267,21 +288,27 @@ def predictions(attention_mode):
         feature, origin = probe_feature(model, seq, index)
         return model.enhance_infer(feature, frame_index=index)[0], origin
 
+    memory = [enhanced(index)[0] for index in MEMORY_FRAMES]
     found = {}
-    with T.no_grad():
-        memory = [enhanced(index)[0] for index in MEMORY_FRAMES]
-        for index in PROBE_FRAMES:
-            query, origin = enhanced(index)
-            fused, _ = model.read_memory(query, memory)
-            out = model.predict(fused)
-            det = H.decode_detection(out, model.config.stride, origin)
-            found[index] = (digest([out.cls.data, out.ctr.data, out.reg.data]),
-                            det.score, tuple(float(v) for v in det.box.as_array()))
+    for index in PROBE_FRAMES:
+        query, origin = enhanced(index)
+        fused, attn = model.read_memory(query, memory)
+        out = model.predict(fused)
+        found[index] = (out, H.decode_detection(out, model.config.stride, origin), attn)
     return found
 
 
+def predictions(attention_mode):
+    """Maps digest, score and box for each probe frame of the graph-free forward."""
+    with T.no_grad():
+        found = probe_outputs(attention_mode)
+    return {index: (digest([out.cls.data, out.ctr.data, out.reg.data]), det.score,
+                    tuple(float(v) for v in det.box.as_array()))
+            for index, (out, det, _) in found.items()}
+
+
 def gate_runs():
-    """Hard and budgeted gate runs on each probe frame.
+    """Hard and budgeted gate runs on each probe frame, in the caller's grad mode.
 
     The gate's output layer is drawn from ``DECISION_SEED`` (the seeded init
     zeroes it, so every frame would pick identity).  Returns the model, the
@@ -295,27 +322,27 @@ def gate_runs():
     budgets = {"none": None, "zero": 0.0, "se": table["se"], "ca": table["ca"], "inf": math.inf}
     seq = probe_sequence()
     runs = {}
-    with T.no_grad():
-        for index in PROBE_FRAMES:
-            feature, _ = probe_feature(model, seq, index)
-            for key, budget in budgets.items():
-                runs[index, key] = model.enhance_infer(feature, budget=budget,
-                                                       frame_index=index)
+    for index in PROBE_FRAMES:
+        feature, _ = probe_feature(model, seq, index)
+        for key, budget in budgets.items():
+            runs[index, key] = model.enhance_infer(feature, budget=budget, frame_index=index)
     return model, seq, runs
 
 
 def decisions():
-    """Each gate run's chosen branch, mode, returned cost, recorded weights and
-    enhanced-map digest."""
-    _, _, runs = gate_runs()
+    """Each graph-free gate run's chosen branch, mode, returned cost, recorded
+    weights and enhanced-map digest."""
+    with T.no_grad():
+        _, _, runs = gate_runs()
     return {key: (decision.chosen_name, decision.mode, cost,
                   tuple(decision.weights.tolist()), digest([out.data]))
             for key, (out, decision, cost) in runs.items()}
 
 
 def trace_stats():
-    """Per-phase gate statistics and activation rate over every gate run."""
-    model, seq, runs = gate_runs()
+    """Per-phase gate statistics and activation rate over every graph-free gate run."""
+    with T.no_grad():
+        model, seq, runs = gate_runs()
     return metrics.gate_trace_stats([decision for _, decision, _ in runs.values()],
                                     [seq.phases[index] for index, _ in runs],
                                     model.cost_table)
@@ -422,6 +449,33 @@ def test_trace_stats():
     stats, rate = trace_stats()
     assert list(stats) == ["stable", "occlusion", "fast"]  # first-seen order
     assert (stats, rate) == TRACE_STATS
+
+
+@pytest.mark.parametrize("attention_mode", ["gated", "static", "none"])
+def test_float32_forward_tracks_the_float64_forward(attention_mode):
+    with T.no_grad():
+        single = probe_outputs(attention_mode)
+    double = probe_outputs(attention_mode)  # records a graph, so runs in float64
+    for index in PROBE_FRAMES:
+        (out32, det32, attn32), (out64, det64, attn64) = single[index], double[index]
+        for part in ("cls", "ctr", "reg"):
+            got, want = getattr(out32, part).data, getattr(out64, part).data
+            assert got.dtype == np.float32 and want.dtype == np.float64
+            assert np.all(np.abs(got - want) <= MAP_ATOL + MAP_RTOL * np.abs(want)), part
+        assert np.abs(det32.box.as_array() - det64.box.as_array()).max() <= BOX_ATOL_PX
+        for attn in (attn32, attn64):
+            assert attn.data.dtype == np.float64
+            assert np.abs(attn.data.sum(axis=3) - 1.0).max() <= ROWS_SUM_TOL
+
+
+def test_float32_gate_picks_the_float64_branch():
+    with T.no_grad():
+        _, _, single = gate_runs()
+    _, _, double = gate_runs()
+    assert len(single) == len(PROBE_FRAMES) * 5
+    for key, (_, decision, _) in single.items():
+        assert decision.logits.dtype == np.float32
+        assert decision.chosen == double[key][1].chosen, key
 
 
 def test_static_without_branches_runs_identity():

@@ -1,6 +1,7 @@
 """Run configuration, checkpoints and the typed errors of degenerate input."""
 
 import json
+import math
 import struct
 from dataclasses import fields
 
@@ -144,6 +145,16 @@ def test_budget_needs_gated_attention(attention_mode):
         model.enhance_infer(T.zeros((1, 32, 16, 16)), budget=0.0)
 
 
+@pytest.mark.parametrize("budget", [None, math.inf], ids=["hard", "budgeted"])
+def test_nan_gate_input_raises_numeric_error_naming_the_frame(budget):
+    """np.argmax takes a NaN for the largest weight, so a NaN feature used to
+    be recorded as a clean decision (hard: identity with NaN logits)."""
+    model = M.TrackModel(M.ModelConfig(), seed=0)
+    feature = T.full((1, 32, 16, 16), math.nan)
+    with T.no_grad(), pytest.raises(NumericError, match="gate logits at frame 7"):
+        model.enhance_infer(feature, budget=budget, frame_index=7)
+
+
 @pytest.mark.parametrize("attention_mode, weights, name", [
     pytest.param("static", [0.0, 1 / 3, 1 / 3, 1 / 3], "se+ca+cbam", id="static-weights0"),
     pytest.param("none", [1.0, 0.0, 0.0, 0.0], "identity", id="none-weights1")])
@@ -183,13 +194,16 @@ def test_stride_is_the_backbone_downsampling(crop_size):
 
 class TestCheckpoint:
     def test_load_model_restores_values_bitwise(self, tmp_path):
+        # inside no_grad too, where a forward runs in float32, parameters stay float64
         config = M.ModelConfig()
         saved = M.TrackModel(config, seed=3)
         path = tmp_path / "model.gtck"
-        M.save_checkpoint(path, saved.params)
-        loaded = M.load_model(config, path)
+        with T.no_grad():
+            M.save_checkpoint(path, saved.params)
+            loaded = M.load_model(config, path)
         assert loaded.params.names() == saved.params.names()
         for name, tensor in saved.params.items():
+            assert loaded.params[name].data.dtype == np.float64
             assert loaded.params[name].data.tobytes() == tensor.data.tobytes()
 
     def test_shape_mismatch(self, tmp_path):

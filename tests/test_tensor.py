@@ -34,6 +34,27 @@ DX_PATHS = [
 ]
 
 
+def conv_oracle(x, w, b, stride, pad):
+    """Nested-loop cross-correlation of plain arrays, in float64."""
+    batch, cin = x.shape[:2]
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh = (xp.shape[2] - k) // stride + 1
+    ow = (xp.shape[3] - k) // stride + 1
+    expect = np.zeros((batch, cout, oh, ow))
+    for n in range(batch):
+        for o in range(cout):
+            for i in range(oh):
+                for j in range(ow):
+                    acc = b[0, o, 0, 0]
+                    for c in range(cin):
+                        for ki in range(k):
+                            for kj in range(k):
+                                acc += xp[n, c, i * stride + ki, j * stride + kj] * w[o, c, ki, kj]
+                    expect[n, o, i, j] = acc
+    return expect
+
+
 def sliding_window_columns(data, kh, kw, stride, pad):
     """im2col columns built the way conv2d used to: sliding_window_view, then
     a transposing copy into (n, c kh kw, oh ow)."""
@@ -59,6 +80,15 @@ class TestConstruction:
         for name in T.__all__:
             obj = vars(T).get(name)
             assert callable(obj) and obj.__module__ == T.__name__, name
+
+    @pytest.mark.parametrize("dtype, stored", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float16, np.float64), (np.int64, np.float64)])
+    def test_keeps_float32_and_stores_other_data_as_float64(self, dtype, stored):
+        values = np.arange(4).reshape(1, 4, 1, 1)
+        t = T.Tensor4(values.astype(dtype))
+        assert t.data.dtype == stored
+        assert np.array_equal(t.data, values)
 
     def test_item_requires_scalar(self):
         with pytest.raises(ShapeError):
@@ -128,23 +158,25 @@ class TestConv2d:
         w = rand4(rng, (cout, 3, k, k))
         b = T.Tensor4(rng.standard_normal((1, cout, 1, 1)))
         y = T.conv2d(x, w, b, stride=stride, pad=pad)
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        expect = np.zeros(y.shape)
-        for n in range(batch):
-            for o in range(cout):
-                for i in range(y.shape[2]):
-                    for j in range(y.shape[3]):
-                        acc = b.data[0, o, 0, 0]
-                        for c in range(3):
-                            for ki in range(k):
-                                for kj in range(k):
-                                    acc += (
-                                        xp[n, c, i * stride + ki, j * stride + kj]
-                                        * w.data[o, c, ki, kj]
-                                    )
-                        expect[n, o, i, j] = acc
+        assert y.data.dtype == np.float64
+        expect = conv_oracle(x.data, w.data, b.data, stride, pad)
         assert np.max(np.abs(y.data - expect)) < 1e-12
 
+    @pytest.mark.parametrize("k, stride, pad, cout", [
+        (3, 1, 1, 4), (3, 2, 1, 4), (7, 1, 3, 1), (1, 1, 0, 4)],
+        ids=["k3s1p1", "k3s2p1", "k7s1p3_cout1", "k1s1p0"])
+    def test_no_grad_multiplies_in_float32(self, k, stride, pad, cout):
+        # each kernel path; float32 sums of up to 147 products of standard
+        # normals err here by 2e-6 at most, far below any wrong term
+        rng = np.random.default_rng(3)
+        x = rand4(rng, (2, 3, 5, 7))
+        w = rand4(rng, (cout, 3, k, k))
+        b = T.Tensor4(rng.standard_normal((1, cout, 1, 1)))
+        with T.no_grad():
+            y = T.conv2d(x, w, b, stride=stride, pad=pad)
+        assert y.data.dtype == np.float32
+        expect = conv_oracle(x.data, w.data, b.data, stride, pad)
+        assert np.max(np.abs(y.data - expect)) < 1e-4
 
     @pytest.mark.parametrize("k, stride, pad, cout", [
         (3, 1, 1, 4), (3, 2, 1, 1), (1, 1, 0, 4)], ids=["k3", "k3_cout1_strided", "k1"])
@@ -302,6 +334,16 @@ class TestSoftmaxTau:
         assert np.all(y > 0.0)
         assert abs(y.sum() - 1.0) <= 1e-15
 
+    def test_float32_floor_keeps_an_underflowed_entry_positive(self):
+        # a graph-free gate's logits are float32, where the float64 floor 4 * 5e-324
+        # rounds to 0; the floor is the array's own smallest subnormal
+        logits = T.Tensor4(np.array([0.0, 0.0, -1e4, 0.0], np.float32).reshape(1, 4, 1, 1))
+        with T.no_grad():
+            y = T.softmax_tau(logits, tau=1.0).data.ravel()
+        assert y.dtype == np.float32
+        assert np.all(y > 0.0)
+        assert abs(y.sum() - 1.0) <= 1e-6
+
     def test_sum_one_and_positive_over_tau_range(self):
         rng = np.random.default_rng(5)
         for tau in [1e-6, 1e-3, 1.0, 1e3, 1e6]:
@@ -370,6 +412,17 @@ class TestAttend:
         k = rng.standard_normal((1, 16, 2048, 1))
         y = T.attend(T.Tensor4(q), T.Tensor4(k), 16 ** 0.5).data
         assert y.tobytes() == softmax_rows_reference(q, k, 4.0).tobytes()
+
+    def test_float32_operands_give_the_float64_rows_of_their_values(self):
+        # a graph-free readout's keys are float32; its rows must still sum to 1
+        # within 1e-9, which float32 rows of 2048 entries miss
+        rng = np.random.default_rng(31)
+        q = rng.standard_normal((1, 16, 256, 1)).astype(np.float32)
+        k = rng.standard_normal((1, 16, 2048, 1)).astype(np.float32)
+        y = T.attend(T.Tensor4(q), T.Tensor4(k), 16 ** 0.5).data
+        ref = softmax_rows_reference(q.astype(np.float64), k.astype(np.float64), 4.0)
+        assert y.dtype == np.float64
+        assert y.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_other_tau_within_a_few_ulp(self, n):
