@@ -108,6 +108,17 @@ def gate_logits(feature, p: GateParams):
     return T.conv2d(hidden, p.w2, p.b2)
 
 
+def _finite_logits(feature, p: GateParams, frame_index):
+    """:func:`gate_logits`, raising :class:`NumericError` naming ``frame_index``
+    on a NaN or infinite logit: an argmax would take a NaN for the largest
+    weight and record the frame as a clean decision."""
+    logits = gate_logits(feature, p)
+    if not np.isfinite(logits.data).all():
+        raise NumericError(f"gate logits at frame {frame_index} are not finite: "
+                           f"{logits.data.ravel().tolist()}")
+    return logits
+
+
 def budget_filter(weights, table, remaining_budget):
     """Zero out weights of branches that do not fit the budget; renormalize.
 
@@ -134,9 +145,10 @@ def soft_attention(feature, branches, gate: GateParams, frame_index=0):
     ``branches`` maps branch name to its parameter set.  Returns
     ``(output, weights, decisions)``: ``weights`` is the in-graph (n, B, 1, 1)
     tensor, so a loss can regularize the expected cost, and ``decisions``
-    holds one soft :class:`GateDecision` per batch row.
+    holds one soft :class:`GateDecision` per batch row.  A NaN or infinite
+    logit raises :class:`NumericError` naming ``frame_index``.
     """
-    logits_t = gate_logits(feature, gate)
+    logits_t = _finite_logits(feature, gate, frame_index)
     weights_t = T.softmax_tau(logits_t, gate.tau)
     out = None
     for i, kind in enumerate(BRANCH_ORDER):
@@ -165,14 +177,11 @@ def decide(feature, gate: GateParams, table, budget=None, frame_index=0):
     one-hot.  With a budget it is budgeted: :func:`budget_filter` masks the
     branches whose ``table`` cost does not fit, and the filtered weights are
     recorded.  A NaN or infinite logit raises :class:`NumericError` naming
-    ``frame_index``: the argmax would take a NaN for the largest weight.
+    ``frame_index``.
     """
     if feature.shape[0] != 1:
         raise ShapeError(f"a decision gates one feature at a time, got batch {feature.shape[0]}")
-    logits = gate_logits(feature, gate)
-    if not np.isfinite(logits.data).all():
-        raise NumericError(f"gate logits at frame {frame_index} are not finite: "
-                           f"{logits.data.ravel().tolist()}")
+    logits = _finite_logits(feature, gate, frame_index)
     weights = T.softmax_tau(logits, gate.tau).data.ravel()
     if budget is None:
         chosen = int(np.argmax(weights))

@@ -5,11 +5,13 @@ stacks every stored pixel into one column, runs one key and one value
 projection over the whole stack and one key projection over the query,
 attends from every query pixel over all memory pixels, gathers the
 projected values and fuses the read with the query feature through a 1x1
-conv.  The attention is one op, ``tensor.attend``: the scaled dot product
-of the query and memory keys is written straight into the (n, 1, Q, P)
-rows it returns, and the row softmax runs in place on them.  The fused map
-always has the query's spatial size no matter how many frames are stored,
-and is invariant to any permutation of the memory pixels.
+conv.  The attention is one op, ``tensor.attend``: it takes the query rows
+in cache-sized blocks, and in each the scaled dot product of the query and
+memory keys, its max subtraction and ``exp`` run in the keys' dtype (float32
+in a graph-free frame) while the row sums and the division into the float64
+(n, 1, Q, P) rows it returns run in float64.  The fused map always has the
+query's spatial size no matter how many frames are stored, and is invariant
+to any permutation of the memory pixels.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ Precision follows from whether a graph is recorded (see :mod:`gatetrack.tensor`)
 Training, and any forward that records a graph, runs in float64.  A frame
 tracked inside ``T.no_grad()`` runs its convolutions in float32, so its
 features, memory entries and head maps are float32; the readout's attention
-rows stay float64.  Parameters and checkpoints are float64 either way.
+logits and ``exp`` run in float32 too, but its rows are summed and
+normalised in float64.  Parameters and checkpoints are float64 either way.
 
 Checkpoints are a text index, ``GTCK1 <count>`` then one ``<name> <size>``
 line per tensor and a blank line, followed by one DT64 blob per entry (the

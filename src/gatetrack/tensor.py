@@ -26,17 +26,22 @@ Design notes:
     gradient is checked, ``conv2d`` multiplies float32 copies of its input,
     weight and bias (single-precision GEMMs run about twice as fast), so
     every activation after a tracked frame's first conv is float32 and the
-    elementwise ops keep it.  ``attend`` computes its rows in float64 from
-    float32 operands, so they sum to 1 within 1e-12, and ``apply_attention``
-    then reads the values in float64.  A ``Tensor4`` keeps float32 data
-    as float32 and stores any other data as float64, so parameters,
-    checkpoints and loaded tensors stay float64.
+    elementwise ops keep it.  ``attend`` runs its logits and ``exp`` in the
+    operands' dtype but sums and normalises its rows in float64, so float32
+    rows still sum to 1 within 1e-12, and ``apply_attention`` then reads
+    the values in float64.  A ``Tensor4`` keeps float32 data as float32 and
+    stores any other data as float64, so parameters, checkpoints and loaded
+    tensors stay float64.
   * the hot kernels (k x k convolution, softmax, attention) avoid full-size
     temporaries: im2col keeps the output pixels innermost, softmax works in
-    place on one array, and ``attend`` writes the query-key product into the
-    array it returns and runs the softmax in place on it.  Its temperature
-    scales the small query columns instead of the (Q, P) logits, which is
-    exact for a power-of-two tau such as the readout's ``sqrt(16)``.
+    place on one array, and ``attend`` works through its query rows in
+    blocks of about ``_ATTEND_BLOCK_BYTES`` of output, so each pass over a
+    block runs from cache.  A float64 block's product lands in the array
+    ``attend`` returns and its softmax runs in place there; a float32 block
+    runs in one reused scratch block and is widened into the output, where
+    it is summed and scaled.  The temperature scales the small query
+    columns instead of the (Q, P) logits, which is exact for a power-of-two
+    tau such as the readout's ``sqrt(16)``.
   * im2col is one strided view of the padded input, already in
     ``(n, c, kh, kw, oh, ow)`` order, copied once into the columns.
   * a k x k input gradient takes one of two exact forms.  With stride 1,
@@ -113,6 +118,10 @@ _flops = None  # [total] of the innermost open count_flops() block
 
 # exp() clamps its argument here so finite inputs can never produce Inf
 _EXP_CLAMP = 50.0
+
+# attend() takes its query rows in blocks of about this many bytes of float64
+# output, so a block's passes run from a core's cache rather than memory
+_ATTEND_BLOCK_BYTES = 512 * 1024
 
 
 @contextmanager
@@ -352,18 +361,28 @@ def exp(x):
     return _result(y, (x,), backward, y.size)
 
 
-def _softmax_rows(y, axis):
-    """Finish a softmax in place on max-subtracted, scaled logits ``y``.
+def _softmax_rows(y, axis, out=None):
+    """Finish a softmax on max-subtracted, scaled logits ``y``.
 
-    After ``exp`` every entry is at most 1, so a row sums to at most its
-    length L.  Entries are floored at L times the smallest subnormal of
-    ``y``'s dtype: an underflowed entry then stays positive after the
-    division by the row sum, and no entry above L * 1e-307 in float64, or
-    L * 1e-37 in float32, moves.
+    ``exp`` and the floor run in place on ``y``.  By default the rows are
+    then divided by their sums in place; given a wider ``out``, they are
+    copied into it, summed there and scaled by the reciprocals of their
+    sums, which is within 2 ulp of the division.  After ``exp`` every entry
+    is at most 1, so a row sums to at most its length L.  Entries are
+    floored at L times the smallest subnormal of ``y``'s dtype: an
+    underflowed entry then stays positive after the normalisation, and no
+    entry above L * 1e-307 in float64, or L * 1e-37 in float32, moves.
     """
     np.exp(y, out=y)
     y += y.shape[axis] * np.finfo(y.dtype).smallest_subnormal
-    y /= y.sum(axis=axis, keepdims=True)
+    if out is None:
+        y /= y.sum(axis=axis, keepdims=True)
+        return
+    # widen once: mixed-dtype ufuncs cast in small buffers, which made
+    # attend's loop at 256 x 2048 about 25 % slower; scaling by the
+    # reciprocals takes that loop about 8 % less time than dividing
+    out[...] = y
+    out *= 1.0 / out.sum(axis=axis, keepdims=True)
 
 
 def _softmax_grad(g, y, axis):
@@ -702,15 +721,21 @@ def _pixel_major(cols):
 def attend(q, k, tau):
     """Attention rows of query pixels over key pixels, temperature ``tau``.
 
-    ``q``: (n, c, Q, 1) and ``k``: (n, c, P, 1) give (n, 1, Q, P) with row
-    ``i`` the softmax over ``j`` of ``sum_c q[c, i] k[c, j] / tau``.  The
-    small query columns are scaled by ``1/tau`` and the product lands in the
-    returned array, on which the max subtraction, ``exp``, the subnormal
-    floor and the row normalisation of :func:`softmax_tau` run in place.
-    For a power-of-two ``tau`` (the readout's ``sqrt(16) = 4``) the scaling
-    is exact, so the rows are bitwise those of dividing the logits.  The
-    rows are float64 whatever the operands' dtype: float32 rows of 256 or
-    more entries do not sum to 1 within 1e-9.
+    ``q``: (n, c, Q, 1) and ``k``: (n, c, P, 1) give float64 (n, 1, Q, P)
+    rows, row ``i`` the softmax over ``j`` of ``sum_c q[c, i] k[c, j] /
+    tau``.  The small query columns are scaled by ``1/tau``; for a
+    power-of-two ``tau`` (the readout's ``sqrt(16) = 4``) that is exact, so
+    the rows are bitwise those of dividing the logits.
+
+    The rows are computed in blocks of about ``_ATTEND_BLOCK_BYTES`` of
+    output.  Each block's product, max subtraction, ``exp`` and subnormal
+    floor (see :func:`_softmax_rows`) run in the operands' dtype.  Float64
+    blocks are computed and divided by their row sums in place in the
+    returned array, which keeps them bitwise those of one whole-array pass.
+    Float32 blocks are computed in a scratch block, then widened into the
+    returned array, summed and scaled by the reciprocal row sums there.  So
+    rows sum to 1 within 1e-12 and stay strictly positive either way;
+    float32 rows of 256 or more entries would not sum to 1 within 1e-9.
     """
     if tau <= 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
@@ -718,12 +743,29 @@ def attend(q, k, tau):
         raise ShapeError(f"attend batch/channel mismatch: {q.shape} vs {k.shape}")
     if q.shape[3] != 1 or k.shape[3] != 1:
         raise ShapeError("attend operands must be pixel columns (w == 1)")
-    # float64 query columns make the product, and so the rows, float64
-    qs = np.divide(q.data[:, :, :, 0], tau, dtype=np.float64)
+    if k.size == 0:
+        raise ShapeError(f"attend needs at least one key, got shape {k.shape}")
+    dtype = np.result_type(q.data, k.data)
+    qs = np.divide(q.data[:, :, :, 0], tau, dtype=dtype)
+    qt = qs.transpose(0, 2, 1)
     k3 = k.data[:, :, :, 0]
-    y = np.matmul(qs.transpose(0, 2, 1), k3)[:, None]
-    y -= y.max(axis=3, keepdims=True)
-    _softmax_rows(y, 3)
+    n, rows, p = q.shape[0], q.shape[2], k.shape[2]
+    y = np.empty((n, 1, rows, p))
+    step = max(2, _ATTEND_BLOCK_BYTES // (8 * n * p))
+    # a single leftover row joins the block before it (below), hence step + 1
+    scratch = None if dtype == np.float64 else np.empty((n, min(step + 1, rows), p), dtype)
+    lo = 0
+    while lo < rows:
+        # numpy runs a one-row product as a matrix-vector product, which
+        # rounds differently from the matrix product, so no block is one row
+        # unless the whole array is
+        hi = rows if lo + step >= rows - 1 else lo + step
+        out = y[:, 0, lo:hi]
+        block = out if scratch is None else scratch[:, :hi - lo]
+        np.matmul(qt[:, lo:hi], k3, out=block)
+        block -= block.max(axis=2, keepdims=True)
+        _softmax_rows(block, 2, None if scratch is None else out)
+        lo = hi
 
     def backward(g):
         # the logits' 1/tau reaches dk through the scaled query and dq here

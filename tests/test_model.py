@@ -155,6 +155,15 @@ def test_nan_gate_input_raises_numeric_error_naming_the_frame(budget):
         model.enhance_infer(feature, budget=budget, frame_index=7)
 
 
+def test_nan_soft_gate_input_raises_numeric_error_naming_the_frame():
+    """The soft blend's argmax took a NaN for the largest weight too: an
+    all-NaN feature was recorded as a clean soft decision for identity."""
+    model = M.TrackModel(M.ModelConfig(), seed=0)
+    feature = T.full((1, 32, 16, 16), math.nan)
+    with pytest.raises(NumericError, match="gate logits at frame 7"):
+        model.enhance_soft(feature, frame_index=7)
+
+
 @pytest.mark.parametrize("attention_mode, weights, name", [
     pytest.param("static", [0.0, 1 / 3, 1 / 3, 1 / 3], "se+ca+cbam", id="static-weights0"),
     pytest.param("none", [1.0, 0.0, 0.0, 0.0], "identity", id="none-weights1")])

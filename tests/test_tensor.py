@@ -413,16 +413,54 @@ class TestAttend:
         y = T.attend(T.Tensor4(q), T.Tensor4(k), 16 ** 0.5).data
         assert y.tobytes() == softmax_rows_reference(q, k, 4.0).tobytes()
 
-    def test_float32_operands_give_the_float64_rows_of_their_values(self):
-        # a graph-free readout's keys are float32; its rows must still sum to 1
-        # within 1e-9, which float32 rows of 2048 entries miss
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("rows_per_block", [2, 4, 5],
+                             ids=["blocks_of_2", "blocks_of_4", "blocks_of_5"])
+    def test_row_blocks_are_bitwise_one_pass(self, monkeypatch, n, rows_per_block):
+        # 13 query rows: blocks of 2 and of 4 leave one row over, which joins
+        # the last block; blocks of 5 end in a ragged block of 3.  Forward and
+        # backward must match the one-block op
+        rng = np.random.default_rng(33)
+        q = rng.standard_normal((n, 5, 13, 1))
+        k = rng.standard_normal((n, 5, 20, 1))
+        g = rng.standard_normal((n, 1, 13, 20))
+
+        def rows_and_grads():
+            qt, kt = T.Tensor4(q, requires_grad=True), T.Tensor4(k, requires_grad=True)
+            y = T.attend(qt, kt, 2.0)
+            T.sum_all(T.mul_broadcast(y, T.Tensor4(g))).backward()
+            return y.data, qt.grad, kt.grad
+
+        one_pass = rows_and_grads()
+        monkeypatch.setattr(T, "_ATTEND_BLOCK_BYTES", rows_per_block * 8 * n * 20)
+        blocked = rows_and_grads()
+        assert blocked[0].tobytes() == softmax_rows_reference(q, k, 2.0).tobytes()
+        for got, want in zip(blocked, one_pass):
+            assert got.tobytes() == want.tobytes()
+
+    def test_float32_operands_give_float64_rows_close_to_their_values(self):
+        # a graph-free readout's keys are float32: the logits and exp run in
+        # float32, the row sums and normalisation in float64, so rows still sum
+        # to 1 within 1e-12, which float32 rows of 2048 entries miss
         rng = np.random.default_rng(31)
         q = rng.standard_normal((1, 16, 256, 1)).astype(np.float32)
         k = rng.standard_normal((1, 16, 2048, 1)).astype(np.float32)
         y = T.attend(T.Tensor4(q), T.Tensor4(k), 16 ** 0.5).data
         ref = softmax_rows_reference(q.astype(np.float64), k.astype(np.float64), 4.0)
         assert y.dtype == np.float64
-        assert y.tobytes() == ref.tobytes()
+        assert np.abs(y.sum(axis=3) - 1.0).max() <= 1e-12
+        assert np.max(np.abs(y - ref) / ref) <= 1e-5
+
+    def test_float32_rows_stay_positive_where_exp_underflows(self):
+        keys = np.array([0.0, -300.0, -1000.0], dtype=np.float32).reshape(1, 1, 3, 1)
+        y = T.attend(T.Tensor4(np.ones((1, 1, 2, 1), np.float32)), T.Tensor4(keys), 1.0).data
+        assert y.dtype == np.float64
+        assert np.all(y > 0.0)
+        assert np.abs(y.sum(axis=3) - 1.0).max() <= 1e-12
+
+    def test_empty_key_set_raises_shape_error(self):
+        with pytest.raises(ShapeError):
+            T.attend(T.zeros((1, 2, 3, 1)), T.zeros((1, 2, 0, 1)), 1.0)
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_other_tau_within_a_few_ulp(self, n):
