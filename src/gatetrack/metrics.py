@@ -48,10 +48,14 @@ class TrackResult:
         return np.array([iou(p, g) for p, g in zip(self.pred, self.gt)])
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 whenever the union is empty."""
+def _require_finite(a: BBox, b: BBox):
     if not all(math.isfinite(v) for v in (a.x, a.y, a.w, a.h, b.x, b.y, b.w, b.h)):
         raise NumericError(f"boxes must have finite fields, got {a} and {b}")
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union; 0 whenever the union is empty."""
+    _require_finite(a, b)
     if a.w < 0 or a.h < 0 or b.w < 0 or b.h < 0:
         raise ShapeError("boxes must have nonnegative sizes")
     ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
@@ -78,9 +82,13 @@ def otb_success_precision(result: TrackResult):
 
 
 def normalized_precision(result: TrackResult) -> float:
-    """AUC of the size-normalized center-error curve over [0, 0.5]."""
+    """AUC of the size-normalized center-error curve over [0, 0.5].
+
+    A non-finite box raises :class:`NumericError`, as in :func:`iou`.
+    """
     errors = []
     for p, g in zip(result.pred, result.gt):
+        _require_finite(p, g)
         if g.w <= 0 or g.h <= 0:
             raise ShapeError(f"degenerate ground-truth box {g}")
         errors.append(np.hypot((p.cx - g.cx) / g.w, (p.cy - g.cy) / g.h))

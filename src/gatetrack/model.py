@@ -1,10 +1,14 @@
 """Full tracker model: backbone stem, enhancement branches, gate, readout, head.
 
-The backbone is a small three-conv stem, 1 -> ``stem_width`` -> ``channels``
--> ``channels`` (1 -> 16 -> 32 -> 32 by default), producing 16x16 feature
-maps from 64x64 grayscale crops.  Its conv strides are ``STEM_STRIDES``;
-``ModelConfig.stride`` is their product, the backbone's downsampling factor,
-read from the stem rather than set.
+The backbone is a small three-conv stem, 1 -> ``STEM_WIDTH`` -> ``CHANNELS``
+-> ``CHANNELS`` (1 -> 16 -> 32 -> 32), producing 16x16 feature maps from
+64x64 grayscale crops.  Its conv strides are ``STEM_STRIDES`` and ``STRIDE``
+is their product, the backbone's downsampling factor.  These sizes, the
+branch and gate bottlenecks, the gate temperature and the readout's key and
+value widths are module constants.  :class:`ModelConfig` holds only what a
+workload sets: the memory bank's capacity and write rule, and the attention
+mode with its static branches.  Its ``crop_size``, ``stride`` and
+``feature_size`` read the constants.
 
 Enhancement runs a set of named branches and averages their outputs; the
 attention mode fixes how the set is chosen:
@@ -45,33 +49,35 @@ from . import tensor as T
 from .errors import ConfigError, NumericError, ShapeError, _require_real, _require_size
 
 STEM_STRIDES = (2, 2, 1)  # backbone conv1..conv3
+STRIDE = math.prod(STEM_STRIDES)  # the backbone's downsampling factor
+CROP_SIZE = 64  # side of a memory or search crop, px
+FEATURE_SIZE = CROP_SIZE // STRIDE
+STEM_WIDTH = 16  # conv1's output width; conv2 and conv3 output ``CHANNELS``
+CHANNELS = 32  # feature width of the backbone, branches, readout and head
+REDUCTION = 4  # channel bottleneck of the SE, CA and CBAM branches
+GATE_SCALE = 4  # channel bottleneck of the gate
+TAU = 1.0  # gate softmax temperature
+KEY_CHANNELS = 16  # readout key width
+VALUE_CHANNELS = 16  # readout value width
 
 
 @dataclass
 class ModelConfig:
-    channels: int = 32
-    stem_width: int = 16  # conv1's output width; conv2 and conv3 output ``channels``
-    reduction: int = 4
-    gate_scale: int = 4
-    tau: float = 1.0
-    key_channels: int = 16
-    value_channels: int = 16
     memory_capacity: int = 3
     write_period: int = 5
     write_threshold: float = 0.6
-    crop_size: int = 64
     attention_mode: str = "gated"  # gated | static | none
     static_branches: tuple = ("se", "ca", "cbam")
 
+    # fixed sizes, read through a config by callers that take one
+    crop_size = CROP_SIZE
+    stride = STRIDE
+    feature_size = FEATURE_SIZE
+
     def __post_init__(self):
-        for key in _SIZE_KEYS:
+        for key in ("memory_capacity", "write_period"):
             _require_size(key, getattr(self, key))
-        attention._bottleneck(self.channels, self.reduction)
-        attention._bottleneck(self.channels, self.gate_scale, "gate_scale")
-        _require_real("tau", self.tau)
         _require_real("write_threshold", self.write_threshold, "in [0, 1]")
-        if self.crop_size % self.stride:
-            raise ConfigError("crop size must be divisible by the feature stride")
         if self.attention_mode not in ("gated", "static", "none"):
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         if not isinstance(self.static_branches, tuple):
@@ -84,18 +90,6 @@ class ModelConfig:
             raise ConfigError(f"static_branches must not repeat a branch, "
                               f"got {self.static_branches!r}")
 
-    @property
-    def stride(self):
-        return math.prod(STEM_STRIDES)
-
-    @property
-    def feature_size(self):
-        return self.crop_size // self.stride
-
-
-_SIZE_KEYS = ("channels", "stem_width", "reduction", "gate_scale", "key_channels",
-              "value_channels", "memory_capacity", "write_period", "crop_size")
-
 
 class TrackModel:
     """Owns the parameter set and the forward pieces of the tracker."""
@@ -104,8 +98,8 @@ class TrackModel:
         self.config = config
         self.params = T.ParamSet()
         rng = np.random.default_rng(seed)
-        c = config.channels
-        c1 = config.stem_width
+        c = CHANNELS
+        c1 = STEM_WIDTH
 
         p = self.params
         self.stem = (
@@ -116,14 +110,13 @@ class TrackModel:
             p.add("backbone.conv3.w", T.he_normal(rng, (c, c, 3, 3))),
             p.add("backbone.conv3.b", T.zeros((1, c, 1, 1)), decay=False),
         )
-        self.branches = attention.init_branches(p, rng, c, config.reduction)
-        self.gate = gate.init_gate(p, rng, c, config.gate_scale, config.tau)
-        self.readout = memory.init_readout(
-            p, rng, c, config.key_channels, config.value_channels)
+        self.branches = attention.init_branches(p, rng, c, REDUCTION)
+        self.gate = gate.init_gate(p, rng, c, GATE_SCALE, TAU)
+        self.readout = memory.init_readout(p, rng, c, KEY_CHANNELS, VALUE_CHANNELS)
         self.head = head.init_head(p, rng, c)
-        fs = config.feature_size
-        self.cost_table = flops.branch_costs(c, config.reduction, fs, fs)
-        self.gate_flops = gate.gate_cost(c, config.gate_scale, fs, fs)
+        fs = FEATURE_SIZE
+        self.cost_table = flops.branch_costs(c, REDUCTION, fs, fs)
+        self.gate_flops = gate.gate_cost(c, GATE_SCALE, fs, fs)
         static = config.static_branches if config.attention_mode == "static" else ()
         self.fixed_branches = tuple(static) or ("identity",)
 
@@ -204,14 +197,13 @@ class TrackModel:
 
     def layer_inventory(self):
         """(name, kind, dims) rows for the full per-frame pipeline."""
-        cfg = self.config
-        s1 = cfg.crop_size // STEM_STRIDES[0]
-        c1 = cfg.stem_width
-        c = cfg.channels
-        fs = cfg.feature_size
+        s1 = CROP_SIZE // STEM_STRIDES[0]
+        c1 = STEM_WIDTH
+        c = CHANNELS
+        fs = FEATURE_SIZE
         q = fs * fs
-        mem_pixels = cfg.memory_capacity * q
-        ck, cv = cfg.key_channels, cfg.value_channels
+        mem_pixels = self.config.memory_capacity * q
+        ck, cv = KEY_CHANNELS, VALUE_CHANNELS
         rows = [
             ("backbone.conv1", "conv", {"k": 4, "cin": 1, "cout": c1,
                                         "hout": s1, "wout": s1}),
@@ -358,6 +350,7 @@ def crop_at(frame_data, center, size):
     from ``center - size/2`` near the borders.  A NaN or infinite centre
     raises :class:`NumericError`.
     """
+    _require_size("crop size", size)
     if not np.isfinite(center).all():
         raise NumericError(f"crop centre must be finite, got {tuple(center)}")
     h, w = frame_data.shape[2], frame_data.shape[3]

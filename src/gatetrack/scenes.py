@@ -49,12 +49,15 @@ class ScenarioSpec:
             _require_size(key, getattr(self, key), low)
         for key in ("target_sigma", "intensity", "fast_multiplier"):
             _require_real(key, getattr(self, key))
-        for phase, duration in self.schedule:
+        if not self.schedule:
+            raise ConfigError("schedule needs at least one phase")
+        for entry in self.schedule:
+            phase, duration = _pair("schedule entry", entry)
             if phase not in PHASES:
                 raise ConfigError(f"unknown phase {phase!r}")
             _require_size("phase duration", duration)
         self.schedule = tuple((str(p), int(d)) for p, d in self.schedule)
-        lo, hi = self.occlusion_range
+        lo, hi = _pair("occlusion range", self.occlusion_range)
         if not (0.0 <= lo <= hi <= 1.0):
             raise ConfigError(f"occlusion range {self.occlusion_range} not within [0, 1]")
 
@@ -63,6 +66,15 @@ class ScenarioSpec:
         for phase, duration in self.schedule:
             labels.extend([phase] * duration)
         return labels
+
+
+def _pair(key, value):
+    """``value`` unpacked as a pair; anything else raises ``ConfigError``."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a pair, got {value!r}") from None
+    return first, second
 
 
 @dataclass
@@ -224,8 +236,8 @@ def _draw_occluder(frame, box: BBox, fraction):
 
 def split_benchmark(n_train, n_eval, base_seed):
     """Disjoint seeded train/eval scenario specs; every spec covers all phases."""
-    if n_train < 1 or n_eval < 1:
-        raise ConfigError("need at least one sequence per split")
+    _require_size("n_train", n_train)
+    _require_size("n_eval", n_eval)
     train = [ScenarioSpec(seed=base_seed + 1 + i) for i in range(n_train)]
     eval_ = [ScenarioSpec(seed=base_seed + 100000 + 1 + i) for i in range(n_eval)]
     return train, eval_

@@ -399,7 +399,7 @@ def softmax_tau(x, tau):
     so the output is shift-invariant, strictly positive and sums to 1.
     Small tau approaches one-hot, large tau approaches uniform.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
     # subtract the max before dividing so that adding a constant to the
     # logits cannot change the result even at the last bit; every later step
@@ -737,7 +737,7 @@ def attend(q, k, tau):
     rows sum to 1 within 1e-12 and stay strictly positive either way;
     float32 rows of 256 or more entries would not sum to 1 within 1e-9.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
     if q.shape[0] != k.shape[0] or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attend batch/channel mismatch: {q.shape} vs {k.shape}")
@@ -861,7 +861,7 @@ def grad_check(fn, params, eps=1e-5):
     relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     The perturbed evaluations record a graph too, so they run in float64.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError(f"grad_check eps must be > 0, got {eps}")
     analytic = backprop(fn(params), params)
     worst = 0.0

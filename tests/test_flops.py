@@ -86,7 +86,7 @@ class TestInventoryMatchesCountedOps:
 
     def feature(self):
         fs = self.MODEL.config.feature_size
-        return T.zeros((1, self.MODEL.config.channels, fs, fs))
+        return T.zeros((1, M.CHANNELS, fs, fs))
 
     def test_backbone(self):
         size = self.MODEL.config.crop_size

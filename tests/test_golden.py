@@ -54,8 +54,8 @@ table's argmax still picks.
 """
 
 import hashlib
-import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -251,13 +251,16 @@ GRAD_NORMS = {
 }
 GRAD_NORMS_RTOL = 1e-12
 
-RUN_CONFIG_JSON = {
-    "attention_mode": "gated", "batch": 4, "channels": 32, "crop_size": 64,
-    "gate_scale": 4, "key_channels": 16, "lambda_cost": 0.01, "lr_end": 0.0001,
-    "lr_start": 0.005, "memory_capacity": 3, "momentum": 0.9, "reduction": 4,
-    "static_branches": ["se", "ca", "cbam"], "stem_width": 16, "steps": 2000,
-    "tau": 1.0, "value_channels": 16, "weight_decay": 0.0001, "write_period": 5,
-    "write_threshold": 0.6,
+# every default of the model and run settings, and the model's fixed sizes
+CONFIG_DEFAULTS = {
+    "ModelConfig": {"attention_mode": "gated", "memory_capacity": 3,
+                    "static_branches": ("se", "ca", "cbam"), "write_period": 5,
+                    "write_threshold": 0.6},
+    "RunConfig": {"batch": 4, "lambda_cost": 0.01, "lr_end": 0.0001, "lr_start": 0.005,
+                  "momentum": 0.9, "steps": 2000, "weight_decay": 0.0001},
+    "constants": {"CHANNELS": 32, "CROP_SIZE": 64, "FEATURE_SIZE": 16, "GATE_SCALE": 4,
+                  "KEY_CHANNELS": 16, "REDUCTION": 4, "STEM_STRIDES": (2, 2, 1),
+                  "STEM_WIDTH": 16, "STRIDE": 4, "TAU": 1.0, "VALUE_CHANNELS": 16},
 }
 
 
@@ -419,8 +422,12 @@ def cost_tables():
             for shape in COST_TABLES}
 
 
-def run_config_json():
-    return json.loads(RunConfig().to_json())
+def config_defaults():
+    return {
+        "ModelConfig": asdict(M.ModelConfig()),
+        "RunConfig": asdict(RunConfig()),
+        "constants": {name: getattr(M, name) for name in CONFIG_DEFAULTS["constants"]},
+    }
 
 
 def observed():
@@ -435,7 +442,7 @@ def observed():
         "GRAD_NORMS": grad_norms(grads),
         "N_PARAMS": len(grads),
         "COST_TABLES": cost_tables(),
-        "RUN_CONFIG_JSON": run_config_json(),
+        "CONFIG_DEFAULTS": config_defaults(),
     }
 
 
@@ -508,5 +515,5 @@ def test_cost_tables():
     assert cost_tables() == COST_TABLES
 
 
-def test_run_config_json():
-    assert run_config_json() == RUN_CONFIG_JSON
+def test_config_defaults():
+    assert config_defaults() == CONFIG_DEFAULTS

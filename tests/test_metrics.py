@@ -110,6 +110,16 @@ class TestNormalizedPrecision:
         with pytest.raises(ShapeError):
             M.normalized_precision(M.TrackResult([BBox(0, 0, 1, 1)], [BBox(0, 0, 0, 5)]))
 
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_non_finite_box_raises_as_in_otb(self, side):
+        """A NaN box is a fault upstream, not a miss: both metrics raise."""
+        good, bad = BBox(1.0, 2.0, 3.0, 4.0), BBox(1.0, np.nan, 3.0, 4.0)
+        result = M.TrackResult(*(([bad], [good]) if side == "pred" else ([good], [bad])))
+        with pytest.raises(NumericError, match="finite"):
+            M.otb_success_precision(result)
+        with pytest.raises(NumericError, match="finite"):
+            M.normalized_precision(result)
+
 
 class TestGot10k:
     def test_two_frame_fixture(self):

@@ -1,6 +1,5 @@
 """Run configuration, checkpoints and the typed errors of degenerate input."""
 
-import json
 import math
 import struct
 from dataclasses import fields
@@ -12,95 +11,68 @@ from gatetrack import flops
 from gatetrack import head as H
 from gatetrack import model as M
 from gatetrack import tensor as T
-from gatetrack.config import RunConfig, from_dict, load_config, write_resolved
+from gatetrack.config import RunConfig
 from gatetrack.errors import ConfigError, NumericError, ShapeError
 
 
 class TestRunConfig:
-    def test_json_round_trip(self, tmp_path):
-        config = RunConfig(channels=16, stem_width=8, attention_mode="static",
-                           static_branches=("se",), steps=10, lr_end=0.001)
-        assert from_dict(json.loads(config.to_json())) == config
-        write_resolved(config, tmp_path / "out")
-        assert load_config(tmp_path / "out" / "config_used.json") == config
-
-    def test_overrides_skip_none(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"batch": 5, "tau": 0.5}))
-        config = load_config(path, overrides={"batch": 9, "steps": None})
-        assert (config.batch, config.tau, config.steps) == (9, 0.5, RunConfig().steps)
-
     def test_fields(self):
-        """13 model fields and the 7 training settings; nothing else is settable."""
-        names = [f.name for f in fields(RunConfig)]
-        assert names[:13] == [f.name for f in fields(M.ModelConfig)]
-        assert names[13:] == ["steps", "batch", "lr_start", "lr_end", "momentum",
-                              "weight_decay", "lambda_cost"]
+        """5 model settings and 7 training settings; nothing else is settable."""
+        assert [f.name for f in fields(M.ModelConfig)] == [
+            "memory_capacity", "write_period", "write_threshold", "attention_mode",
+            "static_branches"]
+        assert [f.name for f in fields(RunConfig)] == [
+            "steps", "batch", "lr_start", "lr_end", "momentum", "weight_decay", "lambda_cost"]
 
     # removed keys: scenes are configured by ScenarioSpec, the stride is the
-    # backbone's and the stem has one free width
+    # backbone's, and the model's sizes and gate temperature are constants
     @pytest.mark.parametrize("key", [
         "figures", "no_such_key", "phase_schedule", "seed", "budget", "target_sigma",
-        "occlusion_low", "frame_width", "n_eval_sequences", "stride", "stem_channels"])
+        "occlusion_low", "frame_width", "n_eval_sequences", "stride", "stem_channels",
+        "channels", "stem_width", "reduction", "gate_scale", "tau", "key_channels",
+        "value_channels", "crop_size"])
     def test_unknown_key_rejected(self, key):
-        with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
-            from_dict({key: 8})
-
-    @pytest.mark.parametrize("content, message", [
-        (None, "cannot read"),
-        ("{not json", "not valid JSON"),
-        ("[1, 2]", "JSON object"),
-    ], ids=["missing", "invalid", "not_object"])
-    def test_load_config_errors(self, tmp_path, content, message):
-        path = tmp_path / "run.json"
-        if content is not None:
-            path.write_text(content)
-        with pytest.raises(ConfigError, match=message):
-            load_config(path)
+        for config in (RunConfig, M.ModelConfig):
+            with pytest.raises(TypeError, match=key):
+                config(**{key: 8})
 
     @pytest.mark.parametrize("overrides", [
-        {"crop_size": 63},
         {"attention_mode": "dynamic"},
         {"static_branches": ("se", "eca")},
-        {"tau": 0.0},
-        {"tau": -1.0},
-        {"tau": float("nan")},
         {"memory_capacity": 0},
-        {"key_channels": 0},
-        {"value_channels": 0},
-        {"crop_size": 64.0},
-        {"channels": True},
-        {"stem_width": 0},
-        {"stem_width": 16.0},
         {"write_threshold": "0.6"},
         {"write_threshold": 1.5},
-        {"channels": 30},
-        {"gate_scale": 3},
-        {"stem_width": True},
         {"static_branches": (["se"],)},
         {"static_branches": ("se", "se")},
         {"static_branches": 5},
         {"static_branches": None},
+        {"memory_capacity": True},
+        {"memory_capacity": 2.5},
+        {"memory_capacity": -1},
+        {"write_period": 0},
+        {"write_period": 2.5},
+        {"write_period": True},
+        {"write_threshold": float("nan")},
+        {"write_threshold": -0.1},
+        {"write_threshold": True},
+        {"attention_mode": None},
+        {"attention_mode": "GATED"},
+        {"static_branches": ["se"]},
+        {"static_branches": ("se", "Ca")},
     ])
     def test_model_fields_validated_at_construction(self, overrides):
-        with pytest.raises(ConfigError):
-            RunConfig(**overrides)
         with pytest.raises(ConfigError):
             M.ModelConfig(**overrides)
 
     @pytest.mark.parametrize("values, key", [
-        ({"crop_size": "64"}, "crop_size"),
-        ({"stem_width": 16.0}, "stem_width"),
-        ({"tau": 0}, "tau"),
         ({"memory_capacity": 0}, "memory_capacity"),
-        ({"key_channels": 0}, "key_channels"),
-        ({"value_channels": 0}, "value_channels"),
+        ({"write_period": "5"}, "write_period"),
+        ({"write_threshold": "0.6"}, "write_threshold"),
         ({"static_branches": 5}, "static_branches"),
-    ], ids=["crop_size_str", "stem_int", "tau_zero", "capacity_zero", "key_zero",
-            "value_zero", "static_branches_int"])
+    ], ids=["capacity_zero", "period_str", "threshold_str", "static_branches_int"])
     def test_mistyped_values_raise_config_error_naming_the_key(self, values, key):
         with pytest.raises(ConfigError, match=key):
-            from_dict(values)
+            M.ModelConfig(**values)
 
     @pytest.mark.parametrize("values, key", [
         ({"steps": "2000"}, "steps"),
@@ -114,11 +86,11 @@ class TestRunConfig:
             "lambda_cost_nan", "weight_decay_negative"])
     def test_run_keys_checked_naming_the_key(self, values, key):
         with pytest.raises(ConfigError, match=key):
-            from_dict(values)
+            RunConfig(**values)
 
     def test_run_key_bounds_accepted(self):
-        config = from_dict({"momentum": 0.0, "weight_decay": 0, "lambda_cost": 0,
-                            "lr_start": 0.01, "lr_end": 0.01})
+        config = RunConfig(momentum=0.0, weight_decay=0, lambda_cost=0,
+                           lr_start=0.01, lr_end=0.01)
         assert (config.momentum, config.weight_decay, config.lambda_cost) == (0, 0, 0)
 
 
@@ -193,12 +165,13 @@ def test_fixed_soft_enhancement_records_one_decision_per_row(attention_mode):
 @pytest.mark.parametrize("crop_size", [32, 64, 128])
 def test_stride_is_the_backbone_downsampling(crop_size):
     """Features, cost table and box decoding all use the stride the stem applies."""
-    config = M.ModelConfig(crop_size=crop_size)
-    model = M.TrackModel(config, seed=0)
-    assert model.config.stride == 4
+    model = M.TrackModel(M.ModelConfig(), seed=0)
+    config = model.config
+    assert config.stride == M.STRIDE == 4
+    assert (config.crop_size, config.feature_size) == (M.CROP_SIZE, M.FEATURE_SIZE) == (64, 16)
     fs = model.extract(T.zeros((1, 1, crop_size, crop_size))).shape[2]
-    assert fs == crop_size // config.stride == config.feature_size
-    assert model.cost_table is flops.branch_costs(config.channels, config.reduction, fs, fs)
+    assert fs == crop_size // config.stride
+    assert model.cost_table is flops.branch_costs(M.CHANNELS, M.REDUCTION, 16, 16)
 
 
 class TestCheckpoint:
@@ -216,8 +189,11 @@ class TestCheckpoint:
             assert loaded.params[name].data.tobytes() == tensor.data.tobytes()
 
     def test_shape_mismatch(self, tmp_path):
+        narrowed = T.ParamSet()
+        for name, tensor in M.TrackModel(M.ModelConfig()).params.items():
+            narrowed.add(name, T.Tensor4(tensor.data[:8]) if name == "memory.key.w" else tensor)
         path = tmp_path / "model.gtck"
-        M.save_checkpoint(path, M.TrackModel(M.ModelConfig(key_channels=8)).params)
+        M.save_checkpoint(path, narrowed)
         with pytest.raises(ShapeError, match="memory.key.w"):
             M.load_model(M.ModelConfig(), path)
 
@@ -293,3 +269,10 @@ def test_repeated_checkpoint_tensor_is_named(tmp_path):
 def test_crop_at_non_finite_centre_raises_numeric_error(center):
     with pytest.raises(NumericError):
         M.crop_at(np.zeros((1, 1, 32, 32)), center, 16)
+
+
+@pytest.mark.parametrize("size", [0, -4, 2.5, True])
+def test_crop_at_bad_size_raises_config_error(size):
+    """Unchecked, a size of -4 slices an empty (1, 1, 0, 0) crop."""
+    with pytest.raises(ConfigError, match="crop size"):
+        M.crop_at(np.zeros((1, 1, 32, 32)), (10.0, 10.0), size)

@@ -43,8 +43,9 @@ class TestScenarioSpec:
         with pytest.raises(ConfigError):
             S.ScenarioSpec(seed=1, occlusion_range=(0.5, 1.2))
 
-    # unchecked, each gives NaN frames, a 0x0 box or a truncated phase, or a
-    # raw OverflowError/ValueError from inside generate()
+    # unchecked, each gives NaN frames, a 0x0 box or a truncated phase, an
+    # empty Sequence, or a raw OverflowError/ValueError from inside generate()
+    # or from unpacking a schedule entry or the occlusion range
     @pytest.mark.parametrize("key, value", [
         ("target_sigma", 0.0),
         ("target_sigma", float("nan")),
@@ -54,8 +55,14 @@ class TestScenarioSpec:
         ("frame_width", 64.0),
         ("schedule", (("stable", 2.5),)),
         ("seed", -1),
+        ("schedule", ()),
+        ("schedule", (("stable",),)),
+        ("schedule", (("stable", 5, 1),)),
+        ("occlusion_range", (0.6,)),
+        ("occlusion_range", ()),
     ], ids=["sigma_zero", "sigma_nan", "intensity_nan", "fast_multiplier_nan",
-            "height_zero", "width_float", "duration_fraction", "seed_negative"])
+            "height_zero", "width_float", "duration_fraction", "seed_negative",
+            "schedule_empty", "entry_one", "entry_three", "occlusion_one", "occlusion_empty"])
     def test_degenerate_numbers_rejected(self, key, value):
         with pytest.raises(ConfigError):
             S.ScenarioSpec(**{"seed": 1, key: value})
@@ -153,6 +160,8 @@ class TestSplitBenchmark:
         assert [s.seed for s in a[1]] == [s.seed for s in b[1]]
 
     def test_counts_validated(self):
-        with pytest.raises(ConfigError):
-            S.split_benchmark(0, 5, 7)
+        # counts are sizes: a float or a bool is not one
+        for counts in ((0, 5), (5, 0), (2.5, 1), (1, 2.5), (True, 1)):
+            with pytest.raises(ConfigError):
+                S.split_benchmark(*counts, 7)
 

@@ -325,8 +325,10 @@ class TestSoftmaxTau:
         assert np.max(np.abs(y.data.ravel() - 1.0 / 3.0)) < 1e-6
 
     def test_nonpositive_tau_rejected(self):
-        with pytest.raises(ParameterError):
-            T.softmax_tau(vector([1.0]), tau=0.0)
+        # NaN fails every comparison, so it must fail ``tau > 0`` too
+        for tau in (0.0, math.nan):
+            with pytest.raises(ParameterError):
+                T.softmax_tau(vector([1.0]), tau=tau)
 
     def test_positive_with_ties_far_above_an_underflowed_entry(self):
         # three entries of 1 sum to 3; the smallest subnormal / 3 would round to 0
@@ -490,8 +492,9 @@ class TestAttend:
             T.attend(T.zeros(q_shape), T.zeros(k_shape), 1.0)
 
     def test_nonpositive_tau_rejected(self):
-        with pytest.raises(ParameterError):
-            T.attend(T.zeros((1, 1, 2, 1)), T.zeros((1, 1, 3, 1)), 0.0)
+        for tau in (0.0, math.nan):
+            with pytest.raises(ParameterError):
+                T.attend(T.zeros((1, 1, 2, 1)), T.zeros((1, 1, 3, 1)), tau)
 
 
 class TestPooling:
@@ -705,6 +708,13 @@ class TestGradCheck:
         params = T.ParamSet()
         params.add("w", T.Tensor4(np.ones((1, 2, 1, 1))))
         assert T.grad_check(lambda ps: scalar(3.0), params) == 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan])
+    def test_nonpositive_eps_rejected(self, eps):
+        params = T.ParamSet()
+        params.add("w", T.Tensor4(np.ones((1, 2, 1, 1))))
+        with pytest.raises(ParameterError):
+            T.grad_check(lambda ps: scalar(3.0), params, eps=eps)
 
     def test_linear_layer(self):
         rng = np.random.default_rng(15)
