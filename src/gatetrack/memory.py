@@ -8,8 +8,8 @@ projected values and fuses the read with the query feature through a 1x1
 conv.  The attention is one op, ``tensor.attend``: it takes the query rows
 in cache-sized blocks, and in each the scaled dot product of the query and
 memory keys, its max subtraction and ``exp`` run in the keys' dtype (float32
-in a graph-free frame) while the row sums and the division into the float64
-(n, 1, Q, P) rows it returns run in float64.  The fused map always has the
+outside a ``T.float64()`` block) while the row sums and the division into
+the float64 (n, 1, Q, P) rows it returns run in float64.  The fused map always has the
 query's spatial size no matter how many frames are stored, and is invariant
 to any permutation of the memory pixels.
 """
@@ -52,6 +52,16 @@ def init_readout(params, rng, channels, key_channels, value_channels):
     )
 
 
+def check_settings(capacity, write_period, write_threshold,
+                   keys=("memory capacity", "memory write period", "memory write threshold")):
+    """The rules of a bank's settings, raising ``ConfigError`` that names the
+    first bad one by its entry in ``keys``.  ``ModelConfig`` checks its
+    memory keys here under their own names."""
+    _require_size(keys[0], capacity)
+    _require_size(keys[1], write_period)
+    _require_real(keys[2], write_threshold, "in [0, 1]")
+
+
 @dataclass
 class MemoryBank:
     """Ordered store of enhanced features keyed by frame index.
@@ -71,9 +81,7 @@ class MemoryBank:
     entries: list = field(default_factory=list)  # (frame_index, Tensor4)
 
     def __post_init__(self):
-        _require_size("memory capacity", self.capacity)
-        _require_size("memory write period", self.write_period)
-        _require_real("memory write threshold", self.write_threshold, "in [0, 1]")
+        check_settings(self.capacity, self.write_period, self.write_threshold)
 
     def __len__(self):
         return len(self.entries)

@@ -21,12 +21,15 @@ attention mode fixes how the set is chosen:
 
 The attention FLOPs of a frame are the cost-table sum over its set.
 
-Precision follows from whether a graph is recorded (see :mod:`gatetrack.tensor`).
-Training, and any forward that records a graph, runs in float64.  A frame
-tracked inside ``T.no_grad()`` runs its convolutions in float32, so its
-features, memory entries and head maps are float32; the readout's attention
-logits and ``exp`` run in float32 too, but its rows are summed and
-normalised in float64.  Parameters and checkpoints are float64 either way.
+Precision follows one rule (see :mod:`gatetrack.tensor`): convolutions
+multiply float32 copies of their operands, forward and backward, whether a
+frame is tracked inside ``T.no_grad()`` or a training step records a graph.
+So features, memory entries, head maps and the gradients flowing back
+through them are float32.  The readout's attention logits and ``exp`` run in
+float32 too, but its rows, like the gate's soft weights, are summed and
+normalised in float64.  Parameters, their gradient updates and checkpoints
+are float64, as master weights.  Only a ``T.float64()`` block, which
+``T.grad_check`` opens, runs everything in float64.
 
 Checkpoints are a text index, ``GTCK1 <count>`` then one ``<name> <size>``
 line per tensor and a blank line, followed by one DT64 blob per entry (the
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import attention, flops, gate, head, memory
 from . import tensor as T
-from .errors import ConfigError, NumericError, ShapeError, _require_real, _require_size
+from .errors import ConfigError, NumericError, ShapeError, _require_size
 
 STEM_STRIDES = (2, 2, 1)  # backbone conv1..conv3
 STRIDE = math.prod(STEM_STRIDES)  # the backbone's downsampling factor
@@ -75,9 +78,8 @@ class ModelConfig:
     feature_size = FEATURE_SIZE
 
     def __post_init__(self):
-        for key in ("memory_capacity", "write_period"):
-            _require_size(key, getattr(self, key))
-        _require_real("write_threshold", self.write_threshold, "in [0, 1]")
+        memory.check_settings(self.memory_capacity, self.write_period, self.write_threshold,
+                              keys=("memory_capacity", "write_period", "write_threshold"))
         if self.attention_mode not in ("gated", "static", "none"):
             raise ConfigError(f"unknown attention mode {self.attention_mode!r}")
         if not isinstance(self.static_branches, tuple):

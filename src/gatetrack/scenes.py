@@ -49,8 +49,9 @@ class ScenarioSpec:
             _require_size(key, getattr(self, key), low)
         for key in ("target_sigma", "intensity", "fast_multiplier"):
             _require_real(key, getattr(self, key))
-        if not self.schedule:
-            raise ConfigError("schedule needs at least one phase")
+        if not isinstance(self.schedule, tuple) or not self.schedule:
+            raise ConfigError(f"schedule must be a non-empty tuple of (phase, duration) "
+                              f"pairs, got {self.schedule!r}")
         for entry in self.schedule:
             phase, duration = _pair("schedule entry", entry)
             if phase not in PHASES:
@@ -58,8 +59,10 @@ class ScenarioSpec:
             _require_size("phase duration", duration)
         self.schedule = tuple((str(p), int(d)) for p, d in self.schedule)
         lo, hi = _pair("occlusion range", self.occlusion_range)
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ConfigError(f"occlusion range {self.occlusion_range} not within [0, 1]")
+        for end in (lo, hi):
+            _require_real("occlusion range end", end, "in [0, 1]")
+        if lo > hi:
+            raise ConfigError(f"occlusion range {self.occlusion_range} must not decrease")
 
     def phase_labels(self):
         labels = []

@@ -1,8 +1,8 @@
 """Dense rank-4 tensors with reverse-mode automatic differentiation.
 
 Every value in the tracker flows through :class:`Tensor4`: a ``(n, c, h, w)``
-float64 array that optionally records the operations applied to it so that
-gradients can be pushed back through the graph.  The op set is deliberately
+float32 or float64 array that optionally records the operations applied to
+it so that gradients can be pushed back through the graph.  The op set is deliberately
 small, one op per operation, each with one backward rule short enough to
 verify against the finite-difference oracle in :func:`grad_check`:
 
@@ -20,18 +20,26 @@ verify against the finite-difference oracle in :func:`grad_check`:
   * the losses' ``bce_with_logits`` and ``sum_all``.
 
 Design notes:
-  * the dtype follows from whether a graph is recorded.  Every op that
-    records one, and so all of training and :func:`grad_check`, runs in
-    float64, so gradients stay checkable.  Inside :func:`no_grad`, where no
-    gradient is checked, ``conv2d`` multiplies float32 copies of its input,
-    weight and bias (single-precision GEMMs run about twice as fast), so
-    every activation after a tracked frame's first conv is float32 and the
-    elementwise ops keep it.  ``attend`` runs its logits and ``exp`` in the
-    operands' dtype but sums and normalises its rows in float64, so float32
-    rows still sum to 1 within 1e-12, and ``apply_attention`` then reads
-    the values in float64.  A ``Tensor4`` keeps float32 data as float32 and
-    stores any other data as float64, so parameters, checkpoints and loaded
-    tensors stay float64.
+  * one rule sets the precision, whether or not a graph is recorded:
+    ``conv2d`` multiplies float32 copies of its input, weight and bias,
+    forward and backward (single-precision GEMMs run about twice as fast),
+    so every activation after a frame's or a batch's first conv is float32,
+    the elementwise ops keep it, and so do the gradients flowing back
+    through them.  Only inside :func:`float64` does ``conv2d`` multiply
+    float64 copies, so float64 inputs stay float64 throughout;
+    :func:`grad_check` opens that block itself, and exact oracles in the
+    tests open it.  :func:`no_grad` only switches graph recording off.
+  * rows that must sum to 1 are normalised in float64: ``attend`` and
+    ``softmax_tau`` run their logits and ``exp`` in the operands' dtype but
+    widen, sum and normalise their rows in float64, so float32 rows still
+    sum to 1 within 1e-12, and ``apply_attention`` then reads the values in
+    float64.  ``mul_broadcast`` casts its broadcast operand to the other's
+    dtype, so float64 gate weights scale a float32 branch output in float32.
+  * parameters stay float64 as master weights: a ``Tensor4`` keeps float32
+    data as float32 and stores any other data as float64, so parameters,
+    checkpoints and loaded tensors are float64, while the gradients that
+    ``conv2d`` hands them are float32.  An optimiser's update adds them
+    into float64.
   * the hot kernels (k x k convolution, softmax, attention) avoid full-size
     temporaries: im2col keeps the output pixels innermost, softmax works in
     place on one array, and ``attend`` works through its query rows in
@@ -114,10 +122,18 @@ __all__ = [
 ]
 
 _grad_enabled = True
+_float64 = False  # True inside a float64() block
 _flops = None  # [total] of the innermost open count_flops() block
 
 # exp() clamps its argument here so finite inputs can never produce Inf
 _EXP_CLAMP = 50.0
+
+# _softmax_rows() clamps max-subtracted logits here before exp: the log of the
+# smallest normal number, rounded toward 0, so exp never returns 0 or a
+# subnormal (a float32 exp with subnormal results ran about 12x slower, numpy
+# 2.4.6 on an x86-64 Xeon)
+_EXP_FLOOR = {dt: np.nextafter(dt(np.log(np.finfo(dt).tiny)), dt(0))
+              for dt in (np.float32, np.float64)}
 
 # attend() takes its query rows in blocks of about this many bytes of float64
 # output, so a block's passes run from a core's cache rather than memory
@@ -126,8 +142,8 @@ _ATTEND_BLOCK_BYTES = 512 * 1024
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block, for inference: ``conv2d``
-    then runs in float32."""
+    """Disable graph recording inside the block, for inference.  It leaves
+    the precision as it is (see :func:`float64`)."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -135,6 +151,26 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def float64():
+    """Run the ops inside the block in float64, forward and backward.
+
+    Inside it ``conv2d`` multiplies float64 copies of its operands, so a
+    graph built from float64 inputs and parameters stays float64 throughout;
+    outside it ``conv2d`` multiplies float32 copies, with or without a graph.
+    Only an exact check needs the block: :func:`grad_check` opens it itself,
+    since central differences at ``eps=1e-5`` mean nothing in float32.  Left
+    out of ``__all__``, which lists the Tensor4 API.
+    """
+    global _float64
+    prev = _float64
+    _float64 = True
+    try:
+        yield
+    finally:
+        _float64 = prev
 
 
 @contextmanager
@@ -221,8 +257,8 @@ class Tensor4:
                 # written in place
                 if isinstance(g, _Range):
                     if id(parent) not in owned:
-                        parent.grad = (np.zeros(parent.shape) if parent.grad is None
-                                       else parent.grad.copy())
+                        parent.grad = (np.zeros(parent.shape, parent.data.dtype)
+                                       if parent.grad is None else parent.grad.copy())
                         owned.add(id(parent))
                     parent.grad[g.index] += g.grad
                 elif parent.grad is None:
@@ -361,28 +397,31 @@ def exp(x):
     return _result(y, (x,), backward, y.size)
 
 
-def _softmax_rows(y, axis, out=None):
+def _softmax_rows(y, axis, out=None, clamp=True):
     """Finish a softmax on max-subtracted, scaled logits ``y``.
 
-    ``exp`` and the floor run in place on ``y``.  By default the rows are
-    then divided by their sums in place; given a wider ``out``, they are
-    copied into it, summed there and scaled by the reciprocals of their
-    sums, which is within 2 ulp of the division.  After ``exp`` every entry
-    is at most 1, so a row sums to at most its length L.  Entries are
-    floored at L times the smallest subnormal of ``y``'s dtype: an
-    underflowed entry then stays positive after the normalisation, and no
-    entry above L * 1e-307 in float64, or L * 1e-37 in float32, moves.
+    The clamp at ``_EXP_FLOOR`` and ``exp`` run in place on ``y``, so every
+    entry lies between the smallest normal number of its dtype (about 1e-38
+    in float32, 2e-308 in float64) and 1; only entries that ``exp`` would
+    take below that move.  A caller that knows no entry lies below the floor
+    passes ``clamp=False`` to skip that pass.  A row then sums to at most its length L, so each
+    entry stays positive after the normalisation.  By default the rows are
+    divided by their sums in place; given a wider ``out``, they are copied
+    into it, summed there and scaled by the reciprocals of their sums, which
+    is within 2 ulp of the division.  Returns the array holding the rows.
     """
+    if clamp:
+        np.maximum(y, _EXP_FLOOR[y.dtype.type], out=y)
     np.exp(y, out=y)
-    y += y.shape[axis] * np.finfo(y.dtype).smallest_subnormal
     if out is None:
         y /= y.sum(axis=axis, keepdims=True)
-        return
+        return y
     # widen once: mixed-dtype ufuncs cast in small buffers, which made
     # attend's loop at 256 x 2048 about 25 % slower; scaling by the
     # reciprocals takes that loop about 8 % less time than dividing
     out[...] = y
     out *= 1.0 / out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def _softmax_grad(g, y, axis):
@@ -397,7 +436,8 @@ def softmax_tau(x, tau):
 
     Computes ``exp(x_i/tau) / sum_j exp(x_j/tau)`` with max-subtraction,
     so the output is shift-invariant, strictly positive and sums to 1.
-    Small tau approaches one-hot, large tau approaches uniform.
+    Small tau approaches one-hot, large tau approaches uniform.  The rows
+    are float64 whatever the logits' dtype.
     """
     if not tau > 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
@@ -407,7 +447,10 @@ def softmax_tau(x, tau):
     y = x.data - x.data.max(axis=1, keepdims=True)
     if tau != 1:
         y /= tau
-    _softmax_rows(y, 1)
+    # as in attend, exp runs in the logits' dtype and float32 rows are then
+    # widened once, summed and normalised in float64: float32 rows of only 4
+    # entries already miss a sum of 1 within 1e-9
+    y = _softmax_rows(y, 1, None if y.dtype == np.float64 else np.empty(y.shape))
 
     def backward(g):
         dx = _softmax_grad(g, y, 1)
@@ -517,14 +560,19 @@ def _reduce_to(b_shape, full_grad):
 
 
 def mul_broadcast(a, b):
-    """Elementwise product; size-1 axes of ``b`` broadcast over ``a``."""
+    """Elementwise product; size-1 axes of ``b`` broadcast over ``a``.
+
+    ``b`` is cast to ``a``'s dtype, so float64 gate weights scale a float32
+    branch output in float32 and its gradients stay float32.
+    """
     _check_broadcast(a.shape, b.shape)
     b_shape = b.shape
+    bd = b.data.astype(a.data.dtype, copy=False)
 
     def backward(g):
-        return (g * b.data, _reduce_to(b_shape, g * a.data))
+        return (g * bd, _reduce_to(b_shape, g * a.data))
 
-    return _result(a.data * b.data, (a, b), backward, a.size)
+    return _result(a.data * bd, (a, b), backward, a.size)
 
 
 def div_broadcast(a, b):
@@ -620,8 +668,10 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     ``x``: (n, cin, h, w); ``weight``: (cout, cin, kh, kw); ``bias``:
     (1, cout, 1, 1).  The output size must come out integral:
     ``(h + 2 pad - kh) / stride + 1``; anything else is a config error.
-    Inside :func:`no_grad` the product runs on float32 copies of all three
-    and the output is float32.
+    The product runs on float32 copies of all three, with or without a
+    graph, and the output is float32; the backward pass multiplies float32
+    copies of the output gradient too, so the weight and bias gradients are
+    float32.  Only inside :func:`float64` does it run in float64 throughout.
     """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
@@ -642,9 +692,8 @@ def conv2d(x, weight, bias, stride=1, pad=0):
         )
     oh = span_h // stride + 1
     ow = span_w // stride + 1
-    xd, wd, bd = x.data, weight.data, bias.data
-    if not _grad_enabled:
-        xd, wd, bd = (a.astype(np.float32, copy=False) for a in (xd, wd, bd))
+    dtype = np.float64 if _float64 else np.float32
+    xd, wd, bd = (t.data.astype(dtype, copy=False) for t in (x, weight, bias))
 
     if kh == 1 and kw == 1 and stride == 1 and pad == 0:
         w2d = wd[:, :, 0, 0]
@@ -653,6 +702,7 @@ def conv2d(x, weight, bias, stride=1, pad=0):
         y += bd
 
         def backward_1x1(g):
+            g = g.astype(dtype, copy=False)
             g3 = g.reshape(n, cout, h * w)
             dx = np.matmul(w2d.T, g3).reshape(n, cin, h, w) if x.requires_grad else None
             dw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
@@ -676,16 +726,17 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     transposed = stride == 1 and kh == kw and pad <= kh - 1 and cout <= cin
 
     def backward(g):
+        g = g.astype(dtype, copy=False)
         gmat = g.reshape(n, cout, oh * ow)
         dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, kh, kw)
         dx = None
         if x.requires_grad and transposed:
-            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gcols = _im2col(g, kh, kw, 1, kh - 1 - pad, h, w)
             dx = np.matmul(wflip.reshape(cin, cout * kh * kw), gcols).reshape(n, cin, h, w)
         elif x.requires_grad:
             dcols = np.matmul(wmat.T, gmat).reshape(n, cin, kh, kw, oh, ow)
-            dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad))
+            dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype)
             for ki in range(kh):
                 for kj in range(kw):
                     dxp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += (
@@ -728,8 +779,9 @@ def attend(q, k, tau):
     the rows are bitwise those of dividing the logits.
 
     The rows are computed in blocks of about ``_ATTEND_BLOCK_BYTES`` of
-    output.  Each block's product, max subtraction, ``exp`` and subnormal
-    floor (see :func:`_softmax_rows`) run in the operands' dtype.  Float64
+    output.  Each block's product, max subtraction, clamp and ``exp`` (see
+    :func:`_softmax_rows`) run in the operands' dtype; the clamp runs only
+    when the operands' norms let a row's logits spread beyond it.  Float64
     blocks are computed and divided by their row sums in place in the
     returned array, which keeps them bitwise those of one whole-array pass.
     Float32 blocks are computed in a scratch block, then widened into the
@@ -754,6 +806,13 @@ def attend(q, k, tau):
     step = max(2, _ATTEND_BLOCK_BYTES // (8 * n * p))
     # a single leftover row joins the block before it (below), hence step + 1
     scratch = None if dtype == np.float64 else np.empty((n, min(step + 1, rows), p), dtype)
+    # by Cauchy-Schwarz no two logits of a row differ by more than
+    # 2 max|q_i| max|k_j| / tau; below log(1 / tiny) no entry can reach the
+    # clamp, so the blocks skip its pass, which took about twice as long as
+    # an add (numpy 2.4.6, x86-64) and 10 % of a 256 x 2048 float32 attend
+    spread = 2.0 * math.sqrt(float((qs * qs).sum(axis=1).max(initial=0.0))
+                             * float((k3 * k3).sum(axis=1).max(initial=0.0)))
+    clamp = not spread < -_EXP_FLOOR[dtype.type]
     lo = 0
     while lo < rows:
         # numpy runs a one-row product as a matrix-vector product, which
@@ -764,7 +823,7 @@ def attend(q, k, tau):
         block = out if scratch is None else scratch[:, :hi - lo]
         np.matmul(qt[:, lo:hi], k3, out=block)
         block -= block.max(axis=2, keepdims=True)
-        _softmax_rows(block, 2, None if scratch is None else out)
+        _softmax_rows(block, 2, None if scratch is None else out, clamp)
         lo = hi
 
     def backward(g):
@@ -859,24 +918,26 @@ def grad_check(fn, params, eps=1e-5):
     ``fn(params)`` must rebuild its graph on every call and return a scalar
     Tensor4.  Every coordinate of every parameter is perturbed by ±eps; the
     relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    The perturbed evaluations record a graph too, so they run in float64.
+    Every evaluation, the analytic one included, runs inside :func:`float64`:
+    float32 rounding would swamp a difference quotient at that step.
     """
     if not eps > 0:
         raise ParameterError(f"grad_check eps must be > 0, got {eps}")
-    analytic = backprop(fn(params), params)
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        ana = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = fn(params).item()
-            flat[i] = orig - eps
-            lo = fn(params).item()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            err = abs(ana[i] - numeric) / max(1e-8, abs(ana[i]) + abs(numeric))
-            if err > worst:
-                worst = err
+    with float64():
+        analytic = backprop(fn(params), params)
+        worst = 0.0
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            ana = analytic[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = fn(params).item()
+                flat[i] = orig - eps
+                lo = fn(params).item()
+                flat[i] = orig
+                numeric = (hi - lo) / (2.0 * eps)
+                err = abs(ana[i] - numeric) / max(1e-8, abs(ana[i]) + abs(numeric))
+                if err > worst:
+                    worst = err
     return worst

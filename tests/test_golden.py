@@ -9,11 +9,12 @@ scalar by its exact value.  An intended change of outputs records them again fro
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
         import test_golden, pprint; pprint.pprint(test_golden.observed())"
 
-The head maps and gradients pass through BLAS matrix products, float32 ones
-for the maps and float64 ones for the gradients, so their digests hold for
-the numpy/OpenBLAS build they were recorded with (numpy 2.4.6 with OpenBLAS
-0.3.31 on an x86-64 Xeon, identical with 1 and 2 BLAS threads); the
-checkpoint bytes depend on the RNG alone.  With the untrained
+The head maps and gradients pass through float32 BLAS matrix products, so
+their digests hold for the numpy/OpenBLAS build they were recorded with
+(numpy 2.4.6 with OpenBLAS 0.3.31 on an x86-64 Xeon, identical with 1 and 2
+BLAS threads; CI runs this file with its default count and with
+``OPENBLAS_NUM_THREADS=1``, the bench's); the checkpoint bytes depend on the
+RNG alone.  With the untrained
 gate, whose output layer starts at zero, ``gated`` picks identity on every
 frame and so gives the same maps as ``none``.
 
@@ -30,7 +31,7 @@ norms stayed within ``GRAD_NORMS``, which was recorded before the first.
 ``PREDICTIONS``, ``DECISIONS`` and ``TRACE_STATS``, the goldens that run
 under ``no_grad``, were recorded again once when a graph-free forward moved
 to float32 (``conv2d`` multiplies float32 copies of its operands there).
-Against the float64 forward, which any graph-on run still computes bit for
+Against the float64 forward, which a graph-on run then computed bit for
 bit, the head maps moved by at most 0.0067 of the ``bench/reference.npz``
 tolerance, the decoded boxes by at most 7.8e-7 px and the recorded gate
 weights by at most 5.7e-8, and every decision picked the same branch.
@@ -46,6 +47,22 @@ the decoded boxes by at most 3.6e-7 px and the attention rows by at most
 9.2e-7 relative, and no score moved by more than 1.2e-8.  ``DECISIONS``,
 ``TRACE_STATS`` and every graph-on golden held, since a graph-on ``attend``
 computes the same float64 bits as before.
+
+``LOSS``, ``GRADS_SHA256`` and ``GRAD_NORMS`` were recorded again when
+training moved to float32: ``conv2d`` multiplies float32 copies of its
+operands with a graph recorded too, and only a ``T.float64()`` block runs in
+float64.  48 of the 50 gradients moved (the gate's first layer stays exactly
+zero), by at most 8.6e-7 of a parameter's max |g|, the norms by at most
+6.8e-7 relative and the loss by 1.9e-9 relative.  Inside ``T.float64()`` the
+old loss and gradients hold bit for bit: ``LOSS_FLOAT64`` and
+``GRADS_FLOAT64_SHA256`` pin them, and
+``test_float32_gradients_track_the_float64_gradients`` keeps the two within
+``GRAD_RTOL``.  ``DECISIONS`` and ``TRACE_STATS`` were recorded again at the
+same time, since ``softmax_tau`` now normalises float32 gate rows in float64:
+the recorded gate weights moved by at most 1.5e-8 and the statistics by at
+most 6.3e-9, every decision kept its branch, mode and cost, and every
+enhanced-map digest held.  ``PREDICTIONS``, ``CHECKPOINT_SHA256``,
+``COST_TABLES`` and ``CONFIG_DEFAULTS`` held.
 
 ``TRACE_STATS`` was first recorded through the trace record type that
 ``metrics.gate_trace_stats`` read before it took the ``GateDecision`` list
@@ -120,13 +137,13 @@ DECISIONS = {
                   (1.0, 0.0, 0.0, 0.0),
                   "054f6e37ae12873804c036a79d90580f2d898fc471c128372c064f41df7f2928"),
     (10, "se"): ("se", "budgeted", 17448.0,
-                  (0.4934077252181385, 0.5065922747818615, 0.0, 0.0),
+                  (0.4934077146924144, 0.5065922853075856, 0.0, 0.0),
                   "93b06add7f81f167bcbe445aa95682fb5a7e914d6fc5d834923cb5c0d5ce104c"),
     (10, "ca"): ("ca", "budgeted", 66816.0,
-                  (0.27517070224496176, 0.28252365108788713, 0.4423056466671511, 0.0),
+                  (0.27517069536278693, 0.282523655918943, 0.44230564871827, 0.0),
                   "725bb405902cfbaa7b30510335ced0148fb957a725ab383a2d82c32258af1634"),
     (10, "inf"): ("cbam", "budgeted", 101712.0,
-                  (0.16910531864903391, 0.17362405101025027, 0.2718175907162191, 0.38545303962449673),
+                  (0.16910531255188355, 0.17362405206152176, 0.2718175889745628, 0.38545304641203193),
                   "2258a7e711c9c1d18a4143bec983f6ffea2402948d6fa31f89b7b6ec7507f218"),
     (25, "none"): ("cbam", "hard", 101712.0,
                   (0.0, 0.0, 0.0, 1.0),
@@ -135,13 +152,13 @@ DECISIONS = {
                   (1.0, 0.0, 0.0, 0.0),
                   "aa6fa4907e1e74817b05d0c01b4e98771d75dc534bd744099ad6d1ec1eeb212f"),
     (25, "se"): ("se", "budgeted", 17448.0,
-                  (0.49260307291683975, 0.5073969270831602, 0.0, 0.0),
+                  (0.49260308815792286, 0.5073969118420771, 0.0, 0.0),
                   "03e21546cf48fe5a1cc0f806b36d28d361584be8acd4c2a2ab0d68cd06441a81"),
     (25, "ca"): ("ca", "budgeted", 66816.0,
-                  (0.273479327925498, 0.2816924583691974, 0.44482821370530456, 0.0),
+                  (0.2734793364903779, 0.28169245001434573, 0.44482821349527635, 0.0),
                   "b3ab1472f0d0f0b80b4a53ff463008ae0185263a961784ab5328f532c1d5b142"),
     (25, "inf"): ("cbam", "budgeted", 101712.0,
-                  (0.16786631441514746, 0.17290767512000577, 0.2730432071374891, 0.38618280332735766),
+                  (0.1678663223038673, 0.1729076727021309, 0.2730432112887578, 0.38618279370524394),
                   "4f055a226a26bd4515a500254d9b0d5bbbc3c91f26dad2566822a57a4318361a"),
     (40, "none"): ("cbam", "hard", 101712.0,
                   (0.0, 0.0, 0.0, 1.0),
@@ -150,13 +167,13 @@ DECISIONS = {
                   (1.0, 0.0, 0.0, 0.0),
                   "0d0478998148718a1cfda4ab3f72ce4ad27591ed7ed7b640a11ea8fa972ab6ec"),
     (40, "se"): ("se", "budgeted", 17448.0,
-                  (0.49482661360721575, 0.5051733863927842, 0.0, 0.0),
+                  (0.4948266235409178, 0.5051733764590821, 0.0, 0.0),
                   "97911fcab9937e36a4816866f2ba3f981e0042eaaccf19bcb51a288538b12729"),
     (40, "ca"): ("ca", "budgeted", 66816.0,
-                  (0.2788498226183562, 0.28468054327199194, 0.4364696341096519, 0.0),
+                  (0.2788498268639767, 0.28468053629344997, 0.4364696368425733, 0.0),
                   "913fd19d7b23f441790db5d86820b45095f61d43acce34b985917b11bae25659"),
     (40, "inf"): ("cbam", "budgeted", 101712.0,
-                  (0.1721851702360089, 0.17578554415383255, 0.2695128063784958, 0.38251647923166276),
+                  (0.17218517166366137, 0.17578553862578442, 0.2695128061972025, 0.38251648351335166),
                   "4ed2d4b9127875217c7b8c05ff923ce42f42f9368e4a6c5a7319dd7e29989ace"),
 }
 
@@ -164,90 +181,103 @@ DECISIONS = {
 # every DECISIONS run, and the share of runs that chose the costliest branch
 TRACE_STATS = ({
     "stable": {
-        "identity": (0.3875367492224268, 0.3454976258919543),
-        "se": (0.1925479953759998, 0.19038224957454472),
-        "ca": (0.14282464747667403, 0.18304354020955543),
-        "cbam": (0.2770906079248993, 0.3910698200461939),
+        "identity": (0.387536744521417, 0.3454976264654826),
+        "se": (0.19254799865761008, 0.19038225348281518),
+        "ca": (0.14282464753856655, 0.18304354063525716),
+        "cbam": (0.2770906092824064, 0.39106982042234867),
     },
     "occlusion": {
-        "identity": (0.3867897430514971, 0.34571557764029237),
-        "se": (0.19239941211447267, 0.1905841955257297),
-        "ca": (0.14357428416855872, 0.18404176553141824),
-        "cbam": (0.27723656066547153, 0.39111036926619025),
+        "identity": (0.38678974939043365, 0.34571557701272104),
+        "se": (0.19239940691171076, 0.19058418975420716),
+        "ca": (0.14357428495680682, 0.1840417660467235),
+        "cbam": (0.2772365587410488, 0.3911103687301302),
     },
     "fast": {
-        "identity": (0.38917232129231616, 0.3449587962807234),
-        "se": (0.19312789476372175, 0.19007987841500365),
-        "ca": (0.14119648809762952, 0.18080965297588827),
-        "cbam": (0.27650329584633254, 0.39090881131393407),
+        "identity": (0.3891723244137112, 0.34495879643805727),
+        "se": (0.1931278902756633, 0.19007987458208706),
+        "ca": (0.14119648860795517, 0.18080965384276174),
+        "cbam": (0.2765032967026703, 0.39090881154617),
     },
 }, 0.4)
 
-# the graph-free (float32) forward against the graph-on (float64) one: head maps
-# within the tolerance of bench/reference.npz, decoded boxes in pixels, and the
-# readout rows' distance from a sum of 1
+# the float32 forward against the T.float64() one: head maps within the
+# tolerance of bench/reference.npz, decoded boxes in pixels, and the readout
+# rows' distance from a sum of 1
 MAP_ATOL, MAP_RTOL = 1e-4, 1e-3
 BOX_ATOL_PX = 1e-4
 ROWS_SUM_TOL = 1e-12
 
-LOSS = 1.8293667210734443
-GRADS_SHA256 = "e1ce976884465c80e96f2f5783487761de2900853f70ca4b0262a8a1392e3d7d"
+LOSS = 1.82936671767425
+GRADS_SHA256 = "9427956517dd80f6d411d3ada9975788fca029c8c95ba9c7766629dd694ff1a4"
 N_PARAMS = 50
-# L2 norm of each gradient of the soft loss.  Compared within GRAD_NORMS_RTOL,
-# so a change that only reorders a sum passes; an exact zero (the gate's first
+# the same loss and gradients inside T.float64(): the values the soft loss had
+# before training moved to float32, which that block still computes bit for bit
+LOSS_FLOAT64 = 1.8293667210734443
+GRADS_FLOAT64_SHA256 = "e1ce976884465c80e96f2f5783487761de2900853f70ca4b0262a8a1392e3d7d"
+# the float32 loss within LOSS_RTOL of the float64 one (measured 1.9e-9), and
+# each float32 gradient within GRAD_RTOL of its float64 one's max |g| (measured
+# at most 8.6e-7, on cbam.mlp.w1).  On this batch no relu input changes sign
+# between the two (the smallest |input| is 1.7e-6, the largest float32 error
+# 1.5e-6), and the bias gradients, float32 sums of up to 4096 terms, move by
+# at most 4.7e-7 of their max.
+LOSS_RTOL = 1e-7
+GRAD_RTOL = 1e-5
+# L2 norm of each gradient of the soft loss, compared within GRAD_NORMS_RTOL.
+# The gradients are float32, so a change that only reorders a sum moves the
+# norms by about 1e-7 and records them again.  An exact zero (the gate's first
 # layer sees none of the loss through its zero-initialised output layer) must
 # stay exactly zero.
 GRAD_NORMS = {
-    "backbone.conv1.w": 0.1570325003674899,
-    "backbone.conv1.b": 0.0809615079666587,
-    "backbone.conv2.w": 0.6256171559247745,
-    "backbone.conv2.b": 0.08162481173906196,
-    "backbone.conv3.w": 0.4852234085009435,
-    "backbone.conv3.b": 0.08268871746302216,
-    "se.w1": 0.0046188383204835825,
-    "se.b1": 0.0036583347555582905,
-    "se.w2": 0.004567455565595795,
-    "se.b2": 0.004428730512633775,
-    "ca.conv_shared.w": 0.0034534304680027762,
-    "ca.conv_shared.b": 0.002053925428808538,
-    "ca.conv_h.w": 0.001967240111746865,
-    "ca.conv_h.b": 0.0023196738157839837,
-    "ca.conv_w.w": 0.0018420405984459222,
-    "ca.conv_w.b": 0.0022293564569766233,
-    "cbam.mlp.w1": 0.006054739095797229,
-    "cbam.mlp.b1": 0.0022119990550177105,
-    "cbam.mlp.w2": 0.004957386741082572,
-    "cbam.mlp.b2": 0.004425652108296757,
-    "cbam.spatial.w": 0.007848767995727245,
-    "cbam.spatial.b": 0.002212924890813585,
+    "backbone.conv1.w": 0.15703251957893372,
+    "backbone.conv1.b": 0.08096151053905487,
+    "backbone.conv2.w": 0.6256170868873596,
+    "backbone.conv2.b": 0.08162480592727661,
+    "backbone.conv3.w": 0.4852234125137329,
+    "backbone.conv3.b": 0.08268871903419495,
+    "se.w1": 0.004618839826434851,
+    "se.b1": 0.0036583361215889454,
+    "se.w2": 0.004567455966025591,
+    "se.b2": 0.00442873127758503,
+    "ca.conv_shared.w": 0.0034534309525042772,
+    "ca.conv_shared.b": 0.0020539257675409317,
+    "ca.conv_h.w": 0.0019672405906021595,
+    "ca.conv_h.b": 0.002319674240425229,
+    "ca.conv_w.w": 0.0018420408014208078,
+    "ca.conv_w.b": 0.002229356672614813,
+    "cbam.mlp.w1": 0.006054743193089962,
+    "cbam.mlp.b1": 0.002212000545114279,
+    "cbam.mlp.w2": 0.0049573881551623344,
+    "cbam.mlp.b2": 0.004425652790814638,
+    "cbam.spatial.w": 0.007848772220313549,
+    "cbam.spatial.b": 0.0022129255812615156,
     "gate.w1": 0.0,
     "gate.b1": 0.0,
-    "gate.w2": 0.0058484349882500205,
-    "gate.b2": 0.010453626657593246,
-    "memory.key.w": 0.0013833340134307072,
-    "memory.key.b": 0.00016575315429568762,
-    "memory.value.w": 0.061362305012149856,
-    "memory.value.b": 0.08951661214771987,
-    "memory.fuse.w": 0.16929483684578828,
-    "memory.fuse.b": 0.11350667633360825,
-    "head.cls.w1": 0.13248256881609388,
-    "head.cls.b1": 0.052088782956457934,
-    "head.cls.w2": 0.08516268231879058,
-    "head.cls.b2": 0.06168622849676092,
-    "head.cls.w3": 0.020010109137173215,
-    "head.cls.b3": 0.05881739251272167,
-    "head.ctr.w1": 0.48663192770849883,
-    "head.ctr.b1": 0.08272516721601718,
-    "head.ctr.w2": 0.42519429791557106,
-    "head.ctr.b2": 0.07400870987442608,
-    "head.ctr.w3": 0.09518519214842511,
-    "head.ctr.b3": 0.06472807991223327,
-    "head.reg.w1": 0.09077259706273343,
-    "head.reg.b1": 0.016191444511461324,
-    "head.reg.w2": 0.12743453769467328,
-    "head.reg.b2": 0.018741630156576757,
-    "head.reg.w3": 0.028681732234673584,
-    "head.reg.b3": 0.01583985434875825,
+    "gate.w2": 0.005848435685038567,
+    "gate.b2": 0.010453627444803715,
+    "memory.key.w": 0.0013833342818543315,
+    "memory.key.b": 0.00016575318295508623,
+    "memory.value.w": 0.06136230379343033,
+    "memory.value.b": 0.08951660990715027,
+    "memory.fuse.w": 0.1692948341369629,
+    "memory.fuse.b": 0.11350667476654053,
+    "head.cls.w1": 0.13248257339000702,
+    "head.cls.b1": 0.05208878219127655,
+    "head.cls.w2": 0.0851626768708229,
+    "head.cls.b2": 0.06168622896075249,
+    "head.cls.w3": 0.02001011185348034,
+    "head.cls.b3": 0.05881739407777786,
+    "head.ctr.w1": 0.48663195967674255,
+    "head.ctr.b1": 0.0827251598238945,
+    "head.ctr.w2": 0.4251943528652191,
+    "head.ctr.b2": 0.07400871068239212,
+    "head.ctr.w3": 0.09518521279096603,
+    "head.ctr.b3": 0.06472808122634888,
+    "head.reg.w1": 0.0907725840806961,
+    "head.reg.b1": 0.01619144342839718,
+    "head.reg.w2": 0.12743452191352844,
+    "head.reg.b2": 0.018741628155112267,
+    "head.reg.w3": 0.02868172712624073,
+    "head.reg.b3": 0.015839852392673492,
 }
 GRAD_NORMS_RTOL = 1e-12
 
@@ -470,7 +500,8 @@ def test_trace_stats():
 def test_float32_forward_tracks_the_float64_forward(attention_mode):
     with T.no_grad():
         single = probe_outputs(attention_mode)
-    double = probe_outputs(attention_mode)  # records a graph, so runs in float64
+    with T.float64():
+        double = probe_outputs(attention_mode)
     for index in PROBE_FRAMES:
         (out32, det32, attn32), (out64, det64, attn64) = single[index], double[index]
         for part in ("cls", "ctr", "reg"):
@@ -486,7 +517,8 @@ def test_float32_forward_tracks_the_float64_forward(attention_mode):
 def test_float32_gate_picks_the_float64_branch():
     with T.no_grad():
         _, _, single = gate_runs()
-    _, _, double = gate_runs()
+    with T.float64():
+        _, _, double = gate_runs()
     assert len(single) == len(PROBE_FRAMES) * 5
     for key, (_, decision, _) in single.items():
         assert decision.logits.dtype == np.float32
@@ -503,6 +535,25 @@ def test_soft_loss_and_gradients():
     assert len(grads) == N_PARAMS
     assert loss == LOSS
     assert digest(grads.values()) == GRADS_SHA256
+
+
+def test_float64_block_keeps_the_float64_gradients():
+    with T.float64():
+        loss, grads = loss_and_grads()
+    assert loss == LOSS_FLOAT64
+    assert digest(grads.values()) == GRADS_FLOAT64_SHA256
+
+
+def test_float32_gradients_track_the_float64_gradients():
+    loss, grads = loss_and_grads()
+    with T.float64():
+        loss64, grads64 = loss_and_grads()
+    assert abs(loss - loss64) <= LOSS_RTOL * loss64
+    for name, want in grads64.items():
+        got = grads[name]
+        assert got.dtype == np.float32 and want.dtype == np.float64, name
+        # a zero gradient (the gate's first layer) must stay exactly zero
+        assert np.abs(got - want).max() <= GRAD_RTOL * np.abs(want).max(), name
 
 
 def test_gradient_norms():

@@ -133,7 +133,8 @@ class TestReadout:
         params, p = make_readout(rng)
         query = feat(rng, (1, 8, 3, 2))
         mems = [feat(rng, (1, 8, 2, 2)), feat(rng, (1, 8, 3, 1))]
-        fused, attn = M.readout(query, mems, p)
+        with T.float64():
+            fused, attn = M.readout(query, mems, p)
 
         def project(x, w, b):  # one map -> (cout, pixels)
             return w.data[:, :, 0, 0] @ x.data[0].reshape(8, -1) + b.data.reshape(-1, 1)

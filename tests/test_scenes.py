@@ -44,8 +44,9 @@ class TestScenarioSpec:
             S.ScenarioSpec(seed=1, occlusion_range=(0.5, 1.2))
 
     # unchecked, each gives NaN frames, a 0x0 box or a truncated phase, an
-    # empty Sequence, or a raw OverflowError/ValueError from inside generate()
-    # or from unpacking a schedule entry or the occlusion range
+    # empty Sequence, or a raw OverflowError/ValueError/TypeError from inside
+    # generate(), from unpacking the schedule or one of its entries, or from
+    # comparing the ends of the occlusion range
     @pytest.mark.parametrize("key, value", [
         ("target_sigma", 0.0),
         ("target_sigma", float("nan")),
@@ -60,9 +61,12 @@ class TestScenarioSpec:
         ("schedule", (("stable", 5, 1),)),
         ("occlusion_range", (0.6,)),
         ("occlusion_range", ()),
+        ("schedule", 5),
+        ("occlusion_range", ("a", "b")),
     ], ids=["sigma_zero", "sigma_nan", "intensity_nan", "fast_multiplier_nan",
             "height_zero", "width_float", "duration_fraction", "seed_negative",
-            "schedule_empty", "entry_one", "entry_three", "occlusion_one", "occlusion_empty"])
+            "schedule_empty", "entry_one", "entry_three", "occlusion_one", "occlusion_empty",
+            "schedule_int", "occlusion_strings"])
     def test_degenerate_numbers_rejected(self, key, value):
         with pytest.raises(ConfigError):
             S.ScenarioSpec(**{"seed": 1, key: value})

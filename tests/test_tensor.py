@@ -55,6 +55,29 @@ def conv_oracle(x, w, b, stride, pad):
     return expect
 
 
+def input_gradient_oracle(gy, w, x_shape, stride, pad):
+    """The gradient of sum(conv(x) * gy) by x, summed pixel by pixel in float64."""
+    batch, cin, h, wd = x_shape
+    cout, _, k, _ = w.shape
+    dxp = np.zeros((batch, cin, h + 2 * pad, wd + 2 * pad))
+    for n in range(batch):
+        for o in range(cout):
+            for i in range(gy.shape[2]):
+                for j in range(gy.shape[3]):
+                    for c in range(cin):
+                        for ki in range(k):
+                            for kj in range(k):
+                                dxp[n, c, i * stride + ki, j * stride + kj] += (
+                                    gy[n, o, i, j] * w[o, c, ki, kj])
+    return dxp[:, :, pad:pad + h, pad:pad + wd]
+
+
+# largest float32-path error allowed against a float64 oracle, relative to the
+# oracle's largest entry: float32 rounds at 6e-8, and these sums have at most
+# a few hundred terms
+FLOAT32_TOL = 1e-5
+
+
 def sliding_window_columns(data, kh, kw, stride, pad):
     """im2col columns built the way conv2d used to: sliding_window_view, then
     a transposing copy into (n, c kh kw, oh ow)."""
@@ -103,11 +126,13 @@ class TestConv2d:
         assert np.array_equal(y.data[0, 0], [[12.0, 16.0], [24.0, 28.0]])
 
     def test_identity_1x1_kernel(self):
+        # exact in float32 too: each output is one input times 1 plus zeros
         rng = np.random.default_rng(0)
         x = rand4(rng, (2, 3, 4, 5))
         w = T.Tensor4(np.eye(3).reshape(3, 3, 1, 1))
         y = T.conv2d(x, w, zero_bias(w))
-        assert np.array_equal(y.data, x.data)
+        assert y.data.dtype == np.float32
+        assert np.array_equal(y.data, x.data.astype(np.float32))
 
     def test_zero_input_gives_bias(self):
         x = T.zeros((1, 2, 4, 4))
@@ -124,8 +149,10 @@ class TestConv2d:
         x2 = rand4(rng, (1, 2, 4, 4))
         w = rand4(rng, (3, 2, 3, 3))
         b = zero_bias(w)
-        both = T.conv2d(T.Tensor4(x1.data + x2.data), w, b, stride=1, pad=1)
-        sep = T.conv2d(x1, w, b, stride=1, pad=1).data + T.conv2d(x2, w, b, stride=1, pad=1).data
+        with T.float64():
+            both = T.conv2d(T.Tensor4(x1.data + x2.data), w, b, stride=1, pad=1)
+            sep = (T.conv2d(x1, w, b, stride=1, pad=1).data
+                   + T.conv2d(x2, w, b, stride=1, pad=1).data)
         assert np.max(np.abs(both.data - sep)) < 1e-10
 
     def test_channel_mismatch_raises(self):
@@ -157,7 +184,8 @@ class TestConv2d:
         x = rand4(rng, (batch, 3, 5, 7))
         w = rand4(rng, (cout, 3, k, k))
         b = T.Tensor4(rng.standard_normal((1, cout, 1, 1)))
-        y = T.conv2d(x, w, b, stride=stride, pad=pad)
+        with T.float64():
+            y = T.conv2d(x, w, b, stride=stride, pad=pad)
         assert y.data.dtype == np.float64
         expect = conv_oracle(x.data, w.data, b.data, stride, pad)
         assert np.max(np.abs(y.data - expect)) < 1e-12
@@ -209,22 +237,41 @@ class TestConv2d:
         rng = np.random.default_rng(31)
         x = T.Tensor4(rng.standard_normal((2, cin, 8, 8)), requires_grad=True)
         w = rand4(rng, (cout, cin, k, k))
-        y = T.conv2d(x, w, zero_bias(w), stride=stride, pad=pad)
+        with T.float64():
+            y = T.conv2d(x, w, zero_bias(w), stride=stride, pad=pad)
+            gy = rng.standard_normal(y.shape)
+            T.sum_all(T.mul_broadcast(y, T.Tensor4(gy))).backward()
+        assert len(calls) == {"transposed": 2, "col2im": 1}[path]
+        expect = input_gradient_oracle(gy, w.data, x.shape, stride, pad)
+        assert x.grad.dtype == np.float64
+        assert np.max(np.abs(x.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("cout, cin, k, stride, pad, path", DX_PATHS + [
+        pytest.param(4, 3, 1, 1, 0, "1x1", id="1x1")])
+    def test_float32_matches_nested_loop_oracles(self, cout, cin, k, stride, pad, path):
+        # outside T.float64() the forward and every gradient multiply float32
+        # copies; each is held to the float64 oracle at FLOAT32_TOL of its
+        # largest entry (measured: at most 1.7e-7 here)
+        rng = np.random.default_rng(33)
+        x = T.Tensor4(rng.standard_normal((2, cin, 8, 8)), requires_grad=True)
+        w = T.Tensor4(rng.standard_normal((cout, cin, k, k)), requires_grad=True)
+        b = T.Tensor4(rng.standard_normal((1, cout, 1, 1)), requires_grad=True)
+        y = T.conv2d(x, w, b, stride=stride, pad=pad)
         gy = rng.standard_normal(y.shape)
         T.sum_all(T.mul_broadcast(y, T.Tensor4(gy))).backward()
-        assert len(calls) == {"transposed": 2, "col2im": 1}[path]
-        dxp = np.zeros((2, cin, 8 + 2 * pad, 8 + 2 * pad))
-        for n in range(2):
-            for o in range(cout):
-                for i in range(y.shape[2]):
-                    for j in range(y.shape[3]):
-                        for c in range(cin):
-                            for ki in range(k):
-                                for kj in range(k):
-                                    dxp[n, c, i * stride + ki, j * stride + kj] += (
-                                        gy[n, o, i, j] * w.data[o, c, ki, kj])
-        expect = dxp[:, :, pad:pad + 8, pad:pad + 8]
-        assert np.max(np.abs(x.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        oh, ow = y.shape[2:]
+        dw = np.zeros(w.shape)
+        for ki in range(k):
+            for kj in range(k):
+                window = xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+                dw[:, :, ki, kj] = np.einsum("nohw,nchw->oc", gy, window)
+        for got, want in ((y.data, conv_oracle(x.data, w.data, b.data, stride, pad)),
+                          (x.grad, input_gradient_oracle(gy, w.data, x.shape, stride, pad)),
+                          (w.grad, dw),
+                          (b.grad, gy.sum(axis=(0, 2, 3)).reshape(b.shape))):
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - want)) <= FLOAT32_TOL * np.max(np.abs(want))
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_im2col_matches_sliding_window_columns_on_model_shapes(self, monkeypatch, batch):
@@ -257,6 +304,32 @@ class TestConv2d:
         assert all(seen.values())
 
 
+class TestPrecision:
+    def test_conv2d_is_float32_with_or_without_a_graph(self):
+        rng = np.random.default_rng(40)
+        x = rand4(rng, (1, 2, 4, 4))
+        w = T.Tensor4(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        y = T.conv2d(x, w, zero_bias(w), pad=1)
+        assert y.data.dtype == np.float32 and y.requires_grad
+        with T.no_grad():
+            assert T.conv2d(x, w, zero_bias(w), pad=1).data.dtype == np.float32
+
+    def test_float64_block_nests_and_restores_after_an_error(self):
+        x = T.Tensor4(np.ones((1, 1, 2, 2), np.float32))
+        w = T.Tensor4(np.ones((1, 1, 1, 1)))
+
+        def dtype():
+            return T.conv2d(x, w, zero_bias(w)).data.dtype
+
+        with pytest.raises(RuntimeError):
+            with T.float64():
+                with T.no_grad(), T.float64():
+                    assert dtype() == np.float64
+                assert dtype() == np.float64
+                raise RuntimeError
+        assert dtype() == np.float32
+
+
 class TestLinear:
     """A 1x1 conv2d on a (1, in, 1, 1) vector: the fully connected layer of
     the gate, the SE/CA/CBAM bottlenecks and the readout projections."""
@@ -264,7 +337,8 @@ class TestLinear:
     def test_identity(self):
         x = vector([0.3, -1.2, 4.0])
         w = T.Tensor4(np.eye(3).reshape(3, 3, 1, 1))
-        assert np.array_equal(T.conv2d(x, w, zero_bias(w)).data, x.data)
+        with T.float64():
+            assert np.array_equal(T.conv2d(x, w, zero_bias(w)).data, x.data)
 
     def test_hand_matrix_vector(self):
         x = vector([1.0, 2.0])
@@ -337,14 +411,26 @@ class TestSoftmaxTau:
         assert abs(y.sum() - 1.0) <= 1e-15
 
     def test_float32_floor_keeps_an_underflowed_entry_positive(self):
-        # a graph-free gate's logits are float32, where the float64 floor 4 * 5e-324
-        # rounds to 0; the floor is the array's own smallest subnormal
+        # a gate's logits are float32; the underflowed entry is clamped at the
+        # float32 floor before exp, and the rows are normalised in float64
         logits = T.Tensor4(np.array([0.0, 0.0, -1e4, 0.0], np.float32).reshape(1, 4, 1, 1))
         with T.no_grad():
             y = T.softmax_tau(logits, tau=1.0).data.ravel()
-        assert y.dtype == np.float32
+        assert y.dtype == np.float64
         assert np.all(y > 0.0)
-        assert abs(y.sum() - 1.0) <= 1e-6
+        assert abs(y.sum() - 1.0) <= 1e-15
+
+    def test_float32_rows_sum_to_one_in_float64(self):
+        # the soft gate's rows of 4 entries: normalised in float32 they miss a
+        # sum of 1 within 1e-9 on most rows, which the training bench checks
+        rng = np.random.default_rng(12)
+        logits = rng.standard_normal((256, 4, 1, 1)).astype(np.float32)
+        y = T.softmax_tau(T.Tensor4(logits), tau=1.0).data
+        ref = np.exp(logits.astype(np.float64))
+        ref /= ref.sum(axis=1, keepdims=True)
+        assert y.dtype == np.float64
+        assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.max(np.abs(y - ref) / ref) <= 1e-6
 
     def test_sum_one_and_positive_over_tau_range(self):
         rng = np.random.default_rng(5)
@@ -459,6 +545,36 @@ class TestAttend:
         assert y.dtype == np.float64
         assert np.all(y > 0.0)
         assert np.abs(y.sum(axis=3) - 1.0).max() <= 1e-12
+
+    def test_float32_rows_clamp_logits_where_exp_would_be_subnormal(self):
+        # float32 exp is subnormal from 87.3 to 103.9 below the row max, and
+        # about 12 times slower there; such logits are clamped at the log of
+        # the smallest normal float32, so they all come out equal and positive
+        gaps = np.array([0.0, -80.0, -87.0, -90.0, -95.0, -100.0, -104.0], np.float32)
+        y = T.attend(T.Tensor4(np.ones((1, 1, 2, 1), np.float32)),
+                     T.Tensor4(gaps.reshape(1, 1, 7, 1)), 1.0).data[0, 0]
+        tiny = float(np.finfo(np.float32).tiny)
+        assert y.dtype == np.float64
+        assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.allclose(y[:, :3], np.exp(gaps[:3].astype(np.float64)), rtol=1e-5, atol=0)
+        assert np.all(y[:, 3:] == y[:, 3:4])
+        assert tiny <= y[0, 3] <= 1.0001 * tiny
+
+    @pytest.mark.parametrize("key, clamps", [(43.0, False), (44.0, True)])
+    def test_clamp_runs_only_where_the_norms_let_a_row_reach_it(self, monkeypatch, key,
+                                                                clamps):
+        # a row's logits spread by at most 2 max|q| max|k| / tau, here 2 * key
+        # exactly; only past 87.3 can a float32 entry reach the clamp
+        seen = []
+        rows = T._softmax_rows
+        monkeypatch.setattr(T, "_softmax_rows",
+                            lambda y, axis, out=None, clamp=True:
+                            seen.append(clamp) or rows(y, axis, out, clamp))
+        keys = np.array([key, -key], np.float32).reshape(1, 1, 2, 1)
+        y = T.attend(T.Tensor4(np.ones((1, 1, 2, 1), np.float32)), T.Tensor4(keys), 1.0).data
+        assert seen == [clamps]
+        low = max(np.exp(-2 * key), float(np.finfo(np.float32).tiny))
+        assert np.allclose(y[0, 0, :, 1], low, rtol=1e-5, atol=0)
 
     def test_empty_key_set_raises_shape_error(self):
         with pytest.raises(ShapeError):
