@@ -159,8 +159,14 @@ class Labels:
 def make_labels(gt: BBox, stride, shape):
     """Per-location targets for one ground-truth box in crop coordinates.
 
-    A ground truth entirely outside the crop simply yields no positives.
+    A ground truth entirely outside the crop simply yields no positives.  A
+    non-finite box raises :class:`NumericError` and a negative size
+    :class:`ShapeError`, as :func:`decode_detection` and ``metrics.iou`` do.
     """
+    if not np.isfinite(gt.as_array()).all():
+        raise NumericError(f"label box must have finite fields, got {gt}")
+    if gt.w < 0 or gt.h < 0:
+        raise ShapeError(f"label box must have nonnegative sizes, got {gt}")
     hf, wf = shape
     cx, cy = location_centers(hf, wf, stride)
     x0, y0 = gt.x, gt.y

@@ -94,7 +94,11 @@ class MemoryBank:
         return [feat for _, feat in self.entries]
 
     def update(self, frame_index, feature, confidence):
-        """Maybe write one frame's enhanced feature; returns True if written."""
+        """Maybe write one frame's enhanced feature; returns True if written.
+
+        ``frame_index`` must be an integer >= 0, larger than the last entry's.
+        """
+        _require_size("frame index", frame_index, low=0)
         if self.entries and frame_index <= self.entries[-1][0]:
             raise ConfigError(
                 f"frame index must increase: got {frame_index} after {self.entries[-1][0]}"

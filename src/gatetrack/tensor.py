@@ -69,8 +69,13 @@ Design notes:
     ``tests/test_golden.py`` pins.  Every other product, forward or
     backward, reads its operands in place, through transposed views where
     needed.
-  * all forward ops are deterministic; max pooling breaks ties by the first
-    (lowest flat index) occurrence and relu's subgradient at 0 is 0.
+  * a forward computes only what it returns.  What only the backward reads
+    is computed in the backward closure: the max pools' argmax, ``exp``'s
+    clamp mask, ``bce_with_logits``' sigmoid and ``concat``'s range bounds,
+    so a graph-free frame never pays for them.  Shape bookkeeping stays in
+    Python ints.
+  * all forward ops are deterministic; a max pool's gradient goes to the
+    first (lowest flat index) maximum on ties and relu's subgradient at 0 is 0.
   * graphs are built through closures; ``backward`` runs a deterministic
     topological order so repeated calls produce bitwise-identical gradients.
     It adds a node's gradients into one buffer per node that the sweep
@@ -86,6 +91,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -368,12 +374,9 @@ def sigmoid_array(z):
     for callers that decode outputs outside the graph.  It is left out of
     ``__all__``, which lists the Tensor4 API.
     """
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(x):
@@ -387,12 +390,10 @@ def sigmoid(x):
 
 def exp(x):
     """Elementwise exp, argument clamped to ±50 to keep outputs finite."""
-    clamped = np.clip(x.data, -_EXP_CLAMP, _EXP_CLAMP)
-    y = np.exp(clamped)
-    inside = np.abs(x.data) < _EXP_CLAMP
+    y = np.exp(np.clip(x.data, -_EXP_CLAMP, _EXP_CLAMP))
 
     def backward(g):
-        return (np.where(inside, g * y, 0.0),)
+        return (np.where(np.abs(x.data) < _EXP_CLAMP, g * y, 0.0),)
 
     return _result(y, (x,), backward, y.size)
 
@@ -476,7 +477,13 @@ _POOLS = {
 
 
 def pool(kind, x):
-    """Reduce the named axes, keeping rank 4 with size-1 reduced dims."""
+    """Reduce the named axes, keeping rank 4 with size-1 reduced dims.
+
+    A max pool returns ``max`` over the axes, which propagates NaN; where +0
+    and -0 tie, it may return either, while its gradient goes to the first
+    maximum.  The model max-pools only relu outputs and positively gated
+    ones, which hold no -0.
+    """
     if kind not in _POOLS:
         raise ConfigError(f"unknown pool kind {kind!r}")
     reduction, axes = _POOLS[kind]
@@ -486,23 +493,23 @@ def pool(kind, x):
         raise ShapeError(f"pool {kind!r} over empty axes {axes} of {shape}")
 
     if reduction == "mean":
-        y = x.data.mean(axis=axes, keepdims=True)
+        # bitwise np.mean, without its Python wrapper
+        y = x.data.sum(axis=axes, keepdims=True)
+        y /= count
 
         def backward_mean(g):
             return (np.broadcast_to(g / count, shape),)
 
         return _result(y, (x,), backward_mean, x.size)
 
-    # one axis of ``count`` entries stands for the reduced axes, so one argmax
-    # (first occurrence on ties) serves every kind without a copy
-    lo, hi = axes[0], axes[-1] + 1
-    merged = shape[:lo] + (count,) + shape[hi:]
-    flat = x.data.reshape(merged)
-    idx = np.expand_dims(flat.argmax(axis=lo), lo)
-    kept = shape[:lo] + (1,) * (hi - lo) + shape[hi:]
-    y = np.take_along_axis(flat, idx, axis=lo).reshape(kept)
+    y = x.data.max(axis=axes, keepdims=True)
 
     def backward_max(g):
+        # one axis of ``count`` entries stands for the reduced axes, so one
+        # argmax (first occurrence on ties) serves every kind without a copy
+        lo, hi = axes[0], axes[-1] + 1
+        merged = shape[:lo] + (count,) + shape[hi:]
+        idx = np.expand_dims(x.data.reshape(merged).argmax(axis=lo), lo)
         dflat = np.zeros(merged)
         np.put_along_axis(dflat, idx, g.reshape(idx.shape), axis=lo)
         return (dflat.reshape(shape),)
@@ -599,6 +606,11 @@ def minimum(a, b):
     return _result(np.where(take_a, a.data, b.data), (a, b), backward, a.size)
 
 
+def _check_axis(op, axis):
+    if axis not in range(4):
+        raise ShapeError(f"{op} axis must be 0, 1, 2 or 3, got {axis!r}")
+
+
 def _along(axis, lo, hi):
     """Index of the ``lo:hi`` range along ``axis`` of a rank-4 array."""
     index = [slice(None)] * 4
@@ -609,23 +621,27 @@ def _along(axis, lo, hi):
 def concat(tensors, axis):
     """Join tensors along ``axis``; every other extent must match."""
     tensors = tuple(tensors)
+    if not tensors:
+        raise ShapeError("concat needs at least one tensor")
+    _check_axis("concat", axis)
     ref = tensors[0].shape
     for t in tensors:
-        if any(t.shape[ax] != ref[ax] for ax in range(4) if ax != axis):
+        if t.shape[:axis] != ref[:axis] or t.shape[axis + 1:] != ref[axis + 1:]:
             raise ShapeError(f"concat along axis {axis}: shape {t.shape} incompatible with {ref}")
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g):
-        return tuple(g[_along(axis, lo, hi)] for lo, hi in zip(offsets[:-1], offsets[1:]))
+        bounds = accumulate((t.shape[axis] for t in tensors), initial=0)
+        return tuple(g[_along(axis, lo, hi)] for lo, hi in pairwise(bounds))
 
     return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def narrow(x, axis, lo, hi):
     """The ``lo:hi`` range of ``x`` along ``axis``."""
-    index = _along(axis, lo, hi)
+    _check_axis("narrow", axis)
     if not (0 <= lo < hi <= x.shape[axis]):
         raise ShapeError(f"slice [{lo}:{hi}] along axis {axis} out of range for {x.shape}")
+    index = _along(axis, lo, hi)
 
     def backward(g):
         return (_Range(index, g),)
@@ -645,10 +661,10 @@ class _Range:
 
 
 def reshape(x, shape):
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 4:
-        raise ShapeError(f"reshape target must be rank 4, got {shape}")
-    if int(np.prod(shape)) != x.size:
+    shape = tuple(map(int, shape))
+    if len(shape) != 4 or min(shape) < 0:
+        raise ShapeError(f"reshape target must be 4 sizes >= 0, got {shape}")
+    if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} into {shape}")
     old = x.shape
 
@@ -864,7 +880,8 @@ def bce_with_logits(logits, targets, mask=None, normalizer=None):
 
     ``targets`` and ``mask`` are plain arrays (no gradient).  The per-element
     stable form max(z,0) - z*y + log1p(exp(-|z|)) is summed over ``mask`` and
-    divided by ``normalizer`` (defaults to the number of counted elements).
+    divided by ``normalizer`` (defaults to the number of counted elements,
+    at least 1; a given one must be finite and positive).
     """
     z = logits.data
     y = np.asarray(targets, dtype=np.float64)
@@ -879,12 +896,13 @@ def bce_with_logits(logits, targets, mask=None, normalizer=None):
     if normalizer is None:
         normalizer = max(1.0, float(m.sum()))
     normalizer = float(normalizer)
+    if not 0 < normalizer < math.inf:
+        raise ParameterError(f"bce normalizer must be finite and > 0, got {normalizer}")
     per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     total = float((per * m).sum()) / normalizer
-    sig = sigmoid_array(z)
 
     def backward(g):
-        return (g.reshape(()) * m * (sig - y) / normalizer,)
+        return (g.reshape(()) * m * (sigmoid_array(z) - y) / normalizer,)
 
     return _result(np.full((1, 1, 1, 1), total), (logits,), backward, z.size)
 

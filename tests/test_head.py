@@ -195,6 +195,20 @@ class TestMakeLabels:
         labels = H.make_labels(H.BBox(200.0, 200.0, 20.0, 20.0), 4, (16, 16))
         assert labels.n_positive == 0
 
+    @pytest.mark.parametrize("box", [H.BBox(math.nan, 0.0, 4.0, 4.0),
+                                     H.BBox(0.0, 0.0, math.inf, 4.0),
+                                     H.BBox(0.0, -math.inf, 4.0, 4.0)])
+    def test_non_finite_gt_raises_numeric_error(self, box):
+        # unchecked, a NaN box gave NaN regression targets and no positives,
+        # so a batch holding it made compute_loss NaN
+        with pytest.raises(NumericError):
+            H.make_labels(box, 4, (16, 16))
+
+    @pytest.mark.parametrize("w, h", [(-4.0, 4.0), (4.0, -0.5)])
+    def test_negative_size_raises_shape_error(self, w, h):
+        with pytest.raises(ShapeError):
+            H.make_labels(H.BBox(8.0, 8.0, w, h), 4, (16, 16))
+
     def test_decode_of_exact_targets_reproduces_gt(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

@@ -68,6 +68,16 @@ class TestMemoryBank:
         with pytest.raises(ConfigError):
             bank.update(0, T.zeros((1, 1, 1, 1)), 1.0)
 
+    @pytest.mark.parametrize("index", [float("nan"), 2.5, -1, True, 4.0])
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_frame_index_must_be_a_nonnegative_integer(self, index, filled):
+        bank = M.MemoryBank(capacity=3, write_period=1, write_threshold=0.0)
+        if filled:
+            bank.update(0, T.zeros((1, 1, 1, 1)), 1.0)
+        with pytest.raises(ConfigError, match="frame index"):
+            bank.update(index, T.zeros((1, 1, 1, 1)), 1.0)
+        assert bank.frame_indices == ([0] if filled else [])
+
     def test_capacity_validated(self):
         with pytest.raises(ConfigError):
             M.MemoryBank(capacity=0, write_period=5, write_threshold=0.6)

@@ -78,6 +78,36 @@ def input_gradient_oracle(gy, w, x_shape, stride, pad):
 FLOAT32_TOL = 1e-5
 
 
+def masked_sigmoid(z):
+    """The logistic function the way sigmoid_array used to compute it: each
+    stable formula on its own boolean-mask gather, scattered back."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def argmax_pool(x, axes):
+    """A max pool the way pool used to compute it: the first-occurrence argmax
+    over the merged reduced axes, then a gather through it.  Returns the pooled
+    array and the argmax, which also marks where the gradient goes."""
+    lo, hi = axes[0], axes[-1] + 1
+    flat = x.reshape(x.shape[:lo] + (-1,) + x.shape[hi:])
+    idx = np.expand_dims(flat.argmax(axis=lo), lo)
+    kept = x.shape[:lo] + (1,) * (hi - lo) + x.shape[hi:]
+    return np.take_along_axis(flat, idx, axis=lo).reshape(kept), idx
+
+
+def assert_bitwise(actual, expect):
+    """Same dtype, shape and bits; a NaN matches any NaN, whatever its sign bit."""
+    assert actual.dtype == expect.dtype and actual.shape == expect.shape
+    nan = np.isnan(expect)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expect[~nan].tobytes()
+
+
 def sliding_window_columns(data, kh, kw, stride, pad):
     """im2col columns built the way conv2d used to: sliding_window_view, then
     a transposing copy into (n, c kh kw, oh ow)."""
@@ -378,6 +408,24 @@ class TestActivations:
         y = T.sigmoid(vector([-1e4, 1e4]))
         assert np.all(np.isfinite(y.data))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_is_bitwise_the_masked_form(self, dtype):
+        # signed zeros, infinities, NaN, the edge of float32's exp range
+        # (88.7), where its exp underflows (-104) and where float64's does (745)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 88.7, -88.7, -104.0, 745.0, -745.0]
+        spread = np.random.default_rng(33).standard_normal(502) * 30
+        z = np.concatenate([special, spread]).astype(dtype)
+        assert_bitwise(T.sigmoid_array(z), masked_sigmoid(z))
+        x = T.Tensor4(z.reshape(2, 8, 4, 8))
+        assert_bitwise(T.sigmoid(x).data, masked_sigmoid(x.data))
+
+    def test_exp_gradient_is_zero_from_the_clamp_on(self):
+        values = np.array([-60.0, -50.0, -49.5, 0.0, 49.5, 50.0, 60.0])
+        x = T.Tensor4(values.reshape(1, -1, 1, 1), requires_grad=True)
+        T.sum_all(T.exp(x)).backward()
+        inside = np.exp(values[[2, 3, 4]])
+        assert np.array_equal(x.grad.ravel(), [0.0, 0.0, *inside, 0.0, 0.0])
+
 
 class TestSoftmaxTau:
     def test_uniform_on_equal_logits(self):
@@ -650,6 +698,44 @@ class TestPooling:
         assert np.array_equal(x.grad[:, :, 0], [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]],
                                                 [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["global_max", "max_over_c"])
+    def test_max_pools_equal_the_argmax_gather(self, kind, dtype):
+        # non-negative, as the model's max pools see them (relu outputs and
+        # positively gated ones), with ties and an all-zero column
+        rng = np.random.default_rng(34)
+        x = rng.integers(0, 4, (2, 5, 3, 4)).astype(dtype)
+        x[0, :, 0, 0] = 0.0
+        x[1] += rng.random((5, 3, 4)).astype(dtype)
+        axes = T._POOLS[kind][1]
+        expect, idx = argmax_pool(x, axes)
+        assert_bitwise(T.pool(kind, T.Tensor4(x)).data, expect)
+
+        # the gradient goes to the first maximum on ties
+        xt = T.Tensor4(x, requires_grad=True)
+        T.sum_all(T.pool(kind, xt)).backward()
+        lo = axes[0]
+        grad = np.zeros(x.shape).reshape(idx.shape[:lo] + (-1,) + idx.shape[lo + 1:])
+        np.put_along_axis(grad, idx, 1.0, axis=lo)
+        assert np.array_equal(xt.grad, grad.reshape(x.shape))
+
+    @pytest.mark.parametrize("kind", ["global_max", "max_over_c"])
+    def test_max_pools_propagate_nan(self, kind):
+        x = np.ones((2, 3, 2, 2))
+        x[0, 1, 1, 0] = np.nan
+        y = T.pool(kind, T.Tensor4(x)).data
+        expect, _ = argmax_pool(x, T._POOLS[kind][1])
+        assert np.isnan(y).sum() == 1
+        assert_bitwise(y, expect)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 32, 16, 16), (2, 5, 7, 9)])
+    @pytest.mark.parametrize("kind", ["global_avg", "avg_over_w", "avg_over_h", "mean_over_c"])
+    def test_mean_pools_are_bitwise_np_mean(self, kind, shape, dtype):
+        x = (np.random.default_rng(35).standard_normal(shape) * 3).astype(dtype)
+        y = T.pool(kind, T.Tensor4(x)).data
+        assert_bitwise(y, x.mean(axis=T._POOLS[kind][1], keepdims=True))
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             T.pool("sum", T.zeros((1, 1, 1, 1)))
@@ -701,6 +787,18 @@ class TestCombine:
             T.mul_broadcast(T.zeros((1, 2, 2, 2)), T.zeros((1, 3, 1, 1)))
         with pytest.raises(ShapeError):
             T.concat((T.zeros((1, 2, 3, 4)), T.zeros((1, 3, 3, 4))), axis=2)
+        x = T.zeros((1, 4, 3, 3))
+        with pytest.raises(ShapeError):
+            T.concat([], 1)
+        with pytest.raises(ShapeError):
+            T.concat([x, x], 5)
+        for axis in (4, -1):
+            with pytest.raises(ShapeError):
+                T.narrow(x, axis, 0, 1)
+        with pytest.raises(ShapeError):
+            T.reshape(x, (-1, -4, 3, 3))  # the sizes multiply out to x's
+        with pytest.raises(ShapeError):
+            T.reshape(x, (1, 4, 9))
 
     def test_minimum_tie_break(self):
         a = T.Tensor4(np.full((1, 1, 1, 2), 1.0), requires_grad=True)
@@ -708,6 +806,14 @@ class TestCombine:
         T.sum_all(T.minimum(a, b)).backward()
         assert np.array_equal(a.grad.ravel(), [1.0, 1.0])
         assert np.array_equal(b.grad.ravel(), [0.0, 0.0])
+
+
+class TestBceWithLogits:
+    @pytest.mark.parametrize("normalizer", [0, -2.0, math.nan, math.inf])
+    def test_normalizer_must_be_finite_and_positive(self, normalizer):
+        z = T.zeros((1, 1, 2, 2))
+        with pytest.raises(ParameterError, match="normalizer"):
+            T.bce_with_logits(z, np.ones(z.shape), normalizer=normalizer)
 
 
 class TestBackprop:
@@ -950,8 +1056,10 @@ class TestInputsUntouched:
         lambda x, w: T.attend(T.reshape(x, (2, 3, 25, 1)), w["keys"], 2.0),
         lambda x, w: T.softmax_tau(x, tau=0.3),
         lambda x, w: T.relu(x),
+        lambda x, w: T.pool("global_avg", x),
+        lambda x, w: T.pool("max_over_c", x),
     ], ids=["conv_k3", "conv_k3_cout1_strided", "conv_1x1", "attend", "softmax_tau",
-            "relu"])
+            "relu", "mean_pool", "max_pool"])
     def test_input_bytes_untouched(self, op):
         rng = np.random.default_rng(24)
         x = T.Tensor4(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
