@@ -5,13 +5,17 @@ stacks every stored pixel into one column, runs one key and one value
 projection over the whole stack and one key projection over the query,
 attends from every query pixel over all memory pixels, gathers the
 projected values and fuses the read with the query feature through a 1x1
-conv.  The attention is one op, ``tensor.attend``: it takes the query rows
-in cache-sized blocks, and in each the scaled dot product of the query and
-memory keys, its max subtraction and ``exp`` run in the keys' dtype (float32
-outside a ``T.float64()`` block) while the row sums and the division into
-the float64 (n, 1, Q, P) rows it returns run in float64.  The fused map always has the
-query's spatial size no matter how many frames are stored, and is invariant
-to any permutation of the memory pixels.
+conv.  The attention and the read are one op, ``tensor.attend``: it takes
+the query rows in cache-sized blocks, and in each the scaled dot product of
+the query and memory keys, its max subtraction and ``exp`` run in the keys'
+dtype (float32 outside a ``T.float64()`` block) while the row sums and the
+normalisation into the float64 (n, 1, Q, P) rows it returns run in float64.
+A float32 block multiplies the values while it is in cache, and that read
+is scaled by the float64 reciprocal row sums; a float64 read is one product
+with the whole rows.  The fused map always has the query's spatial size no
+matter how many frames are stored, and is invariant to any permutation of
+the memory pixels up to rounding: a float32 read sums over the memory
+pixels in their stored order.
 """
 
 from __future__ import annotations
@@ -122,6 +126,7 @@ def readout(query_feature, memory_features, p: ReadoutParams):
     ``memory_features`` is a non-empty list of (n, c, hm, wm) tensors; the
     query is (n, c, hq, wq).  Attention logits are scaled by 1/sqrt(ck),
     applied to the query keys; each query pixel's attention row sums to 1.
+    Returns the fused map and the graph-free (n, 1, hq wq, P) attention rows.
     """
     if not memory_features:
         raise ShapeError("readout requires a non-empty memory")
@@ -143,7 +148,7 @@ def readout(query_feature, memory_features, p: ReadoutParams):
     query_keys = T.reshape(T.conv2d(query_feature, p.key_w, p.key_b), (n, ck, hq * wq, 1))
 
     # tau = sqrt(ck) is the 1/sqrt(ck) logit scale; rows over memory pixels
-    attn = T.attend(query_keys, mem_keys, ck ** 0.5)
-    read = T.reshape(T.apply_attention(mem_values, attn), (n, cv, hq, wq))
+    read, attn = T.attend(query_keys, mem_keys, mem_values, ck ** 0.5)
+    read = T.reshape(read, (n, cv, hq, wq))
     fused = T.conv2d(T.concat((read, query_feature), axis=1), p.fuse_w, p.fuse_b)
     return fused, attn

@@ -25,11 +25,12 @@ Precision follows one rule (see :mod:`gatetrack.tensor`): convolutions
 multiply float32 copies of their operands, forward and backward, whether a
 frame is tracked inside ``T.no_grad()`` or a training step records a graph.
 So features, memory entries, head maps and the gradients flowing back
-through them are float32.  The readout's attention logits and ``exp`` run in
-float32 too, but its rows, like the gate's soft weights, are summed and
-normalised in float64.  Parameters, their gradient updates and checkpoints
-are float64, as master weights.  Only a ``T.float64()`` block, which
-``T.grad_check`` opens, runs everything in float64.
+through them are float32.  The readout's attention logits, ``exp`` and read
+of the values run in float32 too, but its rows, like the gate's soft
+weights, are summed and normalised in float64.  Parameters, their gradient
+updates and checkpoints are float64, as master weights.  Only a
+``T.float64()`` block, which ``T.grad_check`` opens, runs everything in
+float64.
 
 Checkpoints are a text index, ``GTCK1 <count>`` then one ``<name> <size>``
 line per tensor and a blank line, followed by one DT64 blob per entry (the

@@ -15,8 +15,8 @@ verify against the finite-difference oracle in :func:`grad_check`:
   * ``add``, ``sub``, ``scale``, ``mul_broadcast``, ``div_broadcast`` and
     ``minimum``;
   * layout: ``concat`` and ``narrow`` along one axis, and ``reshape``;
-  * attention: ``attend`` (the query-key product and its softmax rows in
-    one op) and ``apply_attention`` (the weighted read of values);
+  * attention: ``attend``, the query-key product, its softmax rows and
+    the read of values through them in one op;
   * the losses' ``bce_with_logits`` and ``sum_all``.
 
 Design notes:
@@ -32,9 +32,12 @@ Design notes:
   * rows that must sum to 1 are normalised in float64: ``attend`` and
     ``softmax_tau`` run their logits and ``exp`` in the operands' dtype but
     widen, sum and normalise their rows in float64, so float32 rows still
-    sum to 1 within 1e-12, and ``apply_attention`` then reads the values in
-    float64.  ``mul_broadcast`` casts its broadcast operand to the other's
-    dtype, so float64 gate weights scale a float32 branch output in float32.
+    sum to 1 within 1e-12.  ``attend`` reads the values in the operands'
+    dtype and scales the read by the same float64 reciprocal row sums, and
+    its backward multiplies float32 copies of the rows, so float32 keys give
+    a float32 read and float32 gradients.  ``mul_broadcast`` casts its
+    broadcast operand to the other's dtype, so float64 gate weights scale a
+    float32 branch output in float32.
   * parameters stay float64 as master weights: a ``Tensor4`` keeps float32
     data as float32 and stores any other data as float64, so parameters,
     checkpoints and loaded tensors are float64, while the gradients that
@@ -44,12 +47,15 @@ Design notes:
     temporaries: im2col keeps the output pixels innermost, softmax works in
     place on one array, and ``attend`` works through its query rows in
     blocks of about ``_ATTEND_BLOCK_BYTES`` of output, so each pass over a
-    block runs from cache.  A float64 block's product lands in the array
-    ``attend`` returns and its softmax runs in place there; a float32 block
-    runs in one reused scratch block and is widened into the output, where
-    it is summed and scaled.  The temperature scales the small query
-    columns instead of the (Q, P) logits, which is exact for a power-of-two
-    tau such as the readout's ``sqrt(16)``.
+    block runs from cache.  A float64 block's product lands in the rows
+    ``attend`` returns and its softmax runs in place there, and the read is
+    one product with the whole rows after the loop; a float32 block runs in
+    one reused scratch block, is widened into the rows, where it is summed
+    and scaled, and multiplies the values while it is still in cache, as
+    FlashAttention reads its tiles (Dao et al., NeurIPS 2022).  The
+    temperature scales the small query columns instead of the (Q, P)
+    logits, which is exact for a power-of-two tau such as the readout's
+    ``sqrt(16)``.
   * im2col is one strided view of the padded input, already in
     ``(n, c, kh, kw, oh, ow)`` order, copied once into the columns.
   * a k x k input gradient takes one of two exact forms.  With stride 1,
@@ -90,6 +96,7 @@ Design notes:
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from itertools import accumulate, pairwise
 
@@ -120,7 +127,6 @@ __all__ = [
     "reshape",
     "conv2d",
     "attend",
-    "apply_attention",
     "bce_with_logits",
     "sum_all",
     "backprop",
@@ -409,20 +415,23 @@ def _softmax_rows(y, axis, out=None, clamp=True):
     entry stays positive after the normalisation.  By default the rows are
     divided by their sums in place; given a wider ``out``, they are copied
     into it, summed there and scaled by the reciprocals of their sums, which
-    is within 2 ulp of the division.  Returns the array holding the rows.
+    is within 2 ulp of the division, while ``y`` keeps the unnormalised
+    ``exp``.  Returns the array holding the rows and the reciprocal row sums
+    (None for the in-place division).
     """
     if clamp:
         np.maximum(y, _EXP_FLOOR[y.dtype.type], out=y)
     np.exp(y, out=y)
     if out is None:
         y /= y.sum(axis=axis, keepdims=True)
-        return y
+        return y, None
     # widen once: mixed-dtype ufuncs cast in small buffers, which made
     # attend's loop at 256 x 2048 about 25 % slower; scaling by the
     # reciprocals takes that loop about 8 % less time than dividing
     out[...] = y
-    out *= 1.0 / out.sum(axis=axis, keepdims=True)
-    return out
+    recip = 1.0 / out.sum(axis=axis, keepdims=True)
+    out *= recip
+    return out, recip
 
 
 def _softmax_grad(g, y, axis):
@@ -451,7 +460,7 @@ def softmax_tau(x, tau):
     # as in attend, exp runs in the logits' dtype and float32 rows are then
     # widened once, summed and normalised in float64: float32 rows of only 4
     # entries already miss a sum of 1 within 1e-9
-    y = _softmax_rows(y, 1, None if y.dtype == np.float64 else np.empty(y.shape))
+    y, _ = _softmax_rows(y, 1, None if y.dtype == np.float64 else np.empty(y.shape))
 
     def backward(g):
         dx = _softmax_grad(g, y, 1)
@@ -510,7 +519,7 @@ def pool(kind, x):
         lo, hi = axes[0], axes[-1] + 1
         merged = shape[:lo] + (count,) + shape[hi:]
         idx = np.expand_dims(x.data.reshape(merged).argmax(axis=lo), lo)
-        dflat = np.zeros(merged)
+        dflat = np.zeros(merged, g.dtype)
         np.put_along_axis(dflat, idx, g.reshape(idx.shape), axis=lo)
         return (dflat.reshape(shape),)
 
@@ -606,9 +615,26 @@ def minimum(a, b):
     return _result(np.where(take_a, a.data, b.data), (a, b), backward, a.size)
 
 
+def _ints(what, values):
+    """``values`` as a tuple of Python ints, or ``ShapeError`` naming them: an
+    axis, index or size must be an integer (a float is not truncated, and bool
+    is not one)."""
+    values = tuple(values)
+    try:
+        ints = tuple(map(operator.index, values))
+    except TypeError:
+        ints = None
+    if ints is None or bool in map(type, values):
+        raise ShapeError(f"{what} must be integers, got {values!r}")
+    return ints
+
+
 def _check_axis(op, axis):
+    """``axis`` as a Python int, or ``ShapeError`` unless it is 0, 1, 2 or 3."""
+    (axis,) = _ints(f"{op} axis", (axis,))
     if axis not in range(4):
         raise ShapeError(f"{op} axis must be 0, 1, 2 or 3, got {axis!r}")
+    return axis
 
 
 def _along(axis, lo, hi):
@@ -623,7 +649,7 @@ def concat(tensors, axis):
     tensors = tuple(tensors)
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
-    _check_axis("concat", axis)
+    axis = _check_axis("concat", axis)
     ref = tensors[0].shape
     for t in tensors:
         if t.shape[:axis] != ref[:axis] or t.shape[axis + 1:] != ref[axis + 1:]:
@@ -638,7 +664,8 @@ def concat(tensors, axis):
 
 def narrow(x, axis, lo, hi):
     """The ``lo:hi`` range of ``x`` along ``axis``."""
-    _check_axis("narrow", axis)
+    axis = _check_axis("narrow", axis)
+    lo, hi = _ints("narrow bounds", (lo, hi))
     if not (0 <= lo < hi <= x.shape[axis]):
         raise ShapeError(f"slice [{lo}:{hi}] along axis {axis} out of range for {x.shape}")
     index = _along(axis, lo, hi)
@@ -661,7 +688,7 @@ class _Range:
 
 
 def reshape(x, shape):
-    shape = tuple(map(int, shape))
+    shape = _ints("reshape sizes", shape)
     if len(shape) != 4 or min(shape) < 0:
         raise ShapeError(f"reshape target must be 4 sizes >= 0, got {shape}")
     if math.prod(shape) != x.size:
@@ -785,43 +812,58 @@ def _pixel_major(cols):
     return np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
-def attend(q, k, tau):
-    """Attention rows of query pixels over key pixels, temperature ``tau``.
+def attend(q, k, v, tau):
+    """Read of values through attention rows of query pixels over key pixels.
 
-    ``q``: (n, c, Q, 1) and ``k``: (n, c, P, 1) give float64 (n, 1, Q, P)
-    rows, row ``i`` the softmax over ``j`` of ``sum_c q[c, i] k[c, j] /
-    tau``.  The small query columns are scaled by ``1/tau``; for a
-    power-of-two ``tau`` (the readout's ``sqrt(16) = 4``) that is exact, so
-    the rows are bitwise those of dividing the logits.
+    ``q``: (n, c, Q, 1), ``k``: (n, c, P, 1) and ``v``: (n, cv, P, 1).  Row
+    ``i`` of the float64 (n, 1, Q, P) rows is the softmax over ``j`` of
+    ``sum_c q[c, i] k[c, j] / tau``; the read is the (n, cv, Q, 1) weighted
+    sum of the value pixels by each row, in the operands' dtype.  Returns
+    ``(read, rows)``: the graph runs through the read to ``q``, ``k`` and
+    ``v``, and ``rows`` is a graph-free tensor for inspection.  The small
+    query columns are scaled by ``1/tau``; for a power-of-two ``tau`` (the
+    readout's ``sqrt(16) = 4``) that is exact, so the rows are bitwise those
+    of dividing the logits.
 
     The rows are computed in blocks of about ``_ATTEND_BLOCK_BYTES`` of
     output.  Each block's product, max subtraction, clamp and ``exp`` (see
     :func:`_softmax_rows`) run in the operands' dtype; the clamp runs only
     when the operands' norms let a row's logits spread beyond it.  Float64
     blocks are computed and divided by their row sums in place in the
-    returned array, which keeps them bitwise those of one whole-array pass.
+    rows, which keeps them bitwise those of one whole-array pass, and the
+    read is one product of the values with the rows after the loop.
     Float32 blocks are computed in a scratch block, then widened into the
-    returned array, summed and scaled by the reciprocal row sums there.  So
-    rows sum to 1 within 1e-12 and stay strictly positive either way;
-    float32 rows of 256 or more entries would not sum to 1 within 1e-9.
+    rows, summed and scaled by the reciprocal row sums there; while the
+    block is still in cache it multiplies the values, and that read is
+    scaled by the same reciprocals.  So rows sum to 1 within 1e-12 and stay
+    strictly positive either way; float32 rows of 256 or more entries would
+    not sum to 1 within 1e-9.  The backward runs in the operands' dtype too:
+    float32 operands take float32 copies of the rows.
     """
     if not tau > 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
     if q.shape[0] != k.shape[0] or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attend batch/channel mismatch: {q.shape} vs {k.shape}")
-    if q.shape[3] != 1 or k.shape[3] != 1:
+    if q.shape[3] != 1 or k.shape[3] != 1 or v.shape[3] != 1:
         raise ShapeError("attend operands must be pixel columns (w == 1)")
+    if v.shape[0] != k.shape[0] or v.shape[2] != k.shape[2]:
+        raise ShapeError(f"attend values {v.shape} do not match keys {k.shape}")
     if k.size == 0:
         raise ShapeError(f"attend needs at least one key, got shape {k.shape}")
     dtype = np.result_type(q.data, k.data)
     qs = np.divide(q.data[:, :, :, 0], tau, dtype=dtype)
     qt = qs.transpose(0, 2, 1)
     k3 = k.data[:, :, :, 0]
+    v3 = v.data[:, :, :, 0].astype(dtype, copy=False)
     n, rows, p = q.shape[0], q.shape[2], k.shape[2]
     y = np.empty((n, 1, rows, p))
     step = max(2, _ATTEND_BLOCK_BYTES // (8 * n * p))
-    # a single leftover row joins the block before it (below), hence step + 1
-    scratch = None if dtype == np.float64 else np.empty((n, min(step + 1, rows), p), dtype)
+    wide = dtype == np.float64
+    if not wide:
+        # a single leftover row joins the block before it (below), hence step + 1
+        scratch = np.empty((n, min(step + 1, rows), p), dtype)
+        vt = np.ascontiguousarray(v3.transpose(0, 2, 1))
+        read_t = np.empty((n, rows, v.shape[1]), dtype)  # the read, (n, Q, cv)
     # by Cauchy-Schwarz no two logits of a row differ by more than
     # 2 max|q_i| max|k_j| / tau; below log(1 / tiny) no entry can reach the
     # clamp, so the blocks skip its pass, which took about twice as long as
@@ -836,43 +878,31 @@ def attend(q, k, tau):
         # unless the whole array is
         hi = rows if lo + step >= rows - 1 else lo + step
         out = y[:, 0, lo:hi]
-        block = out if scratch is None else scratch[:, :hi - lo]
+        block = out if wide else scratch[:, :hi - lo]
         np.matmul(qt[:, lo:hi], k3, out=block)
         block -= block.max(axis=2, keepdims=True)
-        _softmax_rows(block, 2, None if scratch is None else out, clamp)
+        _, recip = _softmax_rows(block, 2, None if wide else out, clamp)
+        if not wide:
+            np.matmul(block, vt, out=read_t[:, lo:hi])
+            read_t[:, lo:hi] *= recip
         lo = hi
+    a3 = y[:, 0]
+    read = np.matmul(v3, a3.transpose(0, 2, 1)) if wide else read_t.transpose(0, 2, 1)
 
     def backward(g):
+        a = a3 if wide else a3.astype(dtype)
+        g3 = g[:, :, :, 0].astype(dtype, copy=False)
+        dv = np.matmul(g3, a)
+        ds = _softmax_grad(np.matmul(g3.transpose(0, 2, 1), v3), a, 2)
         # the logits' 1/tau reaches dk through the scaled query and dq here
-        ds3 = _softmax_grad(g, y, 3)[:, 0]
-        dq = np.matmul(k3, ds3.transpose(0, 2, 1))
+        dq = np.matmul(k3, ds.transpose(0, 2, 1))
         dq /= tau
-        dk = np.matmul(qs, ds3)
-        return (dq[:, :, :, None], dk[:, :, :, None])
+        dk = np.matmul(qs, ds)
+        return (dq[:, :, :, None], dk[:, :, :, None], dv[:, :, :, None])
 
-    return _result(y, (q, k), backward, (2 * q.shape[1] + 1) * y.size)
-
-
-def apply_attention(values, attn):
-    """Weighted read of value pixels: (n, cv, P, 1) x (n, 1, Q, P) -> (n, cv, Q, 1).
-
-    The product runs in the wider dtype of the two, so float64 rows give a
-    float64 read of float32 values.
-    """
-    n, cv, p, one = values.shape
-    if one != 1 or attn.shape[1] != 1 or attn.shape[3] != p or attn.shape[0] != n:
-        raise ShapeError(f"apply_attention shapes incompatible: {values.shape} vs {attn.shape}")
-    v3 = values.data[:, :, :, 0]
-    a3 = attn.data[:, 0]
-    y = np.matmul(v3, a3.transpose(0, 2, 1))[:, :, :, None]
-
-    def backward(g):
-        g3 = g[:, :, :, 0]
-        dv = np.matmul(g3, a3)[:, :, :, None]
-        da = np.matmul(g3.transpose(0, 2, 1), v3)[:, None]
-        return (dv, da)
-
-    return _result(y, (values, attn), backward, 2 * p * y.size)
+    # the query-key product and the softmax (2c + 1 per entry), then the read
+    flops = (2 * q.shape[1] + 1 + 2 * v.shape[1]) * y.size
+    return _result(read[:, :, :, None], (q, k, v), backward, flops), Tensor4(y)
 
 
 def bce_with_logits(logits, targets, mask=None, normalizer=None):

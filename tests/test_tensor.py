@@ -531,6 +531,18 @@ def softmax_rows_reference(q, k, tau):
     return y / y.sum(axis=3, keepdims=True)
 
 
+def attend_rows(q, k, tau):
+    """The rows ``attend`` returns for plain arrays, read through one value channel."""
+    v = np.zeros((k.shape[0], 1, k.shape[2], 1), k.dtype)
+    return T.attend(T.Tensor4(q), T.Tensor4(k), T.Tensor4(v), tau)[1].data
+
+
+# a float32 read sums its products in float32: each read entry lies within
+# this many float32 epsilons of rows @ values in float64, relative to
+# rows @ |values| (the error bound's scale); measured at most 0.85 below
+READ32_EPS = 8
+
+
 class TestAttend:
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("tau", [1.0, 2.0, 4.0])
@@ -538,7 +550,7 @@ class TestAttend:
         rng = np.random.default_rng(30)
         q = rng.standard_normal((n, 5, 12, 1))
         k = rng.standard_normal((n, 5, 20, 1))
-        y = T.attend(T.Tensor4(q), T.Tensor4(k), tau).data
+        y = attend_rows(q, k, tau)
         assert y.tobytes() == softmax_rows_reference(q, k, tau).tobytes()
 
     def test_readout_shape_is_bitwise_the_reference(self):
@@ -546,7 +558,7 @@ class TestAttend:
         rng = np.random.default_rng(31)
         q = rng.standard_normal((1, 16, 256, 1))
         k = rng.standard_normal((1, 16, 2048, 1))
-        y = T.attend(T.Tensor4(q), T.Tensor4(k), 16 ** 0.5).data
+        y = attend_rows(q, k, 16 ** 0.5)
         assert y.tobytes() == softmax_rows_reference(q, k, 4.0).tobytes()
 
     @pytest.mark.parametrize("n", [1, 4])
@@ -555,33 +567,77 @@ class TestAttend:
     def test_row_blocks_are_bitwise_one_pass(self, monkeypatch, n, rows_per_block):
         # 13 query rows: blocks of 2 and of 4 leave one row over, which joins
         # the last block; blocks of 5 end in a ragged block of 3.  Forward and
-        # backward must match the one-block op
+        # backward must match the one-block op, and a float64 read is one
+        # product of the values with the whole rows
         rng = np.random.default_rng(33)
         q = rng.standard_normal((n, 5, 13, 1))
         k = rng.standard_normal((n, 5, 20, 1))
-        g = rng.standard_normal((n, 1, 13, 20))
+        v = rng.standard_normal((n, 3, 20, 1))
+        g = rng.standard_normal((n, 3, 13, 1))
 
-        def rows_and_grads():
-            qt, kt = T.Tensor4(q, requires_grad=True), T.Tensor4(k, requires_grad=True)
-            y = T.attend(qt, kt, 2.0)
-            T.sum_all(T.mul_broadcast(y, T.Tensor4(g))).backward()
-            return y.data, qt.grad, kt.grad
+        def read_rows_and_grads():
+            qt, kt, vt = (T.Tensor4(a, requires_grad=True) for a in (q, k, v))
+            read, rows = T.attend(qt, kt, vt, 2.0)
+            T.sum_all(T.mul_broadcast(read, T.Tensor4(g))).backward()
+            return read.data, rows.data, qt.grad, kt.grad, vt.grad
 
-        one_pass = rows_and_grads()
+        one_pass = read_rows_and_grads()
         monkeypatch.setattr(T, "_ATTEND_BLOCK_BYTES", rows_per_block * 8 * n * 20)
-        blocked = rows_and_grads()
-        assert blocked[0].tobytes() == softmax_rows_reference(q, k, 2.0).tobytes()
+        blocked = read_rows_and_grads()
+        assert blocked[1].tobytes() == softmax_rows_reference(q, k, 2.0).tobytes()
+        product = np.matmul(v[:, :, :, 0], blocked[1][:, 0].transpose(0, 2, 1))
+        assert blocked[0].tobytes() == product[:, :, :, None].tobytes()
         for got, want in zip(blocked, one_pass):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape, rows_per_block", [
+        ((2, 5, 13, 20, 3), 4),  # blocks of 4, 4 and 5: the leftover row joins the last
+        ((2, 5, 13, 20, 3), 5),  # blocks of 5, 5 and a ragged 3
+        ((1, 16, 256, 2048, 16), None),  # the track_deep readout, at the op's own blocks
+    ], ids=["leftover_row", "ragged_block", "readout"])
+    def test_float32_read_is_close_to_the_float64_product(self, monkeypatch, shape,
+                                                          rows_per_block):
+        n, c, rows, pixels, cv = shape
+        rng = np.random.default_rng(35)
+        q, k = (rng.standard_normal((n, c, m, 1)).astype(np.float32) for m in (rows, pixels))
+        v = rng.standard_normal((n, cv, pixels, 1)).astype(np.float32)
+        if rows_per_block:
+            monkeypatch.setattr(T, "_ATTEND_BLOCK_BYTES", rows_per_block * 8 * n * pixels)
+        read, attn = T.attend(T.Tensor4(q), T.Tensor4(k), T.Tensor4(v), 4.0)
+        a = attn.data[:, 0].transpose(0, 2, 1)
+        want = np.matmul(v[:, :, :, 0].astype(np.float64), a)[:, :, :, None]
+        scale = np.matmul(np.abs(v[:, :, :, 0]).astype(np.float64), a)[:, :, :, None]
+        assert read.data.dtype == np.float32
+        assert np.all(np.abs(read.data - want) <= READ32_EPS * np.finfo(np.float32).eps * scale)
+
+    def test_rows_are_graph_free_and_the_read_carries_the_graph(self):
+        rng = np.random.default_rng(36)
+        q, k, v = (T.Tensor4(rng.standard_normal(s), requires_grad=True)
+                   for s in ((1, 2, 3, 1), (1, 2, 4, 1), (1, 3, 4, 1)))
+        read, rows = T.attend(q, k, v, 2.0)
+        assert rows._parents == () and not rows.requires_grad
+        assert read._parents == (q, k, v) and read.requires_grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_keep_the_operands_dtype(self, dtype):
+        # float32 operands take float32 copies of the float64 rows in the
+        # backward, so every product there runs in float32
+        rng = np.random.default_rng(37)
+        q, k, v = (T.Tensor4(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                   for s in ((2, 3, 6, 1), (2, 3, 9, 1), (2, 4, 9, 1)))
+        read, rows = T.attend(q, k, v, 2.0)
+        T.sum_all(T.mul_broadcast(read, read)).backward()
+        assert read.data.dtype == dtype and rows.data.dtype == np.float64
+        assert q.grad.dtype == k.grad.dtype == v.grad.dtype == dtype
+
     def test_float32_operands_give_float64_rows_close_to_their_values(self):
-        # a graph-free readout's keys are float32: the logits and exp run in
-        # float32, the row sums and normalisation in float64, so rows still sum
-        # to 1 within 1e-12, which float32 rows of 2048 entries miss
+        # a readout's keys are float32 outside T.float64(): the logits and exp
+        # run in float32, the row sums and normalisation in float64, so rows
+        # still sum to 1 within 1e-12, which float32 rows of 2048 entries miss
         rng = np.random.default_rng(31)
         q = rng.standard_normal((1, 16, 256, 1)).astype(np.float32)
         k = rng.standard_normal((1, 16, 2048, 1)).astype(np.float32)
-        y = T.attend(T.Tensor4(q), T.Tensor4(k), 16 ** 0.5).data
+        y = attend_rows(q, k, 16 ** 0.5)
         ref = softmax_rows_reference(q.astype(np.float64), k.astype(np.float64), 4.0)
         assert y.dtype == np.float64
         assert np.abs(y.sum(axis=3) - 1.0).max() <= 1e-12
@@ -589,7 +645,7 @@ class TestAttend:
 
     def test_float32_rows_stay_positive_where_exp_underflows(self):
         keys = np.array([0.0, -300.0, -1000.0], dtype=np.float32).reshape(1, 1, 3, 1)
-        y = T.attend(T.Tensor4(np.ones((1, 1, 2, 1), np.float32)), T.Tensor4(keys), 1.0).data
+        y = attend_rows(np.ones((1, 1, 2, 1), np.float32), keys, 1.0)
         assert y.dtype == np.float64
         assert np.all(y > 0.0)
         assert np.abs(y.sum(axis=3) - 1.0).max() <= 1e-12
@@ -599,8 +655,7 @@ class TestAttend:
         # about 12 times slower there; such logits are clamped at the log of
         # the smallest normal float32, so they all come out equal and positive
         gaps = np.array([0.0, -80.0, -87.0, -90.0, -95.0, -100.0, -104.0], np.float32)
-        y = T.attend(T.Tensor4(np.ones((1, 1, 2, 1), np.float32)),
-                     T.Tensor4(gaps.reshape(1, 1, 7, 1)), 1.0).data[0, 0]
+        y = attend_rows(np.ones((1, 1, 2, 1), np.float32), gaps.reshape(1, 1, 7, 1), 1.0)[0, 0]
         tiny = float(np.finfo(np.float32).tiny)
         assert y.dtype == np.float64
         assert np.abs(y.sum(axis=1) - 1.0).max() <= 1e-12
@@ -619,14 +674,14 @@ class TestAttend:
                             lambda y, axis, out=None, clamp=True:
                             seen.append(clamp) or rows(y, axis, out, clamp))
         keys = np.array([key, -key], np.float32).reshape(1, 1, 2, 1)
-        y = T.attend(T.Tensor4(np.ones((1, 1, 2, 1), np.float32)), T.Tensor4(keys), 1.0).data
+        y = attend_rows(np.ones((1, 1, 2, 1), np.float32), keys, 1.0)
         assert seen == [clamps]
         low = max(np.exp(-2 * key), float(np.finfo(np.float32).tiny))
         assert np.allclose(y[0, 0, :, 1], low, rtol=1e-5, atol=0)
 
     def test_empty_key_set_raises_shape_error(self):
         with pytest.raises(ShapeError):
-            T.attend(T.zeros((1, 2, 3, 1)), T.zeros((1, 2, 0, 1)), 1.0)
+            T.attend(T.zeros((1, 2, 3, 1)), T.zeros((1, 2, 0, 1)), T.zeros((1, 2, 0, 1)), 1.0)
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_other_tau_within_a_few_ulp(self, n):
@@ -634,31 +689,35 @@ class TestAttend:
         rng = np.random.default_rng(32)
         q = rng.standard_normal((n, 4, 32, 1))
         k = rng.standard_normal((n, 4, 48, 1))
-        y = T.attend(T.Tensor4(q), T.Tensor4(k), 3.0).data
+        y = attend_rows(q, k, 3.0)
         ref = softmax_rows_reference(q, k, 3.0)
         assert np.max(np.abs(y - ref) / np.spacing(ref)) <= 32
 
     def test_rows_sum_to_one_and_stay_positive_far_below_the_max(self):
         keys = np.zeros((1, 1, 6, 1))
         keys[0, 0, 2, 0] = -1e4  # exp underflows to 0 before the floor
-        y = T.attend(T.Tensor4(np.ones((1, 1, 3, 1))), T.Tensor4(keys), 1.0).data
+        y = attend_rows(np.ones((1, 1, 3, 1)), keys, 1.0)
         assert np.all(y > 0.0)
         assert np.allclose(y.sum(axis=3), 1.0, rtol=0, atol=1e-15)
         assert np.all(y[:, :, :, 2] < 1e-300)
 
-    @pytest.mark.parametrize("q_shape, k_shape", [
-        ((1, 3, 4, 1), (1, 2, 5, 1)),
-        ((1, 3, 4, 1), (2, 3, 5, 1)),
-        ((1, 3, 4, 2), (1, 3, 5, 1)),
-    ], ids=["channels", "batch", "not_columns"])
-    def test_mismatched_operands_raise_shape_error(self, q_shape, k_shape):
+    @pytest.mark.parametrize("q_shape, k_shape, v_shape", [
+        ((1, 3, 4, 1), (1, 2, 5, 1), (1, 2, 5, 1)),
+        ((1, 3, 4, 1), (2, 3, 5, 1), (2, 2, 5, 1)),
+        ((1, 3, 4, 2), (1, 3, 5, 1), (1, 2, 5, 1)),
+        ((1, 3, 4, 1), (1, 3, 5, 1), (2, 2, 5, 1)),
+        ((1, 3, 4, 1), (1, 3, 5, 1), (1, 2, 4, 1)),
+        ((1, 3, 4, 1), (1, 3, 5, 1), (1, 2, 5, 2)),
+    ], ids=["channels", "batch", "not_columns", "values_batch", "values_pixels",
+            "values_not_columns"])
+    def test_mismatched_operands_raise_shape_error(self, q_shape, k_shape, v_shape):
         with pytest.raises(ShapeError):
-            T.attend(T.zeros(q_shape), T.zeros(k_shape), 1.0)
+            T.attend(T.zeros(q_shape), T.zeros(k_shape), T.zeros(v_shape), 1.0)
 
     def test_nonpositive_tau_rejected(self):
         for tau in (0.0, math.nan):
             with pytest.raises(ParameterError):
-                T.attend(T.zeros((1, 1, 2, 1)), T.zeros((1, 1, 3, 1)), tau)
+                T.attend(T.zeros((1, 1, 2, 1)), T.zeros((1, 1, 3, 1)), T.zeros((1, 1, 3, 1)), tau)
 
 
 class TestPooling:
@@ -736,6 +795,17 @@ class TestPooling:
         y = T.pool(kind, T.Tensor4(x)).data
         assert_bitwise(y, x.mean(axis=T._POOLS[kind][1], keepdims=True))
 
+    @pytest.mark.parametrize("kind", list(T._POOLS))
+    def test_gradient_keeps_the_dtype_it_receives(self, kind):
+        # a float32 conv after the pool hands back a float32 gradient, and
+        # the pool's input gradient stays float32, as CBAM's pools need it
+        rng = np.random.default_rng(36)
+        x = T.Tensor4(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        pooled = T.pool(kind, x)
+        w = rand4(rng, (2, pooled.shape[1], 1, 1))
+        T.sum_all(T.conv2d(pooled, w, zero_bias(w))).backward()
+        assert x.grad.dtype == np.float32
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             T.pool("sum", T.zeros((1, 1, 1, 1)))
@@ -799,6 +869,20 @@ class TestCombine:
             T.reshape(x, (-1, -4, 3, 3))  # the sizes multiply out to x's
         with pytest.raises(ShapeError):
             T.reshape(x, (1, 4, 9))
+        # a size or a bound must be an integer: 4.9 is not truncated to 4
+        for size in (4.9, 4.0, True, "4"):
+            with pytest.raises(ShapeError, match=repr(size)):
+                T.reshape(T.zeros((1, 4, 1, 1)), (1, size, 1, 1))
+        for lo, hi in ((0.5, 2), (0, 2.0), (False, 2), (0, None)):
+            with pytest.raises(ShapeError, match="narrow bounds"):
+                T.narrow(x, 1, lo, hi)
+        for axis in (1.0, True):
+            with pytest.raises(ShapeError, match="narrow axis"):
+                T.narrow(x, axis, 0, 1)
+            with pytest.raises(ShapeError, match="concat axis"):
+                T.concat([x, x], axis)
+        assert T.reshape(x, (np.int64(1), 4, 9, 1)).shape == (1, 4, 9, 1)
+        assert T.narrow(x, 1, np.int64(1), 3).shape == (1, 2, 3, 3)
 
     def test_minimum_tie_break(self):
         a = T.Tensor4(np.full((1, 1, 1, 2), 1.0), requires_grad=True)
@@ -904,7 +988,7 @@ def _op_cases(rng):
     def attend_read(ps):
         # every pixel attends over every pixel of the same map and reads it
         cols = T.reshape(p1(ps), (shape[0], shape[1], shape[2] * shape[3], 1))
-        read = T.apply_attention(cols, T.attend(cols, cols, 2.5))
+        read, _ = T.attend(cols, cols, cols, 2.5)
         return T.sum_all(T.mul_broadcast(read, cols))
 
     cases.append(("attend", shape, attend_read))
@@ -985,15 +1069,14 @@ class TestGradCheck:
 
         assert T.grad_check(conv_one_loss, params, eps=1e-5) < 1e-4
 
-        # a batch, and a tau whose 1/tau is inexact
+        # a batch, a tau whose 1/tau is inexact, and more keys than queries
         params = T.ParamSet()
         as_param(rng, params, "q", (2, 3, 4, 1))
         as_param(rng, params, "k", (2, 3, 5, 1))
         as_param(rng, params, "v", (2, 2, 5, 1))
 
         def attn_loss(ps):
-            attn = T.attend(ps["q"], ps["k"], 2.5)
-            read = T.apply_attention(ps["v"], attn)
+            read, _ = T.attend(ps["q"], ps["k"], ps["v"], 2.5)
             return T.sum_all(T.mul_broadcast(read, read))
 
         assert T.grad_check(attn_loss, params, eps=1e-5) < 1e-4
@@ -1053,7 +1136,7 @@ class TestInputsUntouched:
         lambda x, w: T.conv2d(x, w["k3"], w["b4"], stride=1, pad=1),
         lambda x, w: T.conv2d(x, w["k3_one"], w["b1"], stride=2, pad=1),
         lambda x, w: T.conv2d(x, w["k1"], w["b4"]),
-        lambda x, w: T.attend(T.reshape(x, (2, 3, 25, 1)), w["keys"], 2.0),
+        lambda x, w: T.attend(T.reshape(x, (2, 3, 25, 1)), w["keys"], w["values"], 2.0)[0],
         lambda x, w: T.softmax_tau(x, tau=0.3),
         lambda x, w: T.relu(x),
         lambda x, w: T.pool("global_avg", x),
@@ -1070,6 +1153,7 @@ class TestInputsUntouched:
             "b4": T.Tensor4(rng.standard_normal((1, 4, 1, 1)), requires_grad=True),
             "b1": T.Tensor4(rng.standard_normal((1, 1, 1, 1)), requires_grad=True),
             "keys": T.Tensor4(rng.standard_normal((2, 3, 7, 1)), requires_grad=True),
+            "values": T.Tensor4(rng.standard_normal((2, 2, 7, 1)), requires_grad=True),
         }
         before = {name: t.data.tobytes() for name, t in [("x", x), *weights.items()]}
         y = op(x, weights)
@@ -1140,19 +1224,19 @@ class TestCountFlops:
         (lambda x, w: T.softmax_tau(x, tau=0.5), 150),
         (lambda x, w: T.mul_broadcast(x, w["c3"]), 150),
         (lambda x, w: T.sum_all(x), 150),
-        # the query-key product and the softmax over its rows
-        (lambda x, w: T.attend(T.reshape(x, (2, 3, 25, 1)), T.reshape(x, (2, 3, 25, 1)), 2.0),
-         2 * 3 * 2 * 25 * 25 + 2 * 25 * 25),
-        (lambda x, w: T.apply_attention(T.reshape(x, (2, 3, 25, 1)), w["attn"]),
-         2 * 25 * 2 * 3 * 7),
+        # the query-key product, the softmax over its rows and the read of
+        # 2 value channels through them
+        (lambda x, w: T.attend(T.reshape(x, (2, 3, 25, 1)), T.reshape(x, (2, 3, 25, 1)),
+                               w["values"], 2.0),
+         2 * 3 * 2 * 25 * 25 + 2 * 25 * 25 + 2 * 25 * 2 * 2 * 25),
     ], ids=["conv_k3", "conv_strided", "linear", "pool_max", "pool_avg", "softmax",
-            "mul_broadcast", "sum_all", "attend", "apply_attention"])
+            "mul_broadcast", "sum_all", "attend"])
     def test_op_counts_follow_conventions(self, op, expect):
         rng = np.random.default_rng(25)
         x = rand4(rng, (2, 3, 5, 5))
         weights = {"k3": rand4(rng, (4, 3, 3, 3)), "k1": rand4(rng, (4, 3, 1, 1)),
                    "b4": rand4(rng, (1, 4, 1, 1)), "c3": rand4(rng, (1, 3, 1, 1)),
-                   "attn": rand4(rng, (2, 1, 7, 25))}
+                   "values": rand4(rng, (2, 2, 25, 1))}
         assert self.counted(op, x, weights) == expect
 
     def test_same_count_with_and_without_no_grad(self):
