@@ -24,14 +24,20 @@ def as_param(rng, params, name, shape, scale=1.0):
 
 
 # (cout, cin, k, stride, pad) of a conv whose input gradient takes each form:
-# a convolution of the padded output gradient (stride 1, cout <= cin) or the
-# col2im scatter (strided, or more outputs than inputs)
+# the stride phases of the output gradient, each a convolution with a flipped
+# sub-kernel, where cout <= cin s^2 ("transposed" at stride 1: one phase, the
+# whole flipped kernel), or the col2im scatter (more outputs than that)
 DX_PATHS = [
     pytest.param(3, 3, 3, 1, 1, "transposed", id="transposed_k3p1"),
     pytest.param(1, 2, 7, 1, 3, "transposed", id="transposed_k7p3"),
-    pytest.param(4, 3, 4, 2, 1, "col2im", id="col2im_k4s2p1"),
+    pytest.param(4, 3, 4, 2, 1, "phases", id="phases_k4s2p1"),
+    pytest.param(4, 3, 2, 2, 0, "phases", id="phases_k2s2p0"),
     pytest.param(4, 3, 3, 1, 1, "col2im", id="col2im_k3_cout_gt_cin"),
+    pytest.param(13, 3, 4, 2, 1, "col2im", id="col2im_k4s2_cout_gt_4cin"),
 ]
+# im2col calls of a forward and backward pass: the forward's, plus one of the
+# output gradient unless col2im scatters the input gradient
+IM2COL_CALLS = {"transposed": 2, "phases": 2, "col2im": 1}
 
 
 def conv_oracle(x, w, b, stride, pad):
@@ -271,9 +277,32 @@ class TestConv2d:
             y = T.conv2d(x, w, zero_bias(w), stride=stride, pad=pad)
             gy = rng.standard_normal(y.shape)
             T.sum_all(T.mul_broadcast(y, T.Tensor4(gy))).backward()
-        assert len(calls) == {"transposed": 2, "col2im": 1}[path]
+        assert len(calls) == IM2COL_CALLS[path]
         expect = input_gradient_oracle(gy, w.data, x.shape, stride, pad)
         assert x.grad.dtype == np.float64
+        assert np.max(np.abs(x.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("k, stride, pad, h, w, path", [
+        (4, 2, 2, 8, 6, "phases"),  # a phase row lies wholly in the padding
+        (6, 3, 2, 8, 11, "phases"),
+        (4, 4, 0, 8, 12, "phases"),  # 1 x 1 sub-kernels
+        (3, 2, 1, 9, 7, "col2im"),  # the stride does not divide the kernel
+    ], ids=["k4s2p2", "k6s3p2", "k4s4p0", "k3s2p1"])
+    def test_stride_phases_on_uneven_shapes(self, monkeypatch, k, stride, pad, h, w, path):
+        # every phase lands on its own input rows and columns, none past the
+        # input's edge, whatever the padding, stride and aspect
+        calls = []
+        im2col = T._im2col
+        monkeypatch.setattr(T, "_im2col", lambda *a: calls.append(a) or im2col(*a))
+        rng = np.random.default_rng(34)
+        x = T.Tensor4(rng.standard_normal((2, 3, h, w)), requires_grad=True)
+        wt = rand4(rng, (4, 3, k, k))
+        with T.float64():
+            y = T.conv2d(x, wt, zero_bias(wt), stride=stride, pad=pad)
+            gy = rng.standard_normal(y.shape)
+            T.sum_all(T.mul_broadcast(y, T.Tensor4(gy))).backward()
+        assert len(calls) == IM2COL_CALLS[path]
+        expect = input_gradient_oracle(gy, wt.data, x.shape, stride, pad)
         assert np.max(np.abs(x.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("cout, cin, k, stride, pad, path", DX_PATHS + [
@@ -301,6 +330,8 @@ class TestConv2d:
                           (w.grad, dw),
                           (b.grad, gy.sum(axis=(0, 2, 3)).reshape(b.shape))):
             assert got.dtype == np.float32
+            # a digest or np.linalg.norm reads a gradient in memory order
+            assert got.flags.c_contiguous
             assert np.max(np.abs(got - want)) <= FLOAT32_TOL * np.max(np.abs(want))
 
     @pytest.mark.parametrize("batch", [1, 4])
@@ -327,6 +358,7 @@ class TestConv2d:
         assert set(seen) == {
             ((batch, 1, 64, 64), 4, 2, 1),  # backbone conv1
             ((batch, 16, 32, 32), 4, 2, 1),  # backbone conv2
+            ((batch, 32, 16, 16), 2, 1, 1),  # its dx, by stride phase
             ((batch, 32, 16, 16), 3, 1, 1),  # conv3 and the head, forward and dx
             ((batch, 2, 16, 16), 7, 1, 3),  # CBAM's spatial conv
             ((batch, 1, 16, 16), 7, 1, 3),  # its dx
@@ -418,6 +450,24 @@ class TestActivations:
         assert_bitwise(T.sigmoid_array(z), masked_sigmoid(z))
         x = T.Tensor4(z.reshape(2, 8, 4, 8))
         assert_bitwise(T.sigmoid(x).data, masked_sigmoid(x.data))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_masks_multiply_as_the_selects_did(self, dtype):
+        # relu's and exp's masks multiply the gradient; they equal the
+        # np.where selects they replace up to the sign of a masked zero
+        rng = np.random.default_rng(35)
+        values = np.concatenate([[0.0, -0.0, 50.0, -50.0, 49.9, -60.0],
+                                 rng.standard_normal(58) * 30]).reshape(1, 4, 4, 4)
+        g = rng.standard_normal(values.shape).astype(dtype)
+        x = T.Tensor4(values.astype(dtype), requires_grad=True)
+        for op, select in (
+                (T.relu, lambda y: np.where(x.data > 0.0, g, 0.0)),
+                (T.exp, lambda y: np.where(np.abs(x.data) < 50.0, g * y, 0.0))):
+            y = op(x)
+            (got,) = y._backward_fn(g)
+            expect = select(y.data)
+            assert got.dtype == expect.dtype == dtype
+            assert np.array_equal(got, expect)
 
     def test_exp_gradient_is_zero_from_the_clamp_on(self):
         values = np.array([-60.0, -50.0, -49.5, 0.0, 49.5, 50.0, 60.0])
@@ -893,6 +943,18 @@ class TestCombine:
 
 
 class TestBceWithLogits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_keeps_the_logits_dtype(self, dtype):
+        # float64 targets and mask do not widen a float32 gradient
+        rng = np.random.default_rng(36)
+        z = T.Tensor4(rng.standard_normal((2, 1, 4, 4)).astype(dtype), requires_grad=True)
+        targets = (rng.random(z.shape) > 0.5).astype(float)
+        mask = (rng.random(z.shape) > 0.25).astype(float)
+        T.bce_with_logits(z, targets, mask, normalizer=3.0).backward()
+        expect = mask * (1.0 / (1.0 + np.exp(-z.data.astype(float))) - targets) / 3.0
+        assert z.grad.dtype == dtype
+        assert np.max(np.abs(z.grad - expect)) <= 4 * np.finfo(dtype).eps
+
     @pytest.mark.parametrize("normalizer", [0, -2.0, math.nan, math.inf])
     def test_normalizer_must_be_finite_and_positive(self, normalizer):
         z = T.zeros((1, 1, 2, 2))
