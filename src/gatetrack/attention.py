@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 SPATIAL_KERNEL = 7  # CBAM spatial gate kernel; padding 3 keeps shape
 
@@ -34,10 +34,6 @@ class SEParams:
     w2: T.Tensor4  # (c, c/r, 1, 1)
     b2: T.Tensor4  # (1, c, 1, 1)
 
-    @property
-    def channels(self):
-        return self.w1.shape[1]
-
 
 @dataclass
 class CAParams:
@@ -47,10 +43,6 @@ class CAParams:
     b_h: T.Tensor4
     w_w: T.Tensor4  # (c, c/r, 1, 1)
     b_w: T.Tensor4
-
-    @property
-    def channels(self):
-        return self.w_shared.shape[1]
 
 
 @dataclass
@@ -62,21 +54,9 @@ class CBAMParams:
     w_spatial: T.Tensor4  # (1, 2, 7, 7)
     b_spatial: T.Tensor4  # (1, 1, 1, 1)
 
-    @property
-    def channels(self):
-        return self.w1.shape[1]
-
-
-def _check_channels(x, p, name):
-    if x.shape[1] != p.channels:
-        raise ShapeError(
-            f"{name} expects {p.channels} channels, feature has {x.shape[1]}"
-        )
-
 
 def se_forward(x, p: SEParams):
     """Channel reweighting from the global average of each channel."""
-    _check_channels(x, p, "se_forward")
     squeezed = T.pool("global_avg", x)
     hidden = T.relu(T.conv2d(squeezed, p.w1, p.b1))
     gate = T.sigmoid(T.conv2d(hidden, p.w2, p.b2))
@@ -90,7 +70,6 @@ def ca_forward(x, p: CAParams):
     (n, c, h+w, 1) tensor, pushed through the shared bottleneck, then split
     back into the per-direction gates.
     """
-    _check_channels(x, p, "ca_forward")
     n, c, h, w = x.shape
     zh = T.pool("avg_over_w", x)  # (n, c, h, 1)
     # (n, c, 1, w) and (n, c, w, 1) hold the same element order
@@ -105,7 +84,6 @@ def ca_forward(x, p: CAParams):
 
 def cbam_forward(x, p: CBAMParams):
     """Channel gate from avg+max statistics, then a 7x7 spatial gate."""
-    _check_channels(x, p, "cbam_forward")
 
     def mlp(pooled):
         return T.conv2d(T.relu(T.conv2d(pooled, p.w1, p.b1)), p.w2, p.b2)

@@ -41,10 +41,6 @@ class GateParams:
     w2: T.Tensor4  # (B, c/d, 1, 1)
     b2: T.Tensor4
 
-    @property
-    def channels(self):
-        return self.w1.shape[1]
-
 
 @dataclass
 class GateDecision:
@@ -99,10 +95,6 @@ def gate_cost(channels, scale, height, width):
 
 def gate_logits(feature, p: GateParams):
     """Branch logits from globally pooled features: (n, B, 1, 1)."""
-    if feature.shape[1] != p.channels:
-        raise ShapeError(
-            f"gate expects {p.channels} channels, feature has {feature.shape[1]}"
-        )
     pooled = T.pool("global_avg", feature)
     hidden = T.relu(T.conv2d(pooled, p.w1, p.b1))
     return T.conv2d(hidden, p.w2, p.b2)

@@ -95,8 +95,6 @@ def init_head(params, rng, channels):
 
 def head_forward(fused, p: HeadParams):
     c = p.cls[0].shape[1]
-    if fused.shape[1] != c:
-        raise ShapeError(f"head expects {c} channels, feature has {fused.shape[1]}")
     branches = (p.cls, p.ctr, p.reg)
     w1 = T.concat([b[0] for b in branches], axis=0)
     b1 = T.concat([b[1] for b in branches], axis=1)
@@ -236,10 +234,6 @@ def compute_loss(out: HeadOutput, labels: Labels, gate_weight_tensors=None,
     running every branch.  A ``None`` gate weight tensor, from a fixed
     attention mode, has no decision to regularize and adds no cost term.
     """
-    if labels.positive.shape != out.cls.shape:
-        raise ShapeError(
-            f"labels shape {labels.positive.shape} != head output {out.cls.shape}"
-        )
     n_pos = labels.n_positive
     loss = T.bce_with_logits(out.cls, labels.positive)
     if n_pos > 0:

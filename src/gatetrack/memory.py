@@ -5,17 +5,10 @@ stacks every stored pixel into one column, runs one key and one value
 projection over the whole stack and one key projection over the query,
 attends from every query pixel over all memory pixels, gathers the
 projected values and fuses the read with the query feature through a 1x1
-conv.  The attention and the read are one op, ``tensor.attend``: it takes
-the query rows in cache-sized blocks, and in each the scaled dot product of
-the query and memory keys, its max subtraction and ``exp`` run in the keys'
-dtype (float32 outside a ``T.float64()`` block) while the row sums and the
-normalisation into the float64 (n, 1, Q, P) rows it returns run in float64.
-A float32 block multiplies the values while it is in cache, and that read
-is scaled by the float64 reciprocal row sums; a float64 read is one product
-with the whole rows.  The fused map always has the query's spatial size no
-matter how many frames are stored, and is invariant to any permutation of
-the memory pixels up to rounding: a float32 read sums over the memory
-pixels in their stored order.
+conv.  The attention and the read are one op, ``tensor.attend``.  The
+fused map always has the query's spatial size no matter how many frames are
+stored, and is invariant to any permutation of the memory pixels up to
+rounding: a float32 read sums over the memory pixels in their stored order.
 """
 
 from __future__ import annotations

@@ -21,16 +21,9 @@ attention mode fixes how the set is chosen:
 
 The attention FLOPs of a frame are the cost-table sum over its set.
 
-Precision follows one rule (see :mod:`gatetrack.tensor`): convolutions
-multiply float32 copies of their operands, forward and backward, whether a
-frame is tracked inside ``T.no_grad()`` or a training step records a graph.
-So features, memory entries, head maps and the gradients flowing back
-through them are float32.  The readout's attention logits, ``exp`` and read
-of the values run in float32 too, but its rows, like the gate's soft
-weights, are summed and normalised in float64.  Parameters, their gradient
-updates and checkpoints are float64, as master weights.  Only a
-``T.float64()`` block, which ``T.grad_check`` opens, runs everything in
-float64.
+:func:`crop_at` hands the network float32 crops, so tracked frames and
+training batches run float32 by the precision rule in
+:mod:`gatetrack.tensor`; parameters and checkpoints are float64.
 
 Checkpoints are a text index, ``GTCK1 <count>`` then one ``<name> <size>``
 line per tensor and a blank line, followed by one DT64 blob per entry (the
@@ -349,18 +342,30 @@ def load_model(config: ModelConfig, path):
 def crop_at(frame_data, center, size):
     """Extract a (1, 1, size, size) crop around ``center``; returns (crop, origin).
 
-    The crop window is clamped inside the frame, so the origin may differ
-    from ``center - size/2`` near the borders.  A NaN or infinite centre
-    raises :class:`NumericError`.
+    ``frame_data`` is a rank-4 (1, 1, h, w) array and ``center`` the real
+    pair (cx, cy).  The crop window is clamped inside the frame, so the origin
+    may differ from ``center - size/2`` near the borders.  The crop is a
+    C-contiguous float32 copy of the window.  A malformed frame or centre
+    raises :class:`ShapeError`; a NaN or infinite centre raises
+    :class:`NumericError`.
     """
     _require_size("crop size", size)
-    if not np.isfinite(center).all():
+    if np.ndim(frame_data) != 4:
+        raise ShapeError(f"crop_at needs a rank-4 frame, got shape {np.shape(frame_data)}")
+    try:
+        c = np.asarray(center)
+    except ValueError:  # a ragged sequence
+        c = np.empty(0)
+    if c.shape != (2,) or c.dtype.kind not in "iuf":
+        raise ShapeError(f"crop centre must be two real numbers (cx, cy), got {center!r}")
+    if not np.isfinite(c).all():
         raise NumericError(f"crop centre must be finite, got {tuple(center)}")
     h, w = frame_data.shape[2], frame_data.shape[3]
     if size > h or size > w:
         raise ShapeError(f"crop {size} larger than frame {h}x{w}")
-    ox = int(round(center[0])) - size // 2
-    oy = int(round(center[1])) - size // 2
+    ox = int(round(c[0])) - size // 2
+    oy = int(round(c[1])) - size // 2
     ox = min(max(ox, 0), w - size)
     oy = min(max(oy, 0), h - size)
-    return frame_data[:, :, oy:oy + size, ox:ox + size], (float(ox), float(oy))
+    crop = frame_data[:, :, oy:oy + size, ox:ox + size].astype(np.float32, order="C")
+    return crop, (float(ox), float(oy))

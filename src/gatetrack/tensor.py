@@ -21,14 +21,13 @@ verify against the finite-difference oracle in :func:`grad_check`:
 
 Design notes:
   * one rule sets the precision, whether or not a graph is recorded:
-    ``conv2d`` multiplies float32 copies of its input, weight and bias,
-    forward and backward (single-precision GEMMs run about twice as fast),
-    so every activation after a frame's or a batch's first conv is float32,
-    the elementwise ops keep it, and so do the gradients flowing back
-    through them.  Only inside :func:`float64` does ``conv2d`` multiply
-    float64 copies, so float64 inputs stay float64 throughout;
-    :func:`grad_check` opens that block itself, and exact oracles in the
-    tests open it.  :func:`no_grad` only switches graph recording off.
+    ``conv2d`` multiplies in its input's dtype, casting weight and bias to
+    it, forward and backward, and every other op computes in its operands'
+    dtype.  ``model.crop_at`` hands the network float32 crops, so a tracked
+    frame or a training batch runs float32 throughout, gradients included
+    (single-precision GEMMs run about twice as fast).  A float64 input runs
+    float64 all the way through: the exact reference of the tests and of
+    :func:`grad_check`.
   * rows that must sum to 1 are normalised in float64: ``attend`` and
     ``softmax_tau`` run their logits and ``exp`` in the operands' dtype but
     widen, sum and normalise their rows in float64, so float32 rows still
@@ -40,9 +39,9 @@ Design notes:
     float32 branch output in float32.
   * parameters stay float64 as master weights: a ``Tensor4`` keeps float32
     data as float32 and stores any other data as float64, so parameters,
-    checkpoints and loaded tensors are float64, while the gradients that
-    ``conv2d`` hands them are float32.  An optimiser's update adds them
-    into float64.
+    checkpoints and loaded tensors are float64, while the gradients that a
+    float32 ``conv2d`` hands them are float32.  An optimiser's update adds
+    them into float64.
   * the hot kernels (k x k convolution, softmax, attention) avoid full-size
     temporaries: im2col keeps the output pixels innermost, softmax works in
     place on one array, and ``attend`` works through its query rows in
@@ -147,7 +146,6 @@ __all__ = [
 ]
 
 _grad_enabled = True
-_float64 = False  # True inside a float64() block
 _flops = None  # [total] of the innermost open count_flops() block
 
 # exp() clamps its argument here so finite inputs can never produce Inf
@@ -167,8 +165,7 @@ _ATTEND_BLOCK_BYTES = 512 * 1024
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block, for inference.  It leaves
-    the precision as it is (see :func:`float64`)."""
+    """Disable graph recording inside the block, for inference."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -176,26 +173,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-@contextmanager
-def float64():
-    """Run the ops inside the block in float64, forward and backward.
-
-    Inside it ``conv2d`` multiplies float64 copies of its operands, so a
-    graph built from float64 inputs and parameters stays float64 throughout;
-    outside it ``conv2d`` multiplies float32 copies, with or without a graph.
-    Only an exact check needs the block: :func:`grad_check` opens it itself,
-    since central differences at ``eps=1e-5`` mean nothing in float32.  Left
-    out of ``__all__``, which lists the Tensor4 API.
-    """
-    global _float64
-    prev = _float64
-    _float64 = True
-    try:
-        yield
-    finally:
-        _float64 = prev
 
 
 @contextmanager
@@ -726,10 +703,8 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     ``x``: (n, cin, h, w); ``weight``: (cout, cin, kh, kw); ``bias``:
     (1, cout, 1, 1).  The output size must come out integral:
     ``(h + 2 pad - kh) / stride + 1``; anything else is a config error.
-    The product runs on float32 copies of all three, with or without a
-    graph, and the output is float32; the backward pass multiplies float32
-    copies of the output gradient too, so the weight and bias gradients are
-    float32.  Only inside :func:`float64` does it run in float64 throughout.
+    It computes in ``x``'s dtype, forward and backward, casting ``weight``
+    and ``bias`` to it.
     """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
@@ -750,8 +725,8 @@ def conv2d(x, weight, bias, stride=1, pad=0):
         )
     oh = span_h // stride + 1
     ow = span_w // stride + 1
-    dtype = np.float64 if _float64 else np.float32
-    xd, wd, bd = (t.data.astype(dtype, copy=False) for t in (x, weight, bias))
+    xd, dtype = x.data, x.data.dtype
+    wd, bd = (t.data.astype(dtype, copy=False) for t in (weight, bias))
 
     if kh == 1 and kw == 1 and stride == 1 and pad == 0:
         w2d = wd[:, :, 0, 0]
@@ -1025,26 +1000,28 @@ def grad_check(fn, params, eps=1e-5):
     ``fn(params)`` must rebuild its graph on every call and return a scalar
     Tensor4.  Every coordinate of every parameter is perturbed by ±eps; the
     relative error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    Every evaluation, the analytic one included, runs inside :func:`float64`:
-    float32 rounding would swamp a difference quotient at that step.
+    Every analytic gradient must be float64, so ``fn`` must take float64
+    inputs: float32 rounding would swamp a difference quotient at that step.
     """
     if not eps > 0:
         raise ParameterError(f"grad_check eps must be > 0, got {eps}")
-    with float64():
-        analytic = backprop(fn(params), params)
-        worst = 0.0
-        for name, p in params.items():
-            flat = p.data.reshape(-1)
-            ana = analytic[name].reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = fn(params).item()
-                flat[i] = orig - eps
-                lo = fn(params).item()
-                flat[i] = orig
-                numeric = (hi - lo) / (2.0 * eps)
-                err = abs(ana[i] - numeric) / max(1e-8, abs(ana[i]) + abs(numeric))
-                if err > worst:
-                    worst = err
+    analytic = backprop(fn(params), params)
+    for name, g in analytic.items():
+        if g.dtype != np.float64:
+            raise ParameterError(f"grad_check needs float64 gradients, {name!r} is {g.dtype}")
+    worst = 0.0
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        ana = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = fn(params).item()
+            flat[i] = orig - eps
+            lo = fn(params).item()
+            flat[i] = orig
+            numeric = (hi - lo) / (2.0 * eps)
+            err = abs(ana[i] - numeric) / max(1e-8, abs(ana[i]) + abs(numeric))
+            if err > worst:
+                worst = err
     return worst

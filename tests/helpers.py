@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from gatetrack import model as M
 from gatetrack import tensor as T
 
 
@@ -27,3 +28,12 @@ def vector(values):
 def scalar(value):
     """A (1, 1, 1, 1) tensor holding ``value``."""
     return T.Tensor4(np.full((1, 1, 1, 1), float(value)))
+
+
+def exact_crop(frame, center, size):
+    """``M.crop_at``'s window of ``frame`` in the frame's own dtype, the exact
+    float64 reference for a float32 crop: the frame sliced at the origin
+    ``crop_at`` clamps to.  Returns (crop, origin), as ``crop_at`` does."""
+    _, origin = M.crop_at(frame, center, size)
+    ox, oy = int(origin[0]), int(origin[1])
+    return frame[:, :, oy:oy + size, ox:ox + size], origin

@@ -50,8 +50,7 @@ class TestGateLogits:
         gate.w2.data[:] = rng.standard_normal(gate.w2.shape)
         gate.b2.data[:] = rng.standard_normal(gate.b2.shape)
         f = T.Tensor4(rng.standard_normal((1, 8, 5, 6)))
-        with T.float64():
-            got = G.gate_logits(f, gate).data.ravel()
+        got = G.gate_logits(f, gate).data.ravel()
         # independent re-evaluation with plain numpy
         pooled = f.data.mean(axis=(2, 3)).ravel()
         hidden = np.maximum(gate.w1.data[:, :, 0, 0] @ pooled + gate.b1.data.ravel(), 0.0)

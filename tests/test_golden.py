@@ -50,10 +50,10 @@ computes the same float64 bits as before.
 
 ``LOSS``, ``GRADS_SHA256`` and ``GRAD_NORMS`` were recorded again when
 training moved to float32: ``conv2d`` multiplies float32 copies of its
-operands with a graph recorded too, and only a ``T.float64()`` block runs in
-float64.  48 of the 50 gradients moved (the gate's first layer stays exactly
+operands with a graph recorded too, and only an explicit float64 block ran
+in float64.  48 of the 50 gradients moved (the gate's first layer stays exactly
 zero), by at most 8.6e-7 of a parameter's max |g|, the norms by at most
-6.8e-7 relative and the loss by 1.9e-9 relative.  Inside ``T.float64()`` the
+6.8e-7 relative and the loss by 1.9e-9 relative.  In float64 the
 old loss and gradients hold bit for bit: ``LOSS_FLOAT64`` and
 ``GRADS_FLOAT64_SHA256`` pin them, and
 ``test_float32_gradients_track_the_float64_gradients`` keeps the two within
@@ -111,6 +111,7 @@ from gatetrack import model as M
 from gatetrack import scenes
 from gatetrack import tensor as T
 from gatetrack.config import RunConfig
+from helpers import exact_crop
 
 SCENE_SEED = 2503
 MEMORY_FRAMES = (0, 5)
@@ -228,7 +229,7 @@ TRACE_STATS = ({
     },
 }, 0.4)
 
-# the float32 forward against the T.float64() one: head maps within the
+# the float32 forward against the float64 one: head maps within the
 # tolerance of bench/reference.npz, decoded boxes in pixels, and the readout
 # rows' distance from a sum of 1
 MAP_ATOL, MAP_RTOL = 1e-4, 1e-3
@@ -238,8 +239,8 @@ ROWS_SUM_TOL = 1e-12
 LOSS = 1.8293667219260485
 GRADS_SHA256 = "68131c9fa722cf257fb07eb107db26b510f4772c2d9e088d7b039d33a5627557"
 N_PARAMS = 50
-# the same loss and gradients inside T.float64(): the loss is the one the soft
-# loss had before training moved to float32, which that block still computes
+# the same loss and gradients on float64 crops: the loss is the one the soft
+# loss had before training moved to float32, which float64 crops still give
 # bit for bit; the gradients moved once since, by stride-phase input gradients
 LOSS_FLOAT64 = 1.8293667210734443
 GRADS_FLOAT64_SHA256 = "3f6409ef81b62affd9bde0293c5adbfec60c711c5e3e0f843ca33cf5a7810157"
@@ -340,21 +341,22 @@ def probe_sequence():
     return scenes.generate(spec)
 
 
-def probe_feature(model, seq, index):
-    """Backbone feature of the ground-truth-centred crop of frame ``index``."""
+def probe_feature(model, seq, index, crop_at=M.crop_at):
+    """Backbone feature of the ground-truth-centred crop of frame ``index``;
+    ``crop_at`` is ``M.crop_at`` or, for a float64 reference, ``exact_crop``."""
     gt = seq.gt[index]
-    crop, origin = M.crop_at(seq.frames[index].data, (gt.cx, gt.cy), model.config.crop_size)
+    crop, origin = crop_at(seq.frames[index].data, (gt.cx, gt.cy), model.config.crop_size)
     return model.extract(T.Tensor4(crop)), origin
 
 
-def probe_outputs(attention_mode):
+def probe_outputs(attention_mode, crop_at=M.crop_at):
     """Head output, detection and readout rows of each ground-truth-centred
     probe frame, in the grad mode the caller runs it in."""
     model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
     seq = probe_sequence()
 
     def enhanced(index):
-        feature, origin = probe_feature(model, seq, index)
+        feature, origin = probe_feature(model, seq, index, crop_at)
         return model.enhance_infer(feature, frame_index=index)[0], origin
 
     memory = [enhanced(index)[0] for index in MEMORY_FRAMES]
@@ -376,7 +378,7 @@ def predictions(attention_mode):
             for index, (out, det, _) in found.items()}
 
 
-def gate_runs():
+def gate_runs(crop_at=M.crop_at):
     """Hard and budgeted gate runs on each probe frame, in the caller's grad mode.
 
     The gate's output layer is drawn from ``DECISION_SEED`` (the seeded init
@@ -392,7 +394,7 @@ def gate_runs():
     seq = probe_sequence()
     runs = {}
     for index in PROBE_FRAMES:
-        feature, _ = probe_feature(model, seq, index)
+        feature, _ = probe_feature(model, seq, index, crop_at)
         for key, budget in budgets.items():
             runs[index, key] = model.enhance_infer(feature, budget=budget, frame_index=index)
     return model, seq, runs
@@ -433,7 +435,7 @@ def fixed_runs(config):
     return runs
 
 
-def soft_batch(model):
+def soft_batch(model, crop_at=M.crop_at):
     """A seeded batch of crops near the ground truth with frame-0 memory crops."""
     size = model.config.crop_size
     fs = model.config.feature_size
@@ -446,20 +448,20 @@ def soft_batch(model):
         k = int(rng.integers(1, len(seq)))
         gt = seq.gt[k]
         dx, dy = rng.uniform(-8.0, 8.0, size=2)
-        crop, (ox, oy) = M.crop_at(seq.frames[k].data, (gt.cx + dx, gt.cy + dy), size)
+        crop, (ox, oy) = crop_at(seq.frames[k].data, (gt.cx + dx, gt.cy + dy), size)
         queries.append(crop)
         first = seq.gt[0]
-        memories.append(M.crop_at(seq.frames[0].data, (first.cx, first.cy), size)[0])
+        memories.append(crop_at(seq.frames[0].data, (first.cx, first.cy), size)[0])
         labels.append(H.make_labels(H.BBox(gt.x - ox, gt.y - oy, gt.w, gt.h),
                                     model.config.stride, (fs, fs)))
     return (T.Tensor4(np.concatenate(queries)), T.Tensor4(np.concatenate(memories)),
             H.stack_labels(labels))
 
 
-def loss_and_grads():
+def loss_and_grads(crop_at=M.crop_at):
     """Soft-mode loss and the gradient of every parameter, by name in parameter order."""
     model = M.TrackModel(M.ModelConfig(), seed=0)
-    query, memory, labels = soft_batch(model)
+    query, memory, labels = soft_batch(model, crop_at)
     memory_feature, memory_weights, _ = model.enhance_soft(model.extract(memory))
     query_feature, query_weights, _ = model.enhance_soft(model.extract(query))
     fused, _ = model.read_memory(query_feature, [memory_feature])
@@ -528,8 +530,7 @@ def test_trace_stats():
 def test_float32_forward_tracks_the_float64_forward(attention_mode):
     with T.no_grad():
         single = probe_outputs(attention_mode)
-    with T.float64():
-        double = probe_outputs(attention_mode)
+    double = probe_outputs(attention_mode, exact_crop)
     for index in PROBE_FRAMES:
         (out32, det32, attn32), (out64, det64, attn64) = single[index], double[index]
         for part in ("cls", "ctr", "reg"):
@@ -545,8 +546,7 @@ def test_float32_forward_tracks_the_float64_forward(attention_mode):
 def test_float32_gate_picks_the_float64_branch():
     with T.no_grad():
         _, _, single = gate_runs()
-    with T.float64():
-        _, _, double = gate_runs()
+    _, _, double = gate_runs(exact_crop)
     assert len(single) == len(PROBE_FRAMES) * 5
     for key, (_, decision, _) in single.items():
         assert decision.logits.dtype == np.float32
@@ -566,16 +566,14 @@ def test_soft_loss_and_gradients():
 
 
 def test_float64_block_keeps_the_float64_gradients():
-    with T.float64():
-        loss, grads = loss_and_grads()
+    loss, grads = loss_and_grads(exact_crop)
     assert loss == LOSS_FLOAT64
     assert digest(grads.values()) == GRADS_FLOAT64_SHA256
 
 
 def test_float32_gradients_track_the_float64_gradients():
     loss, grads = loss_and_grads()
-    with T.float64():
-        loss64, grads64 = loss_and_grads()
+    loss64, grads64 = loss_and_grads(exact_crop)
     assert abs(loss - loss64) <= LOSS_RTOL * loss64
     for name, want in grads64.items():
         got = grads[name]

@@ -237,6 +237,14 @@ class TestComputeLoss:
         loss = H.compute_loss(out, labels)
         assert np.isfinite(loss.item()) and loss.item() >= 0.0
 
+    def test_labels_of_another_shape_raise_shape_error(self):
+        rng = np.random.default_rng(9)
+        params, p = make_head(rng)
+        out = H.head_forward(T.Tensor4(rng.standard_normal((1, 8, 4, 4))), p)
+        labels = H.make_labels(H.BBox(4.0, 4.0, 8.0, 8.0), 4, (4, 5))
+        with pytest.raises(ShapeError):
+            H.compute_loss(out, labels)
+
     def test_no_positives_only_cls_term(self):
         rng = np.random.default_rng(9)
         params, p = make_head(rng)

@@ -116,16 +116,21 @@ class TestMemoryBank:
 PERMUTED_ULP = 4
 
 
-def assert_permutation_invariant(readout, permuted):
-    """The fused maps of a readout and of its permuted memory agree: within
-    1e-12 inside ``T.float64()``, and within ``PERMUTED_ULP`` in float32."""
-    with T.float64():
-        a, b = readout(), permuted()
-    assert np.max(np.abs(a.data - b.data)) < 1e-12
-    a, b = readout(), permuted()
-    assert a.data.dtype == b.data.dtype == np.float32
-    bound = PERMUTED_ULP * np.spacing(np.abs(b.data).max())
-    assert np.max(np.abs(a.data - b.data)) <= bound
+def assert_permutation_invariant(p, query, mems, permuted):
+    """The fused maps of a readout of the feature arrays ``mems`` and of their
+    permutation ``permuted`` agree: within 1e-12 on float64 features, and
+    within ``PERMUTED_ULP`` on float32 ones."""
+    for dtype in (np.float64, np.float32):
+        def fused(maps):
+            q, *m = (T.Tensor4(a.astype(dtype)) for a in (query, *maps))
+            return M.readout(q, m, p)[0].data
+
+        a, b = fused(mems), fused(permuted)
+        assert a.dtype == b.dtype == dtype
+        if dtype == np.float64:
+            assert np.max(np.abs(a - b)) < 1e-12
+        else:
+            assert np.max(np.abs(a - b)) <= PERMUTED_ULP * np.spacing(np.abs(b).max())
 
 
 class TestReadout:
@@ -161,8 +166,7 @@ class TestReadout:
         params, p = make_readout(rng)
         query = feat(rng, (1, 8, 3, 2))
         mems = [feat(rng, (1, 8, 2, 2)), feat(rng, (1, 8, 3, 1))]
-        with T.float64():
-            fused, attn = M.readout(query, mems, p)
+        fused, attn = M.readout(query, mems, p)
 
         def project(x, w, b):  # one map -> (cout, pixels)
             return w.data[:, :, 0, 0] @ x.data[0].reshape(8, -1) + b.data.reshape(-1, 1)
@@ -201,21 +205,19 @@ class TestReadout:
     def test_memory_frame_permutation_invariance(self):
         rng = np.random.default_rng(3)
         params, p = make_readout(rng)
-        query = feat(rng, (1, 8, 4, 4))
-        mems = [feat(rng, (1, 8, 4, 4)) for _ in range(3)]
-        assert_permutation_invariant(lambda: M.readout(query, mems, p)[0],
-                                     lambda: M.readout(query, [mems[2], mems[0], mems[1]], p)[0])
+        query = rng.standard_normal((1, 8, 4, 4))
+        mems = [rng.standard_normal((1, 8, 4, 4)) for _ in range(3)]
+        assert_permutation_invariant(p, query, mems, [mems[2], mems[0], mems[1]])
 
     def test_memory_pixel_permutation_invariance(self):
         # permute pixels inside one memory map: readout must not change
         rng = np.random.default_rng(4)
         params, p = make_readout(rng)
-        query = feat(rng, (1, 8, 3, 3))
+        query = rng.standard_normal((1, 8, 3, 3))
         mem = rng.standard_normal((1, 8, 2, 2))
         perm = rng.permutation(4)
         mem_perm = mem.reshape(1, 8, 4)[:, :, perm].reshape(1, 8, 2, 2)
-        assert_permutation_invariant(lambda: M.readout(query, [T.Tensor4(mem)], p)[0],
-                                     lambda: M.readout(query, [T.Tensor4(mem_perm)], p)[0])
+        assert_permutation_invariant(p, query, [mem], [mem_perm])
 
     def test_shape_independent_of_memory_count(self):
         rng = np.random.default_rng(5)

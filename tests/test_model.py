@@ -98,7 +98,8 @@ class TestRunConfig:
 def test_fixed_attention_modes_train(attention_mode):
     """A fixed mode has no gate weights, so its loss carries no cost term."""
     model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
-    crops = T.Tensor4(np.random.default_rng(0).uniform(0.0, 1.0, (2, 1, 64, 64)))
+    rng = np.random.default_rng(0)
+    crops = T.Tensor4(rng.uniform(0.0, 1.0, (2, 1, 64, 64)).astype(np.float32))
     memory_feature, memory_weights, _ = model.enhance_soft(model.extract(crops))
     query_feature, query_weights, _ = model.enhance_soft(model.extract(crops))
     out = model.predict(model.read_memory(query_feature, [memory_feature])[0])
@@ -263,6 +264,38 @@ def test_repeated_checkpoint_tensor_is_named(tmp_path):
     path.write_bytes(REPEATED_TENSOR)
     with pytest.raises(ShapeError, match="backbone.conv1.w twice"):
         M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("center, origin", [
+    ((20.0, 12.0), (12, 4)), ((3.0, 40.0), (0, 22)), ((31.6, 2.4), (14, 0))],
+    ids=["inside", "clamped_low_x_high_y", "clamped_high_x_low_y"])
+def test_crop_at_returns_a_float32_copy_of_the_clamped_window(center, origin):
+    frame = np.random.default_rng(0).random((1, 1, 38, 30))
+    before = frame.copy()
+    crop, got = M.crop_at(frame, center, 16)
+    ox, oy = origin
+    assert got == (float(ox), float(oy))
+    assert crop.dtype == np.float32 and crop.flags.c_contiguous
+    assert np.array_equal(crop, frame[:, :, oy:oy + 16, ox:ox + 16].astype(np.float32))
+    crop[...] = -1.0
+    assert np.array_equal(frame, before)
+
+
+@pytest.mark.parametrize("frame, center", [
+    (np.zeros((32, 32)), (10.0, 10.0)),
+    (np.zeros((1, 32, 32)), (10.0, 10.0)),
+    (np.zeros((1, 1, 32, 32)), (10.0,)),
+    (np.zeros((1, 1, 32, 32)), "10"),
+    (np.zeros((1, 1, 32, 32)), ("10", "10")),
+    (np.zeros((1, 1, 32, 32)), (10.0, 10.0, 10.0)),
+    (np.zeros((1, 1, 32, 32)), ((10.0, 10.0), 10.0)),
+    (np.zeros((1, 1, 32, 32)), (True, False)),
+], ids=["rank2_frame", "rank3_frame", "one_element_centre", "string_centre",
+        "string_pair_centre", "three_element_centre", "ragged_centre", "bool_centre"])
+def test_crop_at_malformed_input_raises_shape_error(frame, center):
+    """Unchecked, these raised IndexError or TypeError, or cropped silently."""
+    with pytest.raises(ShapeError):
+        M.crop_at(frame, center, 16)
 
 
 @pytest.mark.parametrize("center", [(np.nan, 10.0), (10.0, np.inf), (-np.inf, np.nan)])

@@ -13,8 +13,8 @@ from gatetrack.errors import ConfigError, ParameterError, ShapeError
 from helpers import scalar, vector, zero_bias
 
 
-def rand4(rng, shape):
-    return T.Tensor4(rng.standard_normal(shape))
+def rand4(rng, shape, dtype=np.float64):
+    return T.Tensor4(rng.standard_normal(shape).astype(dtype))
 
 
 def as_param(rng, params, name, shape, scale=1.0):
@@ -164,11 +164,11 @@ class TestConv2d:
     def test_identity_1x1_kernel(self):
         # exact in float32 too: each output is one input times 1 plus zeros
         rng = np.random.default_rng(0)
-        x = rand4(rng, (2, 3, 4, 5))
+        x = rand4(rng, (2, 3, 4, 5), np.float32)
         w = T.Tensor4(np.eye(3).reshape(3, 3, 1, 1))
         y = T.conv2d(x, w, zero_bias(w))
         assert y.data.dtype == np.float32
-        assert np.array_equal(y.data, x.data.astype(np.float32))
+        assert np.array_equal(y.data, x.data)
 
     def test_zero_input_gives_bias(self):
         x = T.zeros((1, 2, 4, 4))
@@ -185,10 +185,9 @@ class TestConv2d:
         x2 = rand4(rng, (1, 2, 4, 4))
         w = rand4(rng, (3, 2, 3, 3))
         b = zero_bias(w)
-        with T.float64():
-            both = T.conv2d(T.Tensor4(x1.data + x2.data), w, b, stride=1, pad=1)
-            sep = (T.conv2d(x1, w, b, stride=1, pad=1).data
-                   + T.conv2d(x2, w, b, stride=1, pad=1).data)
+        both = T.conv2d(T.Tensor4(x1.data + x2.data), w, b, stride=1, pad=1)
+        sep = (T.conv2d(x1, w, b, stride=1, pad=1).data
+               + T.conv2d(x2, w, b, stride=1, pad=1).data)
         assert np.max(np.abs(both.data - sep)) < 1e-10
 
     def test_channel_mismatch_raises(self):
@@ -220,8 +219,7 @@ class TestConv2d:
         x = rand4(rng, (batch, 3, 5, 7))
         w = rand4(rng, (cout, 3, k, k))
         b = T.Tensor4(rng.standard_normal((1, cout, 1, 1)))
-        with T.float64():
-            y = T.conv2d(x, w, b, stride=stride, pad=pad)
+        y = T.conv2d(x, w, b, stride=stride, pad=pad)
         assert y.data.dtype == np.float64
         expect = conv_oracle(x.data, w.data, b.data, stride, pad)
         assert np.max(np.abs(y.data - expect)) < 1e-12
@@ -233,7 +231,7 @@ class TestConv2d:
         # each kernel path; float32 sums of up to 147 products of standard
         # normals err here by 2e-6 at most, far below any wrong term
         rng = np.random.default_rng(3)
-        x = rand4(rng, (2, 3, 5, 7))
+        x = rand4(rng, (2, 3, 5, 7), np.float32)
         w = rand4(rng, (cout, 3, k, k))
         b = T.Tensor4(rng.standard_normal((1, cout, 1, 1)))
         with T.no_grad():
@@ -273,10 +271,9 @@ class TestConv2d:
         rng = np.random.default_rng(31)
         x = T.Tensor4(rng.standard_normal((2, cin, 8, 8)), requires_grad=True)
         w = rand4(rng, (cout, cin, k, k))
-        with T.float64():
-            y = T.conv2d(x, w, zero_bias(w), stride=stride, pad=pad)
-            gy = rng.standard_normal(y.shape)
-            T.sum_all(T.mul_broadcast(y, T.Tensor4(gy))).backward()
+        y = T.conv2d(x, w, zero_bias(w), stride=stride, pad=pad)
+        gy = rng.standard_normal(y.shape)
+        T.sum_all(T.mul_broadcast(y, T.Tensor4(gy))).backward()
         assert len(calls) == IM2COL_CALLS[path]
         expect = input_gradient_oracle(gy, w.data, x.shape, stride, pad)
         assert x.grad.dtype == np.float64
@@ -297,10 +294,9 @@ class TestConv2d:
         rng = np.random.default_rng(34)
         x = T.Tensor4(rng.standard_normal((2, 3, h, w)), requires_grad=True)
         wt = rand4(rng, (4, 3, k, k))
-        with T.float64():
-            y = T.conv2d(x, wt, zero_bias(wt), stride=stride, pad=pad)
-            gy = rng.standard_normal(y.shape)
-            T.sum_all(T.mul_broadcast(y, T.Tensor4(gy))).backward()
+        y = T.conv2d(x, wt, zero_bias(wt), stride=stride, pad=pad)
+        gy = rng.standard_normal(y.shape)
+        T.sum_all(T.mul_broadcast(y, T.Tensor4(gy))).backward()
         assert len(calls) == IM2COL_CALLS[path]
         expect = input_gradient_oracle(gy, wt.data, x.shape, stride, pad)
         assert np.max(np.abs(x.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
@@ -308,11 +304,12 @@ class TestConv2d:
     @pytest.mark.parametrize("cout, cin, k, stride, pad, path", DX_PATHS + [
         pytest.param(4, 3, 1, 1, 0, "1x1", id="1x1")])
     def test_float32_matches_nested_loop_oracles(self, cout, cin, k, stride, pad, path):
-        # outside T.float64() the forward and every gradient multiply float32
-        # copies; each is held to the float64 oracle at FLOAT32_TOL of its
+        # a float32 input makes the forward and every gradient multiply in
+        # float32; each is held to the float64 oracle at FLOAT32_TOL of its
         # largest entry (measured: at most 1.7e-7 here)
         rng = np.random.default_rng(33)
-        x = T.Tensor4(rng.standard_normal((2, cin, 8, 8)), requires_grad=True)
+        x = T.Tensor4(rng.standard_normal((2, cin, 8, 8)).astype(np.float32),
+                      requires_grad=True)
         w = T.Tensor4(rng.standard_normal((cout, cin, k, k)), requires_grad=True)
         b = T.Tensor4(rng.standard_normal((1, cout, 1, 1)), requires_grad=True)
         y = T.conv2d(x, w, b, stride=stride, pad=pad)
@@ -351,7 +348,7 @@ class TestConv2d:
         monkeypatch.setattr(T, "_im2col", spy)
         model = M.TrackModel(M.ModelConfig(), seed=0)
         rng = np.random.default_rng(32)
-        crops = T.Tensor4(rng.random((batch, 1, 64, 64)))
+        crops = T.Tensor4(rng.random((batch, 1, 64, 64)).astype(np.float32))
         feature, _, _ = model.enhance_soft(model.extract(crops))
         out = model.predict(model.read_memory(feature, [feature])[0])
         T.add(T.add(T.sum_all(out.cls), T.sum_all(out.ctr)), T.sum_all(out.reg)).backward()
@@ -367,29 +364,22 @@ class TestConv2d:
 
 
 class TestPrecision:
-    def test_conv2d_is_float32_with_or_without_a_graph(self):
+    @pytest.mark.parametrize("k, pad", [(3, 1), (1, 0)], ids=["k3", "k1"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv2d_computes_in_its_input_dtype(self, dtype, k, pad):
+        # with or without a graph: the output, the input gradient and the
+        # float64 weight's and bias's gradients all take the input's dtype
         rng = np.random.default_rng(40)
-        x = rand4(rng, (1, 2, 4, 4))
-        w = T.Tensor4(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        y = T.conv2d(x, w, zero_bias(w), pad=1)
-        assert y.data.dtype == np.float32 and y.requires_grad
+        x = T.Tensor4(rng.standard_normal((1, 2, 4, 4)).astype(dtype), requires_grad=True)
+        w = T.Tensor4(rng.standard_normal((3, 2, k, k)), requires_grad=True)
+        b = T.Tensor4(rng.standard_normal((1, 3, 1, 1)), requires_grad=True)
         with T.no_grad():
-            assert T.conv2d(x, w, zero_bias(w), pad=1).data.dtype == np.float32
-
-    def test_float64_block_nests_and_restores_after_an_error(self):
-        x = T.Tensor4(np.ones((1, 1, 2, 2), np.float32))
-        w = T.Tensor4(np.ones((1, 1, 1, 1)))
-
-        def dtype():
-            return T.conv2d(x, w, zero_bias(w)).data.dtype
-
-        with pytest.raises(RuntimeError):
-            with T.float64():
-                with T.no_grad(), T.float64():
-                    assert dtype() == np.float64
-                assert dtype() == np.float64
-                raise RuntimeError
-        assert dtype() == np.float32
+            assert T.conv2d(x, w, b, pad=pad).data.dtype == dtype
+        y = T.conv2d(x, w, b, pad=pad)
+        assert y.data.dtype == dtype and y.requires_grad
+        T.sum_all(T.mul_broadcast(y, y)).backward()
+        assert x.grad.dtype == w.grad.dtype == b.grad.dtype == dtype
+        assert w.data.dtype == b.data.dtype == np.float64
 
 
 class TestLinear:
@@ -399,8 +389,7 @@ class TestLinear:
     def test_identity(self):
         x = vector([0.3, -1.2, 4.0])
         w = T.Tensor4(np.eye(3).reshape(3, 3, 1, 1))
-        with T.float64():
-            assert np.array_equal(T.conv2d(x, w, zero_bias(w)).data, x.data)
+        assert np.array_equal(T.conv2d(x, w, zero_bias(w)).data, x.data)
 
     def test_hand_matrix_vector(self):
         x = vector([1.0, 2.0])
@@ -681,7 +670,7 @@ class TestAttend:
         assert q.grad.dtype == k.grad.dtype == v.grad.dtype == dtype
 
     def test_float32_operands_give_float64_rows_close_to_their_values(self):
-        # a readout's keys are float32 outside T.float64(): the logits and exp
+        # a float32 crop makes a readout's keys float32: the logits and exp
         # run in float32, the row sums and normalisation in float64, so rows
         # still sum to 1 within 1e-12, which float32 rows of 2048 entries miss
         rng = np.random.default_rng(31)
@@ -1083,6 +1072,20 @@ class TestGradCheck:
         params.add("w", T.Tensor4(np.ones((1, 2, 1, 1))))
         with pytest.raises(ParameterError):
             T.grad_check(lambda ps: scalar(3.0), params, eps=eps)
+
+    def test_float32_gradient_rejected(self):
+        # a float32 input makes conv2d's weight gradient float32, whose
+        # rounding would swamp a central difference at eps=1e-5
+        rng = np.random.default_rng(18)
+        params = T.ParamSet()
+        as_param(rng, params, "w", (2, 3, 3, 3))
+        x = T.Tensor4(rng.standard_normal((1, 3, 4, 4)).astype(np.float32))
+
+        def loss(ps):
+            return T.sum_all(T.conv2d(x, ps["w"], zero_bias(ps["w"]), pad=1))
+
+        with pytest.raises(ParameterError, match="'w' is float32"):
+            T.grad_check(loss, params)
 
     def test_linear_layer(self):
         rng = np.random.default_rng(15)
