@@ -21,6 +21,7 @@ budget filter total: even a zero budget yields a valid (identity) decision.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,9 +117,12 @@ def budget_filter(weights, table, remaining_budget):
 
     Returns a plain (B,) array summing to 1.  If every branch with nonzero
     weight is masked the result is one-hot at identity (always affordable).
+    The budget must be a real number >= 0 (bool is not one); inf means
+    unlimited.
     """
-    if not remaining_budget >= 0:  # also rejects NaN; inf means unlimited
-        raise ParameterError(f"budget must be >= 0, got {remaining_budget}")
+    if (isinstance(remaining_budget, bool) or not isinstance(remaining_budget, numbers.Real)
+            or not remaining_budget >= 0):  # also rejects NaN
+        raise ParameterError(f"budget must be a real number >= 0, got {remaining_budget!r}")
     w = np.asarray(weights, dtype=np.float64).ravel().copy()
     if w.size != table.costs.size:
         raise ShapeError(f"{w.size} weights for {table.costs.size} branches")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, _require_real
 
 SHRINK = 0.5  # positive-region shrink factor about the gt center
 MIN_SIDE = 1.0  # decoded boxes never get thinner than this
@@ -233,7 +233,10 @@ def compute_loss(out: HeadOutput, labels: Labels, gate_weight_tensors=None,
     optional expected-attention-cost regularizer normalized by the cost of
     running every branch.  A ``None`` gate weight tensor, from a fixed
     attention mode, has no decision to regularize and adds no cost term.
+    ``lambda_cost`` must be a finite number >= 0, and a positive one with
+    gate weights needs a ``cost_table``; either fault raises ``ConfigError``.
     """
+    _require_real("lambda_cost", lambda_cost, ">= 0")
     n_pos = labels.n_positive
     loss = T.bce_with_logits(out.cls, labels.positive)
     if n_pos > 0:
@@ -244,6 +247,8 @@ def compute_loss(out: HeadOutput, labels: Labels, gate_weight_tensors=None,
         loss = T.add(loss, T.scale(box_term, 1.0 / n_pos))
     weight_tensors = [w for w in gate_weight_tensors or () if w is not None]
     if lambda_cost and weight_tensors:
+        if cost_table is None:
+            raise ConfigError("a positive lambda_cost with gate weights needs a cost_table")
         cost_vec = T.Tensor4(cost_table.costs.reshape(1, -1, 1, 1))
         total = None
         count = 0

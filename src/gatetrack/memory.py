@@ -8,7 +8,8 @@ projected values and fuses the read with the query feature through a 1x1
 conv.  The attention and the read are one op, ``tensor.attend``.  The
 fused map always has the query's spatial size no matter how many frames are
 stored, and is invariant to any permutation of the memory pixels up to
-rounding: a float32 read sums over the memory pixels in their stored order.
+rounding: the read sums over the memory pixels in their stored order, in
+float32 and float64 alike, one block of query rows at a time.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ it so that gradients can be pushed back through the graph.  The op set is delibe
 small, one op per operation, each with one backward rule short enough to
 verify against the finite-difference oracle in :func:`grad_check`:
 
-  * ``conv2d`` with bias; a 1x1 kernel runs as one matrix product, which
-    serves the fully connected layers of the gate, the attention blocks
-    and the readout;
+  * ``conv2d`` with bias, one matrix product over im2col columns; a 1x1
+    kernel's columns are its input's own memory, which serves the fully
+    connected layers of the gate, the attention blocks and the readout;
   * ``relu``, ``sigmoid``, ``exp`` and ``softmax_tau`` (softmax with
     temperature over channels);
   * ``pool``: mean or max over the axes its kind names;
@@ -42,37 +42,36 @@ Design notes:
     checkpoints and loaded tensors are float64, while the gradients that a
     float32 ``conv2d`` hands them are float32.  An optimiser's update adds
     them into float64.
-  * the hot kernels (k x k convolution, softmax, attention) avoid full-size
-    temporaries: im2col keeps the output pixels innermost, softmax works in
-    place on one array, and ``attend`` works through its query rows in
-    blocks of about ``_ATTEND_BLOCK_BYTES`` of output, so each pass over a
-    block runs from cache.  A float64 block's product lands in the rows
-    ``attend`` returns and its softmax runs in place there, and the read is
-    one product with the whole rows after the loop; a float32 block runs in
-    one reused scratch block, is widened into the rows, where it is summed
-    and scaled, and multiplies the values while it is still in cache, as
-    FlashAttention reads its tiles (Dao et al., NeurIPS 2022).  The
-    temperature scales the small query columns instead of the (Q, P)
+  * the hot kernels (convolution, softmax, attention) avoid full-size
+    temporaries: im2col keeps the output pixels innermost, softmax runs its
+    ``exp`` in place on one temporary, and ``attend`` works through its
+    query rows in blocks of about ``_ATTEND_BLOCK_BYTES`` of output, so each
+    pass over a block runs from cache.  A block runs in one reused scratch
+    block in the operands' dtype, is widened into the rows, where it is
+    summed and scaled, and multiplies the values while it is still in
+    cache, as FlashAttention reads its tiles (Dao et al., NeurIPS 2022).
+    The temperature scales the small query columns instead of the (Q, P)
     logits, which is exact for a power-of-two tau such as the readout's
     ``sqrt(16)``.
   * im2col is one strided view of the padded input, already in
-    ``(n, c, kh, kw, oh, ow)`` order, copied once into the columns.
-  * a k x k input gradient takes one of two exact forms.  Where the stride
+    ``(n, c, kh, kw, oh, ow)`` order, copied once into the columns.  A 1x1,
+    stride-1, pad-0 view is the contiguous input itself, so it copies nothing.
+  * an input gradient takes one of two exact forms.  Where the stride
     s divides k, ``pad < k`` and ``cout <= cin s^2``, it is computed by
     stride phase: the s*s phases of the padded input gradient are stride-1
     convolutions of the output gradient with the flipped (k/s) x (k/s)
     sub-kernels, all from one im2col and one GEMM, written into the gradient
     by s*s strided assignments.  At stride 1 that is the convolution with
     the flipped kernel (the backbone's conv3, the head's second convs,
-    CBAM's spatial conv); the backbone's conv2 takes 4 phases.  Otherwise
-    col2im scatters the GEMM's columns in k*k strided adds.  The rule keeps
-    the columns no larger than col2im's: the phase form builds
-    ``cout (k/s)^2`` rows per phase pixel, about one per output pixel, where
-    col2im builds ``cin k k``, so a conv with more outputs than that (the
-    head's joined 32 -> 96 first conv) keeps col2im, and so do a non-square
-    kernel and a stride that does not divide it.
-  * a k x k weight gradient is ``cols @ g^T``, (cin k k, cout) per image,
-    then transposed and copied contiguous: that orientation of the GEMM ran
+    CBAM's spatial conv, and ``w^T g`` for a 1x1 conv); the backbone's
+    conv2 takes 4 phases.  Otherwise col2im scatters the GEMM's columns in
+    k*k strided adds.  The rule keeps the columns no larger than col2im's:
+    the phase form builds ``cout (k/s)^2`` rows per phase pixel, about one
+    per output pixel, where col2im builds ``cin k k``, so a conv with more
+    outputs than that (the head's joined 32 -> 96 first conv) keeps col2im,
+    and so do a non-square kernel and a stride that does not divide it.
+  * a weight gradient is ``cols @ g^T``, (cin k k, cout) per image, then
+    transposed and copied contiguous: that orientation of the GEMM ran
     up to a third faster than ``g @ cols^T`` on the model's k x k shapes and
     gives the same bits.  The copy matters, since a digest or
     ``np.linalg.norm`` reads a gradient in memory order.
@@ -81,12 +80,6 @@ Design notes:
     ``sigmoid_array`` divides ``max(e, z >= 0)`` by ``1 + e``, so no op
     branches per element on the data (on a (4, 32, 16, 16) map the
     ``np.where`` forms took 1.6 to 10 times as long).
-  * summation order is part of the output: numpy sums a matrix-vector
-    product in an order set by the operand layout, so the ``cout == 1``
-    k x k convolution keeps the pixel-major layout whose bits
-    ``tests/test_golden.py`` pins.  Every other product, forward or
-    backward, reads its operands in place, through transposed views where
-    needed.
   * a forward computes only what it returns.  What only the backward reads
     is computed in the backward closure: the max pools' argmax, ``exp``'s
     clamp mask, ``bce_with_logits``' sigmoid and ``concat``'s range bounds,
@@ -396,34 +389,30 @@ def exp(x):
     return _result(y, (x,), backward, y.size)
 
 
-def _softmax_rows(y, axis, out=None, clamp=True):
-    """Finish a softmax on max-subtracted, scaled logits ``y``.
+def _softmax_rows(y, axis, out, clamp=True):
+    """Finish a softmax on max-subtracted, scaled logits ``y`` into the
+    float64 array ``out``; returns the reciprocal row sums.
 
     The clamp at ``_EXP_FLOOR`` and ``exp`` run in place on ``y``, so every
     entry lies between the smallest normal number of its dtype (about 1e-38
     in float32, 2e-308 in float64) and 1; only entries that ``exp`` would
     take below that move.  A caller that knows no entry lies below the floor
-    passes ``clamp=False`` to skip that pass.  A row then sums to at most its length L, so each
-    entry stays positive after the normalisation.  By default the rows are
-    divided by their sums in place; given a wider ``out``, they are copied
-    into it, summed there and scaled by the reciprocals of their sums, which
-    is within 2 ulp of the division, while ``y`` keeps the unnormalised
-    ``exp``.  Returns the array holding the rows and the reciprocal row sums
-    (None for the in-place division).
+    passes ``clamp=False`` to skip that pass.  A row then sums to at most
+    its length L, so each entry stays positive after the normalisation.  The
+    rows are copied into ``out``, summed there and scaled by the reciprocals
+    of their sums, which is within 2 ulp of the division, while ``y`` keeps
+    the unnormalised ``exp``.
     """
     if clamp:
         np.maximum(y, _EXP_FLOOR[y.dtype.type], out=y)
     np.exp(y, out=y)
-    if out is None:
-        y /= y.sum(axis=axis, keepdims=True)
-        return y, None
     # widen once: mixed-dtype ufuncs cast in small buffers, which made
     # attend's loop at 256 x 2048 about 25 % slower; scaling by the
     # reciprocals takes that loop about 8 % less time than dividing
     out[...] = y
     recip = 1.0 / out.sum(axis=axis, keepdims=True)
     out *= recip
-    return out, recip
+    return recip
 
 
 def _softmax_grad(g, y, axis):
@@ -444,15 +433,16 @@ def softmax_tau(x, tau):
     if not tau > 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
     # subtract the max before dividing so that adding a constant to the
-    # logits cannot change the result even at the last bit; every later step
-    # works in place on this one temporary (x / 1 is exact, so it is skipped)
-    y = x.data - x.data.max(axis=1, keepdims=True)
+    # logits cannot change the result even at the last bit; the scaling and
+    # exp work in place on this one temporary (x / 1 is exact, so it is skipped)
+    z = x.data - x.data.max(axis=1, keepdims=True)
     if tau != 1:
-        y /= tau
-    # as in attend, exp runs in the logits' dtype and float32 rows are then
+        z /= tau
+    # as in attend, exp runs in the logits' dtype and the rows are then
     # widened once, summed and normalised in float64: float32 rows of only 4
     # entries already miss a sum of 1 within 1e-9
-    y, _ = _softmax_rows(y, 1, None if y.dtype == np.float64 else np.empty(y.shape))
+    y = np.empty(z.shape)
+    _softmax_rows(z, 1, y)
 
     def backward(g):
         dx = _softmax_grad(g, y, 1)
@@ -728,32 +718,12 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     xd, dtype = x.data, x.data.dtype
     wd, bd = (t.data.astype(dtype, copy=False) for t in (weight, bias))
 
-    if kh == 1 and kw == 1 and stride == 1 and pad == 0:
-        w2d = wd[:, :, 0, 0]
-        x3 = xd.reshape(n, cin, h * w)
-        y = np.matmul(w2d, x3).reshape(n, cout, h, w)
-        y += bd
-
-        def backward_1x1(g):
-            g = g.astype(dtype, copy=False)
-            g3 = g.reshape(n, cout, h * w)
-            dx = np.matmul(w2d.T, g3).reshape(n, cin, h, w) if x.requires_grad else None
-            dw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
-            return (dx, dw, g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1))
-
-        return _result(y, (x, weight, bias), backward_1x1, 2 * cin * y.size)
-
     # im2col with the output pixels innermost: wmat @ cols lands in NCHW
     # order without a transpose, and dw reads a transposed view of the same
-    # columns.  A matrix-vector product (cout == 1) sums in an order set by
-    # the operand layout, so that forward takes a pixel-major (n, P, K) copy:
-    # the order the pinned golden maps hold.
+    # columns
     cols = _im2col(xd, kh, kw, stride, pad, oh, ow)
     wmat = wd.reshape(cout, cin * kh * kw)
-    if cout == 1:
-        y = np.matmul(_pixel_major(cols), wmat.T).reshape(n, 1, oh, ow)
-    else:
-        y = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
+    y = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
     y += bd
     # the input gradient's form, by the rule in the design notes
     phases = kh == kw and kh % stride == 0 and pad < kh and cout <= cin * stride * stride
@@ -836,12 +806,6 @@ def _phase_input_gradient(g, wd, h, w, stride, pad):
     return dx
 
 
-def _pixel_major(cols):
-    """A contiguous (n, P, K) copy of channel-major (n, K, P) im2col columns,
-    the layout of the ``cout == 1`` forward."""
-    return np.ascontiguousarray(cols.transpose(0, 2, 1))
-
-
 def attend(q, k, v, tau):
     """Read of values through attention rows of query pixels over key pixels.
 
@@ -852,23 +816,20 @@ def attend(q, k, v, tau):
     ``(read, rows)``: the graph runs through the read to ``q``, ``k`` and
     ``v``, and ``rows`` is a graph-free tensor for inspection.  The small
     query columns are scaled by ``1/tau``; for a power-of-two ``tau`` (the
-    readout's ``sqrt(16) = 4``) that is exact, so the rows are bitwise those
-    of dividing the logits.
+    readout's ``sqrt(16) = 4``) that is exact, so the logits are bitwise
+    those of dividing the product.
 
     The rows are computed in blocks of about ``_ATTEND_BLOCK_BYTES`` of
-    output.  Each block's product, max subtraction, clamp and ``exp`` (see
-    :func:`_softmax_rows`) run in the operands' dtype; the clamp runs only
-    when the operands' norms let a row's logits spread beyond it.  Float64
-    blocks are computed and divided by their row sums in place in the
-    rows, which keeps them bitwise those of one whole-array pass, and the
-    read is one product of the values with the rows after the loop.
-    Float32 blocks are computed in a scratch block, then widened into the
-    rows, summed and scaled by the reciprocal row sums there; while the
-    block is still in cache it multiplies the values, and that read is
-    scaled by the same reciprocals.  So rows sum to 1 within 1e-12 and stay
-    strictly positive either way; float32 rows of 256 or more entries would
-    not sum to 1 within 1e-9.  The backward runs in the operands' dtype too:
-    float32 operands take float32 copies of the rows.
+    output, whatever the dtype.  Each block's product, max subtraction,
+    clamp and ``exp`` (see :func:`_softmax_rows`) run in the operands' dtype
+    in one reused scratch block; the clamp runs only when the operands'
+    norms let a row's logits spread beyond it.  The block is then widened
+    into the rows, summed and scaled by the reciprocal row sums there; while
+    it is still in cache it multiplies the values, and that read is scaled
+    by the same reciprocals.  So rows sum to 1 within 1e-12 and stay
+    strictly positive; float32 rows of 256 or more entries would not sum to
+    1 within 1e-9.  The backward runs in the operands' dtype too: float32
+    operands take float32 copies of the rows.
     """
     if not tau > 0:
         raise ParameterError(f"softmax temperature must be > 0, got {tau}")
@@ -888,12 +849,10 @@ def attend(q, k, v, tau):
     n, rows, p = q.shape[0], q.shape[2], k.shape[2]
     y = np.empty((n, 1, rows, p))
     step = max(2, _ATTEND_BLOCK_BYTES // (8 * n * p))
-    wide = dtype == np.float64
-    if not wide:
-        # a single leftover row joins the block before it (below), hence step + 1
-        scratch = np.empty((n, min(step + 1, rows), p), dtype)
-        vt = np.ascontiguousarray(v3.transpose(0, 2, 1))
-        read_t = np.empty((n, rows, v.shape[1]), dtype)  # the read, (n, Q, cv)
+    # a single leftover row joins the block before it (below), hence step + 1
+    scratch = np.empty((n, min(step + 1, rows), p), dtype)
+    vt = np.ascontiguousarray(v3.transpose(0, 2, 1))
+    read_t = np.empty((n, rows, v.shape[1]), dtype)  # the read, (n, Q, cv)
     # by Cauchy-Schwarz no two logits of a row differ by more than
     # 2 max|q_i| max|k_j| / tau; below log(1 / tiny) no entry can reach the
     # clamp, so the blocks skip its pass, which took about twice as long as
@@ -907,20 +866,17 @@ def attend(q, k, v, tau):
         # rounds differently from the matrix product, so no block is one row
         # unless the whole array is
         hi = rows if lo + step >= rows - 1 else lo + step
-        out = y[:, 0, lo:hi]
-        block = out if wide else scratch[:, :hi - lo]
+        block = scratch[:, :hi - lo]
         np.matmul(qt[:, lo:hi], k3, out=block)
         block -= block.max(axis=2, keepdims=True)
-        _, recip = _softmax_rows(block, 2, None if wide else out, clamp)
-        if not wide:
-            np.matmul(block, vt, out=read_t[:, lo:hi])
-            read_t[:, lo:hi] *= recip
+        recip = _softmax_rows(block, 2, y[:, 0, lo:hi], clamp)
+        np.matmul(block, vt, out=read_t[:, lo:hi])
+        read_t[:, lo:hi] *= recip
         lo = hi
-    a3 = y[:, 0]
-    read = np.matmul(v3, a3.transpose(0, 2, 1)) if wide else read_t.transpose(0, 2, 1)
+    a3, read = y[:, 0], read_t.transpose(0, 2, 1)
 
     def backward(g):
-        a = a3 if wide else a3.astype(dtype)
+        a = a3.astype(dtype, copy=False)
         g3 = g[:, :, :, 0].astype(dtype, copy=False)
         dv = np.matmul(g3, a)
         ds = _softmax_grad(np.matmul(g3.transpose(0, 2, 1), v3), a, 2)

@@ -130,6 +130,19 @@ class TestBudgetFilter:
             with pytest.raises(ParameterError):
                 G.budget_filter(np.ones(4) / 4, self.TABLE, budget)
 
+    @pytest.mark.parametrize("budget", ["5", None, True, np.bool_(False), [1.0], 1j],
+                             ids=["str", "none", "true", "np_bool", "list", "complex"])
+    def test_non_real_budget_rejected(self, budget):
+        # True is not a 1-FLOP budget
+        with pytest.raises(ParameterError):
+            G.budget_filter(np.ones(4) / 4, self.TABLE, budget)
+
+    def test_any_real_type_is_a_budget(self):
+        k = np.array([0.1, 0.2, 0.3, 0.4])
+        want = G.budget_filter(k, self.TABLE, 2.0)
+        for budget in (2, np.int64(2), np.float32(2.0)):
+            assert np.array_equal(G.budget_filter(k, self.TABLE, budget), want)
+
 
 class TestApplyGatedAttention:
     def test_soft_uniform_zero_params_is_half(self):
@@ -186,6 +199,12 @@ class TestApplyGatedAttention:
         out, decision = run_decision(x, branches, gate, budget=0.0)
         assert decision.chosen_name == "identity" and decision.mode == "budgeted"
         assert np.array_equal(out.data, x.data)
+
+    @pytest.mark.parametrize("budget", ["100", True], ids=["str", "true"])
+    def test_non_real_budget_rejected(self, budget):
+        _, gate = zeroed_setup()
+        with pytest.raises(ParameterError):
+            G.decide(T.zeros((1, 8, 4, 4)), gate, TABLE, budget)
 
     def test_hard_mode_rejects_batch(self):
         branches, gate = zeroed_setup()

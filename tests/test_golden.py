@@ -92,6 +92,25 @@ new GEMM orientation and the multiplied relu, ``exp`` and sigmoid masks each
 held every golden bit for bit on their own, and ``LOSS``, ``LOSS_FLOAT64``
 and every forward golden held.
 
+``PREDICTIONS["static"]``, ``DECISIONS``, ``LOSS``, ``GRADS_SHA256``,
+``GRAD_NORMS`` and ``GRADS_FLOAT64_SHA256`` were recorded again when each op
+kept one code path.  Every conv, 1x1 and one-output convs included, became
+one GEMM over im2col columns, and a float64 ``attend`` or ``softmax_tau``
+widens into its rows and scales them by reciprocal row sums, as a float32
+one does.  The 1x1 convs kept their bits, forward and backward, in both
+dtypes; only CBAM's 7x7 spatial conv (2 -> 1) sums in another order.  The
+static head maps moved by at most 0.0012 of the ``bench/reference.npz``
+tolerance, the decoded boxes by at most 1.2e-7 px and the readout rows by at
+most 2.5e-7 relative; no score moved.  Every decision kept its branch, mode,
+cost and weights; only the enhanced maps of the 6 cbam picks moved, by at
+most 1.9e-7 of their max |map|.  46 of the 50 float32 gradients moved, by at
+most 4.5e-7 of a parameter's max |g| (``memory.key.b``), the norms by at
+most 2.4e-7 relative (``cbam.spatial.w``) and the loss by 1.1e-10 relative.
+47 of the 50 float64 gradients moved, by at most 1.2e-15 of the max |g|.
+``PREDICTIONS["gated"]``, ``PREDICTIONS["none"]``, ``TRACE_STATS``,
+``CHECKPOINT_SHA256``, ``COST_TABLES``, ``CONFIG_DEFAULTS`` and
+``LOSS_FLOAT64`` held bit for bit, at the default and at one BLAS thread.
+
 ``TRACE_STATS`` was first recorded through the trace record type that
 ``metrics.gate_trace_stats`` read before it took the ``GateDecision`` list
 itself; the costliest branch was then a hard-coded "cbam", which the cost
@@ -100,6 +119,8 @@ table's argmax still picks.
 
 import hashlib
 import math
+import pathlib
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -138,11 +159,11 @@ PREDICTIONS = {
     "gated": _IDENTITY,
     "none": _IDENTITY,
     "static": {
-        10: ("abe31be10699cf7fb6767f4e70cf84c07caa643f4e31cb59aff3b6e1ddcb9cbe", 0.058789219707250595,
-             (36.68366861343384, 33.91908943653107, 2.5562045574188232, 2.0961356163024902)),
-        25: ("e0908f2cfeda4a7cf1cfdbf4c10bb195976c076b1af274bc4868eb6bd4a5d552", 0.058793891221284866,
+        10: ("1a71046e6f9c84877059315d6cbb4f204820084352338c284c31423e4be294f2", 0.058789219707250595,
+             (36.68366861343384, 33.919089555740356, 2.5562045574188232, 2.0961354970932007)),
+        25: ("5b0ac49c2f5a8871645676121fe3a8519fec3fd0b09b285067f86269d11afba6", 0.058793891221284866,
              (47.72575807571411, 42.928452014923096, 2.537504553794861, 2.0604076385498047)),
-        40: ("8dfa305532380ff85af36c855bb2dd0f4140c51bd1001499bd8c788526bbbc0d", 0.05854277312755585,
+        40: ("9d31cb5398a9fc68c2f4d6a62821432f57cf5aa6ca85801c400f93fe2005c7d2", 0.05854277312755585,
              (49.685803294181824, 64.91620481014252, 2.555521845817566, 2.083219885826111)),
     },
 }
@@ -161,7 +182,7 @@ COST_TABLES = {
 DECISIONS = {
     (10, "none"): ("cbam", "hard", 101712.0,
                   (0.0, 0.0, 0.0, 1.0),
-                  "2258a7e711c9c1d18a4143bec983f6ffea2402948d6fa31f89b7b6ec7507f218"),
+                  "b18e45d20b597cb90ae82603e71c344e9693054c93d7d700ecfe321b086fe88b"),
     (10, "zero"): ("identity", "budgeted", 0.0,
                   (1.0, 0.0, 0.0, 0.0),
                   "054f6e37ae12873804c036a79d90580f2d898fc471c128372c064f41df7f2928"),
@@ -173,10 +194,10 @@ DECISIONS = {
                   "725bb405902cfbaa7b30510335ced0148fb957a725ab383a2d82c32258af1634"),
     (10, "inf"): ("cbam", "budgeted", 101712.0,
                   (0.16910531255188355, 0.17362405206152176, 0.2718175889745628, 0.38545304641203193),
-                  "2258a7e711c9c1d18a4143bec983f6ffea2402948d6fa31f89b7b6ec7507f218"),
+                  "b18e45d20b597cb90ae82603e71c344e9693054c93d7d700ecfe321b086fe88b"),
     (25, "none"): ("cbam", "hard", 101712.0,
                   (0.0, 0.0, 0.0, 1.0),
-                  "4f055a226a26bd4515a500254d9b0d5bbbc3c91f26dad2566822a57a4318361a"),
+                  "90f32f9374f53a4fc8409f122e44b98229eb23f0b1e3464f96a3b6c58280764c"),
     (25, "zero"): ("identity", "budgeted", 0.0,
                   (1.0, 0.0, 0.0, 0.0),
                   "aa6fa4907e1e74817b05d0c01b4e98771d75dc534bd744099ad6d1ec1eeb212f"),
@@ -188,10 +209,10 @@ DECISIONS = {
                   "b3ab1472f0d0f0b80b4a53ff463008ae0185263a961784ab5328f532c1d5b142"),
     (25, "inf"): ("cbam", "budgeted", 101712.0,
                   (0.1678663223038673, 0.1729076727021309, 0.2730432112887578, 0.38618279370524394),
-                  "4f055a226a26bd4515a500254d9b0d5bbbc3c91f26dad2566822a57a4318361a"),
+                  "90f32f9374f53a4fc8409f122e44b98229eb23f0b1e3464f96a3b6c58280764c"),
     (40, "none"): ("cbam", "hard", 101712.0,
                   (0.0, 0.0, 0.0, 1.0),
-                  "4ed2d4b9127875217c7b8c05ff923ce42f42f9368e4a6c5a7319dd7e29989ace"),
+                  "64bc201ab657faf41644fd4fe27c313c7863fb75d5cd3352518c181df8a2cc97"),
     (40, "zero"): ("identity", "budgeted", 0.0,
                   (1.0, 0.0, 0.0, 0.0),
                   "0d0478998148718a1cfda4ab3f72ce4ad27591ed7ed7b640a11ea8fa972ab6ec"),
@@ -203,7 +224,7 @@ DECISIONS = {
                   "913fd19d7b23f441790db5d86820b45095f61d43acce34b985917b11bae25659"),
     (40, "inf"): ("cbam", "budgeted", 101712.0,
                   (0.17218517166366137, 0.17578553862578442, 0.2695128061972025, 0.38251648351335166),
-                  "4ed2d4b9127875217c7b8c05ff923ce42f42f9368e4a6c5a7319dd7e29989ace"),
+                  "64bc201ab657faf41644fd4fe27c313c7863fb75d5cd3352518c181df8a2cc97"),
 }
 
 # per probe phase, branch -> (mean, population std) of the recorded weights of
@@ -236,19 +257,20 @@ MAP_ATOL, MAP_RTOL = 1e-4, 1e-3
 BOX_ATOL_PX = 1e-4
 ROWS_SUM_TOL = 1e-12
 
-LOSS = 1.8293667219260485
-GRADS_SHA256 = "68131c9fa722cf257fb07eb107db26b510f4772c2d9e088d7b039d33a5627557"
+LOSS = 1.8293667217292795
+GRADS_SHA256 = "9166a4772f97975208de7822044488f33fc2f25feaa51d0a40f4835db57dc50b"
 N_PARAMS = 50
 # the same loss and gradients on float64 crops: the loss is the one the soft
 # loss had before training moved to float32, which float64 crops still give
-# bit for bit; the gradients moved once since, by stride-phase input gradients
+# bit for bit; the gradients moved twice since: by stride-phase input
+# gradients, and when each op kept one code path
 LOSS_FLOAT64 = 1.8293667210734443
-GRADS_FLOAT64_SHA256 = "3f6409ef81b62affd9bde0293c5adbfec60c711c5e3e0f843ca33cf5a7810157"
-# the float32 loss within LOSS_RTOL of the float64 one (measured 4.7e-10), and
+GRADS_FLOAT64_SHA256 = "4d80d78d5b8dc028c80dfc1726550cb31c15ef0e0114a99ceb716a74b269a944"
+# the float32 loss within LOSS_RTOL of the float64 one (measured 3.6e-10), and
 # each float32 gradient within GRAD_RTOL of its float64 one's max |g| (measured
-# at most 1.5e-6, on memory.key.b).  On this batch no relu input changes sign
+# at most 1.2e-6, on memory.key.b).  On this batch no relu input changes sign
 # between the two (counted: the smallest |input| is 1.7e-6, the largest float32
-# error 1.8e-6).
+# error 1.7e-6).
 LOSS_RTOL = 1e-7
 GRAD_RTOL = 1e-5
 # L2 norm of each gradient of the soft loss, compared within GRAD_NORMS_RTOL.
@@ -257,8 +279,8 @@ GRAD_RTOL = 1e-5
 # layer sees none of the loss through its zero-initialised output layer) must
 # stay exactly zero.
 GRAD_NORMS = {
-    "backbone.conv1.w": 0.15703251957893372,
-    "backbone.conv1.b": 0.08096151053905487,
+    "backbone.conv1.w": 0.1570325344800949,
+    "backbone.conv1.b": 0.08096151798963547,
     "backbone.conv2.w": 0.6256172060966492,
     "backbone.conv2.b": 0.08162480592727661,
     "backbone.conv3.w": 0.4852234125137329,
@@ -267,45 +289,45 @@ GRAD_NORMS = {
     "se.b1": 0.003658336354419589,
     "se.w2": 0.004567456431686878,
     "se.b2": 0.00442873127758503,
-    "ca.conv_shared.w": 0.0034534307196736336,
-    "ca.conv_shared.b": 0.002053925534710288,
-    "ca.conv_h.w": 0.001967240357771516,
+    "ca.conv_shared.w": 0.0034534309525042772,
+    "ca.conv_shared.b": 0.0020539260003715754,
+    "ca.conv_h.w": 0.0019672405906021595,
     "ca.conv_h.b": 0.002319674240425229,
-    "ca.conv_w.w": 0.0018420408014208078,
+    "ca.conv_w.w": 0.0018420410342514515,
     "ca.conv_w.b": 0.002229356672614813,
-    "cbam.mlp.w1": 0.006054742261767387,
+    "cbam.mlp.w1": 0.006054743193089962,
     "cbam.mlp.b1": 0.0022120000794529915,
-    "cbam.mlp.w2": 0.0049573881551623344,
-    "cbam.mlp.b2": 0.004425652790814638,
-    "cbam.spatial.w": 0.007848774082958698,
-    "cbam.spatial.b": 0.0022129258140921593,
+    "cbam.mlp.w2": 0.004957388620823622,
+    "cbam.mlp.b2": 0.0044256532564759254,
+    "cbam.spatial.w": 0.007848772220313549,
+    "cbam.spatial.b": 0.0022129255812615156,
     "gate.w1": 0.0,
     "gate.b1": 0.0,
-    "gate.w2": 0.005848436150699854,
-    "gate.b2": 0.010453629307448864,
-    "memory.key.w": 0.001383334631100297,
-    "memory.key.b": 0.0001657532120589167,
-    "memory.value.w": 0.06136230379343033,
-    "memory.value.b": 0.08951660990715027,
+    "gate.w2": 0.0058484370820224285,
+    "gate.b2": 0.010453631170094013,
+    "memory.key.w": 0.0013833347475156188,
+    "memory.key.b": 0.00016575318295508623,
+    "memory.value.w": 0.06136230751872063,
+    "memory.value.b": 0.08951661735773087,
     "memory.fuse.w": 0.16929484903812408,
-    "memory.fuse.b": 0.11350666731595993,
+    "memory.fuse.b": 0.11350667476654053,
     "head.cls.w1": 0.13248257339000702,
     "head.cls.b1": 0.05208878219127655,
     "head.cls.w2": 0.0851626768708229,
-    "head.cls.b2": 0.06168622896075249,
+    "head.cls.b2": 0.061686232686042786,
     "head.cls.w3": 0.02001010999083519,
     "head.cls.b3": 0.05881739407777786,
-    "head.ctr.w1": 0.48663195967674255,
-    "head.ctr.b1": 0.0827251598238945,
+    "head.ctr.w1": 0.48663198947906494,
+    "head.ctr.b1": 0.0827251672744751,
     "head.ctr.w2": 0.4251943826675415,
     "head.ctr.b2": 0.07400871068239212,
-    "head.ctr.w3": 0.09518522024154663,
+    "head.ctr.w3": 0.09518521279096603,
     "head.ctr.b3": 0.06472808867692947,
     "head.reg.w1": 0.0907725989818573,
     "head.reg.b1": 0.01619144342839718,
-    "head.reg.w2": 0.12743452191352844,
+    "head.reg.w2": 0.12743453681468964,
     "head.reg.b2": 0.018741628155112267,
-    "head.reg.w3": 0.02868172712624073,
+    "head.reg.w3": 0.02868172898888588,
     "head.reg.b3": 0.015839852392673492,
 }
 GRAD_NORMS_RTOL = 1e-12
@@ -493,7 +515,11 @@ def config_defaults():
 def observed():
     """Every golden value as the current code computes it."""
     loss, grads = loss_and_grads()
+    loss64, grads64 = loss_and_grads(exact_crop)
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = checkpoint_sha256(M.ModelConfig(), pathlib.Path(tmp))
     return {
+        "CHECKPOINT_SHA256": checkpoint,
         "PREDICTIONS": {mode: predictions(mode) for mode in ("gated", "static", "none")},
         "DECISIONS": decisions(),
         "TRACE_STATS": trace_stats(),
@@ -501,6 +527,8 @@ def observed():
         "GRADS_SHA256": digest(grads.values()),
         "GRAD_NORMS": grad_norms(grads),
         "N_PARAMS": len(grads),
+        "LOSS_FLOAT64": loss64,
+        "GRADS_FLOAT64_SHA256": digest(grads64.values()),
         "COST_TABLES": cost_tables(),
         "CONFIG_DEFAULTS": config_defaults(),
     }

@@ -7,7 +7,7 @@ import pytest
 
 from gatetrack import head as H
 from gatetrack import tensor as T
-from gatetrack.errors import NumericError, ShapeError
+from gatetrack.errors import ConfigError, NumericError, ShapeError
 from helpers import zeroed
 
 
@@ -325,6 +325,31 @@ class TestComputeLoss:
         total = H.compute_loss(out, labels, [weights], table, lambda_cost=0.5).item()
         expected_cost = 0.4 * 0 + 0.3 * 1 + 0.2 * 2 + 0.1 * 5
         assert total - base == pytest.approx(0.5 * expected_cost / 8.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lambda_cost", [math.nan, math.inf, -0.1, True, "0.01", None],
+                             ids=["nan", "inf", "negative", "bool", "str", "none"])
+    def test_bad_lambda_cost_raises_config_error(self, lambda_cost):
+        from gatetrack import flops
+        rng = np.random.default_rng(12)
+        _, p = make_head(rng)
+        out = H.head_forward(T.Tensor4(rng.standard_normal((1, 8, 4, 4))), p)
+        labels = H.make_labels(H.BBox(4.0, 4.0, 8.0, 8.0), 4, (4, 4))
+        weights = T.Tensor4(np.full((1, 4, 1, 1), 0.25))
+        with pytest.raises(ConfigError):
+            H.compute_loss(out, labels, [weights], flops.branch_costs(8, 2, 4, 4),
+                           lambda_cost=lambda_cost)
+
+    def test_cost_term_without_a_table_raises_config_error(self):
+        rng = np.random.default_rng(13)
+        _, p = make_head(rng)
+        out = H.head_forward(T.Tensor4(rng.standard_normal((1, 8, 4, 4))), p)
+        labels = H.make_labels(H.BBox(4.0, 4.0, 8.0, 8.0), 4, (4, 4))
+        weights = T.Tensor4(np.full((1, 4, 1, 1), 0.25))
+        with pytest.raises(ConfigError):
+            H.compute_loss(out, labels, [weights], lambda_cost=0.5)
+        # without gate weights there is no cost term, so no table is needed
+        assert H.compute_loss(out, labels, [None], lambda_cost=0.5).item() == (
+            H.compute_loss(out, labels).item())
 
     def test_loss_gradient_descends_on_fixed_input(self):
         # 200 plain gradient steps on one fixed batch must reduce the loss
