@@ -54,7 +54,11 @@ def _require_finite(a: BBox, b: BBox):
 
 
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 whenever the union is empty."""
+    """Intersection over union; 0 whenever the union is empty.
+
+    Boxes so large that an edge, an area or the union overflows float64
+    raise :class:`NumericError`, as non-finite fields do.
+    """
     _require_finite(a, b)
     if a.w < 0 or a.h < 0 or b.w < 0 or b.h < 0:
         raise ShapeError("boxes must have nonnegative sizes")
@@ -62,6 +66,10 @@ def iou(a: BBox, b: BBox) -> float:
     iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
     inter = max(ix, 0.0) * max(iy, 0.0)
     union = a.area + b.area - inter
+    # an overflowed edge makes inter inf or NaN (inf * 0); an overflowed area
+    # with a finite inter makes the union inf
+    if not (math.isfinite(inter) and math.isfinite(union)):
+        raise NumericError(f"boxes overflow float64 in the IoU: {a} and {b}")
     if union <= 0.0:
         return 0.0
     return inter / union

@@ -53,6 +53,19 @@ Design notes:
     The temperature scales the small query columns instead of the (Q, P)
     logits, which is exact for a power-of-two tau such as the readout's
     ``sqrt(16)``.
+  * ``attend`` runs on two cores where it can: when the process may use two
+    or more CPUs (``_CPUS``), the caller runs the first ``n // 2 + 1`` of a
+    call's n row blocks while one long-lived helper thread runs the rest,
+    each in a scratch block of its own, into disjoint rows of the output.
+    The blocks are those of one thread, so every bit is too: a read's
+    summation order depends on its block's size.  The caller takes the
+    extra block because the helper starts late by its wake-up: with an even
+    split the caller waited for it on most calls, and on a 2-vCPU VM the
+    caller's work after such a wait ran up to 45 % slower.  A call of one
+    or two blocks runs serially (halving the ``track`` readout's one block
+    measured slower), as does every call with one CPU and every backward.
+    The helper's share runs in a copy of the caller's context, so
+    ``np.errstate`` reaches it, and its exceptions re-raise in the caller.
   * im2col is one strided view of the padded input, already in
     ``(n, c, kh, kw, oh, ow)`` order, copied once into the columns.  A 1x1,
     stride-1, pad-0 view is the contiguous input itself, so it copies nothing.
@@ -100,8 +113,12 @@ Design notes:
 
 from __future__ import annotations
 
+import contextvars
 import math
+import numbers
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from itertools import accumulate, pairwise
 
@@ -154,6 +171,12 @@ _EXP_FLOOR = {dt: np.nextafter(dt(np.log(np.finfo(dt).tiny)), dt(0))
 # attend() takes its query rows in blocks of about this many bytes of float64
 # output, so a block's passes run from a core's cache rather than memory
 _ATTEND_BLOCK_BYTES = 512 * 1024
+
+# CPUs this process may run on, read once: with two or more, attend() hands
+# part of a call's row blocks to one helper thread
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_helper = None  # (pid, executor) of attend()'s helper thread
 
 
 @contextmanager
@@ -415,6 +438,13 @@ def _softmax_rows(y, axis, out, clamp=True):
     return recip
 
 
+def _check_tau(tau):
+    """A temperature must be a real number > 0 (bool is not one); an
+    infinite one gives uniform rows."""
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not tau > 0:
+        raise ParameterError(f"softmax temperature must be a real number > 0, got {tau!r}")
+
+
 def _softmax_grad(g, y, axis):
     """Gradient with respect to the scaled logits of softmax rows ``y``."""
     ds = g - (g * y).sum(axis=axis, keepdims=True)
@@ -430,8 +460,7 @@ def softmax_tau(x, tau):
     Small tau approaches one-hot, large tau approaches uniform.  The rows
     are float64 whatever the logits' dtype.
     """
-    if not tau > 0:
-        raise ParameterError(f"softmax temperature must be > 0, got {tau}")
+    _check_tau(tau)
     # subtract the max before dividing so that adding a constant to the
     # logits cannot change the result even at the last bit; the scaling and
     # exp work in place on this one temporary (x / 1 is exact, so it is skipped)
@@ -806,6 +835,29 @@ def _phase_input_gradient(g, wd, h, w, stride, pad):
     return dx
 
 
+def _helper_thread():
+    """The executor of attend()'s one helper thread, made on first use and
+    again in a forked child, which inherits the executor but not its thread."""
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():
+        _helper = (os.getpid(), ThreadPoolExecutor(1, "attend"))
+    return _helper[1]
+
+
+def _attend_blocks(blocks, qt, k3, vt, y, read_t, clamp):
+    """Run attend()'s row blocks ``blocks``, ``(lo, hi)`` pairs, into their
+    rows of ``y`` and ``read_t``, in one scratch block of this call's own."""
+    n, p = k3.shape[0], k3.shape[2]
+    scratch = np.empty((n, max((hi - lo for lo, hi in blocks), default=0), p), qt.dtype)
+    for lo, hi in blocks:
+        block = scratch[:, :hi - lo]
+        np.matmul(qt[:, lo:hi], k3, out=block)
+        block -= block.max(axis=2, keepdims=True)
+        recip = _softmax_rows(block, 2, y[:, 0, lo:hi], clamp)
+        np.matmul(block, vt, out=read_t[:, lo:hi])
+        read_t[:, lo:hi] *= recip
+
+
 def attend(q, k, v, tau):
     """Read of values through attention rows of query pixels over key pixels.
 
@@ -828,11 +880,12 @@ def attend(q, k, v, tau):
     it is still in cache it multiplies the values, and that read is scaled
     by the same reciprocals.  So rows sum to 1 within 1e-12 and stay
     strictly positive; float32 rows of 256 or more entries would not sum to
-    1 within 1e-9.  The backward runs in the operands' dtype too: float32
-    operands take float32 copies of the rows.
+    1 within 1e-9.  With two or more usable CPUs, a helper thread runs all
+    but the first ``n // 2 + 1`` of the n blocks, bit for bit as one thread
+    would.  The backward runs in the operands' dtype too: float32 operands
+    take float32 copies of the rows.
     """
-    if not tau > 0:
-        raise ParameterError(f"softmax temperature must be > 0, got {tau}")
+    _check_tau(tau)
     if q.shape[0] != k.shape[0] or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attend batch/channel mismatch: {q.shape} vs {k.shape}")
     if q.shape[3] != 1 or k.shape[3] != 1 or v.shape[3] != 1:
@@ -849,8 +902,14 @@ def attend(q, k, v, tau):
     n, rows, p = q.shape[0], q.shape[2], k.shape[2]
     y = np.empty((n, 1, rows, p))
     step = max(2, _ATTEND_BLOCK_BYTES // (8 * n * p))
-    # a single leftover row joins the block before it (below), hence step + 1
-    scratch = np.empty((n, min(step + 1, rows), p), dtype)
+    # numpy runs a one-row product as a matrix-vector product, which rounds
+    # differently from the matrix product, so no block is one row unless the
+    # whole array is: a single leftover row joins the block before it
+    bounds = [0]
+    while bounds[-1] < rows:
+        lo = bounds[-1]
+        bounds.append(rows if lo + step >= rows - 1 else lo + step)
+    blocks = list(pairwise(bounds))
     vt = np.ascontiguousarray(v3.transpose(0, 2, 1))
     read_t = np.empty((n, rows, v.shape[1]), dtype)  # the read, (n, Q, cv)
     # by Cauchy-Schwarz no two logits of a row differ by more than
@@ -860,19 +919,18 @@ def attend(q, k, v, tau):
     spread = 2.0 * math.sqrt(float((qs * qs).sum(axis=1).max(initial=0.0))
                              * float((k3 * k3).sum(axis=1).max(initial=0.0)))
     clamp = not spread < -_EXP_FLOOR[dtype.type]
-    lo = 0
-    while lo < rows:
-        # numpy runs a one-row product as a matrix-vector product, which
-        # rounds differently from the matrix product, so no block is one row
-        # unless the whole array is
-        hi = rows if lo + step >= rows - 1 else lo + step
-        block = scratch[:, :hi - lo]
-        np.matmul(qt[:, lo:hi], k3, out=block)
-        block -= block.max(axis=2, keepdims=True)
-        recip = _softmax_rows(block, 2, y[:, 0, lo:hi], clamp)
-        np.matmul(block, vt, out=read_t[:, lo:hi])
-        read_t[:, lo:hi] *= recip
-        lo = hi
+    # the caller runs one block more than half, so it seldom has to wait for
+    # the helper, which starts late by its wake-up (see the module notes)
+    mine = len(blocks) // 2 + 1
+    if _CPUS < 2 or mine >= len(blocks):
+        _attend_blocks(blocks, qt, k3, vt, y, read_t, clamp)
+    else:
+        helper = _helper_thread().submit(contextvars.copy_context().run, _attend_blocks,
+                                         blocks[mine:], qt, k3, vt, y, read_t, clamp)
+        try:
+            _attend_blocks(blocks[:mine], qt, k3, vt, y, read_t, clamp)
+        finally:
+            helper.result()
     a3, read = y[:, 0], read_t.transpose(0, 2, 1)
 
     def backward(g):

@@ -46,6 +46,19 @@ class TestIoU:
         with pytest.raises(NumericError, match="finite"):
             M.iou(good, bad)
 
+    @pytest.mark.parametrize("a, b", [
+        (BBox(0, 0, 1e308, 1e308), BBox(0, 0, 1e308, 1e308)),  # areas inf, inf - inf
+        (BBox(0, 0, 1e308, 1e308), BBox(0, 0, 1.0, 1.0)),  # one area inf
+        (BBox(1e308, 0, 1e308, 1.0), BBox(1e308, 0, 1e308, 1.0)),  # right edges inf
+        (BBox(1e308, 0, 1e308, 0.0), BBox(1e308, 0, 1e308, 0.0)),  # inf width times 0 height
+    ], ids=["both_areas", "one_area", "edges", "inf_times_zero"])
+    def test_boxes_that_overflow_float64_raise(self, a, b):
+        # all fields are finite, but an edge, an area or the intersection
+        # overflows; each pair used to give NaN, or 0 from an infinite union
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(NumericError, match="overflow"):
+                M.iou(x, y)
+
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

@@ -1,6 +1,7 @@
 """Tests for the rank-4 tensor engine: forward rules, gradients, FLOP counts."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -512,6 +513,15 @@ class TestSoftmaxTau:
             with pytest.raises(ParameterError):
                 T.softmax_tau(vector([1.0]), tau=tau)
 
+    @pytest.mark.parametrize("tau", ["1", True, None, 1j], ids=["str", "bool", "none", "complex"])
+    def test_non_real_tau_rejected(self, tau):
+        with pytest.raises(ParameterError, match="real"):
+            T.softmax_tau(vector([1.0, 2.0]), tau=tau)
+
+    def test_infinite_tau_gives_uniform_rows(self):
+        y = T.softmax_tau(vector([1.0, 2.0, 30.0]), tau=math.inf)
+        assert np.all(y.data == 1.0 / 3.0)
+
     def test_positive_with_ties_far_above_an_underflowed_entry(self):
         # three entries of 1 sum to 3; the smallest subnormal / 3 would round to 0
         y = T.softmax_tau(vector([0.0, 0.0, -1e4, 0.0]), tau=1.0).data.ravel()
@@ -656,6 +666,82 @@ class TestAttend:
         for got, want in zip(blocked[1:], one_pass[1:]):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("rows, blocks, callers", [
+        (6, 2, 2), (9, 3, 2), (21, 7, 4), (24, 8, 5), (22, 7, 4),
+    ], ids=["2_blocks", "3_blocks", "7_blocks", "8_blocks", "leftover_row"])
+    def test_two_cores_are_bitwise_one_core(self, monkeypatch, rows, blocks, callers, n,
+                                            dtype):
+        # blocks of 3 rows; 22 rows leave one over, which joins the seventh
+        # block.  The caller runs its first blocks, one more than half, and
+        # the helper the rest (none of two), as one thread would run them
+        rng = np.random.default_rng(39)
+        q = rng.standard_normal((n, 5, rows, 1)).astype(dtype)
+        k, v = (rng.standard_normal((n, c, 20, 1)).astype(dtype) for c in (5, 3))
+        g = rng.standard_normal((n, 3, rows, 1)).astype(dtype)
+        monkeypatch.setattr(T, "_ATTEND_BLOCK_BYTES", 3 * 8 * n * 20)
+        run_blocks = T._attend_blocks
+        calls = []
+        monkeypatch.setattr(T, "_attend_blocks", lambda blocks, *a: calls.append(
+            (threading.get_ident(), blocks)) or run_blocks(blocks, *a))
+
+        def read_rows_and_grads(cpus):
+            monkeypatch.setattr(T, "_CPUS", cpus)
+            qt, kt, vt = (T.Tensor4(a, requires_grad=True) for a in (q, k, v))
+            read, attn = T.attend(qt, kt, vt, 2.0)
+            T.sum_all(T.mul_broadcast(read, T.Tensor4(g))).backward()
+            return read.data, attn.data, qt.grad, kt.grad, vt.grad
+
+        one_core = read_rows_and_grads(1)
+        (only, every), = calls
+        assert only == threading.get_ident() and len(every) == blocks
+        assert every[-1] == ((18, 22) if rows == 22 else (rows - 3, rows))
+        two_cores = read_rows_and_grads(2)
+        # the two threads log their shares in either order
+        shares = sorted(calls[1:], key=lambda call: call[1])
+        split = [every[:callers], every[callers:]] if callers < blocks else [every]
+        assert [share for _, share in shares] == split
+        assert shares[0][0] == only and all(thread != only for thread, _ in shares[1:])
+        for got, want in zip(two_cores, one_core):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_one_helper_thread_serves_every_call(self, monkeypatch):
+        monkeypatch.setattr(T, "_CPUS", 2)
+        monkeypatch.setattr(T, "_ATTEND_BLOCK_BYTES", 2 * 8 * 20)
+        rng = np.random.default_rng(40)
+        q, k, v = (T.Tensor4(rng.standard_normal((1, 4, m, 1))) for m in (8, 20, 20))
+        before = threading.active_count()
+        for _ in range(50):
+            T.attend(q, k, v, 2.0)
+        assert threading.active_count() <= before + 1
+
+    def test_a_forked_child_makes_its_own_helper(self, monkeypatch):
+        # a forked child inherits the executor object but not its thread, so
+        # a call in another process must not queue work on it
+        monkeypatch.setattr(T, "_CPUS", 2)
+        monkeypatch.setattr(T, "_ATTEND_BLOCK_BYTES", 2 * 8 * 20)
+        rng = np.random.default_rng(41)
+        q, k, v = (T.Tensor4(rng.standard_normal((1, 4, m, 1))) for m in (8, 20, 20))
+        want = T.attend(q, k, v, 2.0)[0].data
+        parent = T._helper_thread()
+        monkeypatch.setattr(T.os, "getpid", lambda: -1)
+        assert T.attend(q, k, v, 2.0)[0].data.tobytes() == want.tobytes()
+        assert T._helper_thread() is not parent
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_core", "two_cores"])
+    def test_callers_errstate_reaches_the_helpers_blocks(self, monkeypatch, cpus):
+        # an infinite query row sums inf and -inf products into NaN logits.
+        # It lies in the last block, which the helper runs on two cores
+        monkeypatch.setattr(T, "_CPUS", cpus)
+        monkeypatch.setattr(T, "_ATTEND_BLOCK_BYTES", 2 * 8 * 20)
+        rng = np.random.default_rng(42)
+        q = rng.standard_normal((1, 4, 8, 1))
+        k, v = (rng.standard_normal((1, 4, 20, 1)) for _ in range(2))
+        q[0, :, 7, 0] = math.inf
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            T.attend(T.Tensor4(q), T.Tensor4(k), T.Tensor4(v), 2.0)
+
     @pytest.mark.parametrize("shape, rows_per_block", [
         ((2, 5, 13, 20, 3), 4),  # blocks of 4, 4 and 5: the leftover row joins the last
         ((2, 5, 13, 20, 3), 5),  # blocks of 5, 5 and a ragged 3
@@ -784,6 +870,16 @@ class TestAttend:
         for tau in (0.0, math.nan):
             with pytest.raises(ParameterError):
                 T.attend(T.zeros((1, 1, 2, 1)), T.zeros((1, 1, 3, 1)), T.zeros((1, 1, 3, 1)), tau)
+
+    @pytest.mark.parametrize("tau", ["4", True, None, 1j], ids=["str", "bool", "none", "complex"])
+    def test_non_real_tau_rejected(self, tau):
+        with pytest.raises(ParameterError, match="real"):
+            T.attend(T.zeros((1, 1, 2, 1)), T.zeros((1, 1, 3, 1)), T.zeros((1, 1, 3, 1)), tau)
+
+    def test_infinite_tau_gives_uniform_rows(self):
+        rng = np.random.default_rng(38)
+        q, k = (rng.standard_normal((1, 3, m, 1)) for m in (4, 5))
+        assert np.all(attend_rows(q, k, math.inf) == 0.2)
 
 
 class TestPooling:
