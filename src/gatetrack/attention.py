@@ -10,6 +10,16 @@ multiplying it with gates in (0, 1):
   * CBAM   — channel gate (shared MLP over avg- and max-pooled stats)
              followed by a 7x7 spatial gate over channel statistics.
 
+Each forward is one tensor op with its backward written out, one op per
+block rather than one per arithmetic step, as operator fusion runs a block
+(Chen et al., OSDI 2018).  It computes on plain arrays in its input's dtype.
+The pooled vectors go through the bottleneck as matrix products of the
+shapes ``T.conv2d`` gives a 1x1 conv, and CBAM's 7x7 spatial conv is
+``T.conv2d``'s own kernel, so the forward is bitwise that of the same steps
+run as separate tensor ops; the tests keep that composed form as the oracle
+of the forward bits and of every gradient.  Each op reports the FLOPs the
+composed form counts, under the conventions of :mod:`gatetrack.flops`.
+
 Each branch declares its parameters once, in its ``init_*``; ``BRANCHES``
 maps a branch name to that init and its forward.  With all parameters zero
 the gates are all sigmoid(0) = 0.5, so SE scales the input by 0.5 and
@@ -19,10 +29,13 @@ built by the real ``init_*`` and then zeroed (``zeroed`` in the tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 SPATIAL_KERNEL = 7  # CBAM spatial gate kernel; padding 3 keeps shape
 
@@ -55,48 +68,202 @@ class CBAMParams:
     b_spatial: T.Tensor4  # (1, 1, 1, 1)
 
 
+def _input(x, weight):
+    """``x``'s data, once its channels match the (cout, cin) branch ``weight``
+    that reads it and its map is not empty."""
+    n, c, h, w = x.shape
+    if c != weight.shape[1]:
+        raise ShapeError(f"branch input has {c} channels, its weights expect {weight.shape[1]}")
+    if h * w == 0:
+        raise ShapeError(f"branch input {x.shape} has an empty map")
+    return x.data
+
+
+def _mat(weight, dtype):
+    """A (cout, cin, 1, 1) weight as a (cout, cin) matrix in ``dtype``."""
+    return weight.data.astype(dtype, copy=False).reshape(weight.shape[:2])
+
+
+def _fc(wmat, bias, columns):
+    """A 1x1 conv of (m, cin, L) ``columns``: the matrix product and bias add
+    of ``T.conv2d``, in the same shapes, so the same bits."""
+    out = np.matmul(wmat, columns)
+    out += bias.data.astype(out.dtype, copy=False).reshape(1, -1, 1)
+    return out
+
+
+def _sigmoid_grad(y):
+    """The logistic's derivative at the point where it returned ``y``."""
+    return y * (1.0 - y)
+
+
 def se_forward(x, p: SEParams):
     """Channel reweighting from the global average of each channel."""
-    squeezed = T.pool("global_avg", x)
-    hidden = T.relu(T.conv2d(squeezed, p.w1, p.b1))
-    gate = T.sigmoid(T.conv2d(hidden, p.w2, p.b2))
-    return T.mul_broadcast(x, gate)
+    xd = _input(x, p.w1)
+    n, c, h, w = xd.shape
+    w1, w2 = _mat(p.w1, xd.dtype), _mat(p.w2, xd.dtype)
+    squeezed = xd.sum(axis=(2, 3), keepdims=True)
+    squeezed /= h * w
+    hidden = np.maximum(_fc(w1, p.b1, squeezed.reshape(n, c, 1)), 0.0)  # (n, c/r, 1)
+    gate = T.sigmoid_array(_fc(w2, p.b2, hidden))[:, :, :, None]  # (n, c, 1, 1)
+
+    def backward(g):
+        g = g.astype(xd.dtype, copy=False)
+        dlogit = np.einsum("nchw,nchw->nc", g, xd)
+        dlogit *= _sigmoid_grad(gate[:, :, 0, 0])
+        hid = hidden[:, :, 0]
+        dhid = dlogit @ w2
+        dhid *= hid > 0.0
+        dx = None
+        if x.requires_grad:
+            dx = g * gate
+            dx += (dhid @ w1 / (h * w))[:, :, None, None]
+        return (dx, (dhid.T @ squeezed.reshape(n, c))[:, :, None, None],
+                dhid.sum(axis=0).reshape(p.b1.shape),
+                (dlogit.T @ hid)[:, :, None, None], dlogit.sum(axis=0).reshape(p.b2.shape))
+
+    mid = w1.shape[0]
+    # the mean pool, the gating product, and per row the bottleneck's two
+    # matrix products, its relu and the sigmoid
+    flops = 2 * xd.size + n * (4 * c * mid + mid + c)
+    return T._result(xd * gate, (x, p.w1, p.b1, p.w2, p.b2), backward, flops)
 
 
 def ca_forward(x, p: CAParams):
     """Direction-aware gating from pooled height and width profiles.
 
-    The two directional pools are laid end to end on the h axis as a
-    (n, c, h+w, 1) tensor, pushed through the shared bottleneck, then split
-    back into the per-direction gates.
+    The two directional pools are laid end to end as (n, c, h+w) columns,
+    pushed through the shared bottleneck, then split back into the
+    per-direction gates.
     """
-    n, c, h, w = x.shape
-    zh = T.pool("avg_over_w", x)  # (n, c, h, 1)
-    # (n, c, 1, w) and (n, c, w, 1) hold the same element order
-    zw = T.reshape(T.pool("avg_over_h", x), (n, c, w, 1))
-    stacked = T.concat((zh, zw), axis=2)  # (n, c, h+w, 1)
-    hidden = T.relu(T.conv2d(stacked, p.w_shared, p.b_shared))
-    gate_h = T.sigmoid(T.conv2d(T.narrow(hidden, 2, 0, h), p.w_h, p.b_h))
-    gate_w = T.sigmoid(T.conv2d(T.narrow(hidden, 2, h, h + w), p.w_w, p.b_w))
-    out = T.mul_broadcast(x, gate_h)  # (n, c, h, 1) broadcasts over w
-    return T.mul_broadcast(out, T.reshape(gate_w, (n, c, 1, w)))
+    xd = _input(x, p.w_shared)
+    n, c, h, w = xd.shape
+    dt = xd.dtype
+    ws, wh, ww = _mat(p.w_shared, dt), _mat(p.w_h, dt), _mat(p.w_w, dt)
+    zh = xd.sum(axis=3)
+    zh /= w
+    zw = xd.sum(axis=2)
+    zw /= h
+    pooled = np.concatenate((zh, zw), axis=2)  # (n, c, h+w)
+    hidden = np.maximum(_fc(ws, p.b_shared, pooled), 0.0)  # (n, c/r, h+w)
+    gate_h = T.sigmoid_array(_fc(wh, p.b_h, hidden[:, :, :h]))[:, :, :, None]  # (n, c, h, 1)
+    gate_w = T.sigmoid_array(_fc(ww, p.b_w, hidden[:, :, h:]))[:, :, None, :]  # (n, c, 1, w)
+    y = xd * gate_h
+    y *= gate_w
+
+    def backward(g):
+        g = g.astype(dt, copy=False)
+        # the sums of g x over w weighted by gate_w, and over h by gate_h,
+        # as batched matrix-vector products
+        gx = g * xd
+        dzh = np.matmul(gx, gate_w.transpose(0, 1, 3, 2))[:, :, :, 0]  # (n, c, h)
+        dzh *= _sigmoid_grad(gate_h[:, :, :, 0])
+        dzw = np.matmul(gate_h.transpose(0, 1, 3, 2), gx)[:, :, 0, :]  # (n, c, w)
+        dzw *= _sigmoid_grad(gate_w[:, :, 0, :])
+        hid_h, hid_w = hidden[:, :, :h], hidden[:, :, h:]
+        dhid = np.concatenate((np.matmul(wh.T, dzh), np.matmul(ww.T, dzw)), axis=2)
+        dhid *= hidden > 0.0
+        dx = None
+        if x.requires_grad:
+            dpooled = np.matmul(ws.T, dhid)  # (n, c, h+w)
+            dx = g * gate_h
+            dx *= gate_w
+            dx += (dpooled[:, :, :h] / w)[:, :, :, None]
+            dx += (dpooled[:, :, h:] / h)[:, :, None, :]
+
+        def weight(dz, columns):
+            return np.matmul(dz, columns.transpose(0, 2, 1)).sum(axis=0)[:, :, None, None]
+
+        return (dx, weight(dhid, pooled), dhid.sum(axis=(0, 2)).reshape(p.b_shared.shape),
+                weight(dzh, hid_h), dzh.sum(axis=(0, 2)).reshape(p.b_h.shape),
+                weight(dzw, hid_w), dzw.sum(axis=(0, 2)).reshape(p.b_w.shape))
+
+    mid = ws.shape[0]
+    # the two directional pools and the two gating products, and per pooled
+    # position the shared and the directional matrix products, the relu and
+    # the sigmoid
+    flops = 4 * xd.size + n * (h + w) * (4 * c * mid + mid + c)
+    return T._result(y, (x, p.w_shared, p.b_shared, p.w_h, p.b_h, p.w_w, p.b_w),
+                     backward, flops)
 
 
 def cbam_forward(x, p: CBAMParams):
-    """Channel gate from avg+max statistics, then a 7x7 spatial gate."""
+    """Channel gate from avg+max statistics, then a 7x7 spatial gate.
 
-    def mlp(pooled):
-        return T.conv2d(T.relu(T.conv2d(pooled, p.w1, p.b1)), p.w2, p.b2)
+    The shared MLP reads the average- and max-pooled vectors as one
+    (2n, c, 1) stack, average rows first; the spatial gate is ``T.conv2d``'s
+    kernel over the channel mean and max of the channel-gated map.
+    """
+    xd = _input(x, p.w1)
+    n, c, h, w = xd.shape
+    dt = xd.dtype
+    w1, w2 = _mat(p.w1, dt), _mat(p.w2, dt)
+    avg = xd.sum(axis=(2, 3))
+    avg /= h * w
+    pooled = np.concatenate((avg, xd.max(axis=(2, 3))))[:, :, None]  # (2n, c, 1)
+    hidden = np.maximum(_fc(w1, p.b1, pooled), 0.0)  # (2n, c/r, 1)
+    logits = _fc(w2, p.b2, hidden)
+    channel_gate = T.sigmoid_array(logits[:n] + logits[n:])[:, :, :, None]  # (n, c, 1, 1)
+    gated = xd * channel_gate
+    mean_c = gated.sum(axis=1, keepdims=True)
+    mean_c /= c
+    stats = np.concatenate((mean_c, gated.max(axis=1, keepdims=True)), axis=1)  # (n, 2, h, w)
+    wsp, bsp = (t.data.astype(dt, copy=False) for t in (p.w_spatial, p.b_spatial))
+    spatial, spatial_backward = T._conv(stats, wsp, bsp, 1, SPATIAL_KERNEL // 2, True)
+    spatial_gate = T.sigmoid_array(spatial)  # (n, 1, h, w)
 
-    channel_gate = T.sigmoid(
-        T.add(mlp(T.pool("global_avg", x)), mlp(T.pool("global_max", x)))
-    )
-    gated = T.mul_broadcast(x, channel_gate)
-    stats = T.concat((T.pool("mean_over_c", gated), T.pool("max_over_c", gated)), axis=1)
-    spatial_gate = T.sigmoid(
-        T.conv2d(stats, p.w_spatial, p.b_spatial, stride=1, pad=SPATIAL_KERNEL // 2)
-    )
-    return T.mul_broadcast(gated, spatial_gate)
+    def backward(g):
+        g = g.astype(dt, copy=False)
+        dgated = g * spatial_gate
+        dspatial = np.einsum("nchw,nchw->nhw", g, gated)[:, None]
+        dspatial *= _sigmoid_grad(spatial_gate)
+        dstats, dwsp, dbsp = spatial_backward(dspatial)
+        dgated += dstats[:, :1] / c
+        _add_at_first_max(dgated, gated, stats[:, 1:], dstats[:, 1:], axis=1)
+        dlogit = np.einsum("nchw,nchw->nc", dgated, xd)
+        dlogit *= _sigmoid_grad(channel_gate[:, :, 0, 0])
+        dlogits = np.concatenate((dlogit, dlogit))  # both MLP passes, (2n, c)
+        hid = hidden[:, :, 0]
+        dhid = dlogits @ w2
+        dhid *= hid > 0.0
+        dx = None
+        if x.requires_grad:
+            dpooled = dhid @ w1  # (2n, c)
+            dx = dgated * channel_gate
+            dx += (dpooled[:n] / (h * w))[:, :, None, None]
+            _add_at_first_max(dx.reshape(n, c, h * w), xd.reshape(n, c, h * w), pooled[n:],
+                              dpooled[n:, :, None], axis=2)
+        return (dx, (dhid.T @ pooled[:, :, 0])[:, :, None, None],
+                dhid.sum(axis=0).reshape(p.b1.shape), (dlogits.T @ hid)[:, :, None, None],
+                dlogits.sum(axis=0).reshape(p.b2.shape), dwsp, dbsp)
+
+    mid = w1.shape[0]
+    # the avg and max pools, the channel-gating product, the channel mean and
+    # max and the spatial-gating product; per row the MLP on both pooled
+    # vectors, their sum and its sigmoid; per pixel the spatial conv and its
+    # sigmoid
+    flops = (6 * xd.size + 2 * n * (4 * c * mid + mid) + 2 * n * c
+             + (2 * wsp.size + 1) * spatial.size)
+    return T._result(gated * spatial_gate,
+                     (x, p.w1, p.b1, p.w2, p.b2, p.w_spatial, p.b_spatial), backward, flops)
+
+
+def _add_at_first_max(grad, data, peak, values, axis):
+    """Add ``values`` into the C-contiguous ``grad`` at the first entry of
+    ``data`` along ``axis`` that equals its maximum ``peak``: a max pool's
+    gradient, in place.  ``peak`` and ``values`` have size 1 along ``axis``.
+
+    The first maximum is the first True of a compare (a float32 ``argmax``
+    over 32 channels took about 4 times as long), and the values are added
+    at flat indices (``put_along_axis`` took about twice as long).
+    """
+    outer, size = math.prod(grad.shape[:axis]), grad.shape[axis]
+    inner = grad.size // (outer * size)
+    first = (data == peak).reshape(outer, size, inner).argmax(axis=1)
+    first *= inner
+    first += np.arange(0, outer * size * inner, size * inner)[:, None]
+    first += np.arange(inner)
+    grad.reshape(-1)[first] += values.reshape(outer, inner)
 
 
 def _bottleneck(channels, divisor, key="reduction"):

@@ -6,7 +6,8 @@ ReLU between them) maps each feature map to one logit per branch over the
 the logits into weights, used in one of two ways:
 
   * :func:`soft_attention` — training: the output is the weight-blended sum
-                             of all branch outputs, fully differentiable.
+                             of all branch outputs, one ``T.weighted_sum``,
+                             fully differentiable.
   * :func:`decide`         — inference: one branch per feature map.  The
                              decision is hard (the argmax, recorded one-hot)
                              unless a budget is given; then it is budgeted:
@@ -146,13 +147,8 @@ def soft_attention(feature, branches, gate: GateParams, frame_index=0):
     """
     logits_t = _finite_logits(feature, gate, frame_index)
     weights_t = T.softmax_tau(logits_t, gate.tau)
-    out = None
-    for i, kind in enumerate(BRANCH_ORDER):
-        contrib = T.mul_broadcast(
-            attention.branch_forward(kind, feature, branches.get(kind)),
-            T.narrow(weights_t, 1, i, i + 1),
-        )
-        out = contrib if out is None else T.add(out, contrib)
+    out = T.weighted_sum([attention.branch_forward(kind, feature, branches.get(kind))
+                          for kind in BRANCH_ORDER], weights_t)
     decisions = []
     for row in range(feature.shape[0]):
         w = weights_t.data[row].ravel().copy()

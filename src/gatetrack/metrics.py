@@ -75,8 +75,26 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def _center_offset(a: BBox, b: BBox):
+    """``(a.cx - b.cx, a.cy - b.cy)``; a non-finite box, or a centre or a
+    difference that overflows float64, raises :class:`NumericError` (inf - inf
+    would make a NaN that every threshold test quietly fails)."""
+    _require_finite(a, b)
+    dx, dy = a.cx - b.cx, a.cy - b.cy
+    if not (math.isfinite(dx) and math.isfinite(dy)):
+        raise NumericError(f"box centres overflow float64: {a} and {b}")
+    return dx, dy
+
+
 def center_distance(a: BBox, b: BBox) -> float:
-    return float(np.hypot(a.cx - b.cx, a.cy - b.cy))
+    """Distance between the box centres; raises :class:`NumericError` where a
+    box is not finite or the centres or their distance overflow float64."""
+    dx, dy = _center_offset(a, b)
+    with np.errstate(over="ignore"):  # an inf is caught below
+        d = float(np.hypot(dx, dy))
+    if not math.isfinite(d):
+        raise NumericError(f"box centre distance overflows float64: {a} and {b}")
+    return d
 
 
 def otb_success_precision(result: TrackResult):
@@ -92,14 +110,15 @@ def otb_success_precision(result: TrackResult):
 def normalized_precision(result: TrackResult) -> float:
     """AUC of the size-normalized center-error curve over [0, 0.5].
 
-    A non-finite box raises :class:`NumericError`, as in :func:`iou`.
+    A non-finite box, or centres whose difference overflows float64, raise
+    :class:`NumericError`, as in :func:`iou`.
     """
     errors = []
     for p, g in zip(result.pred, result.gt):
-        _require_finite(p, g)
+        dx, dy = _center_offset(p, g)
         if g.w <= 0 or g.h <= 0:
             raise ShapeError(f"degenerate ground-truth box {g}")
-        errors.append(np.hypot((p.cx - g.cx) / g.w, (p.cy - g.cy) / g.h))
+        errors.append(np.hypot(dx / g.w, dy / g.h))
     errors = np.array(errors)
     curve = np.array([(errors < th).mean() for th in NORM_PRECISION_THRESHOLDS])
     return float(curve.mean())

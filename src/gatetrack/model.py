@@ -127,17 +127,17 @@ class TrackModel:
         return T.relu(T.conv2d(h, w3, b3, stride=s3, pad=1))
 
     def _run(self, feature, names):
-        """Run the branches ``names`` on ``feature`` and average their outputs.
+        """Run the branches ``names`` on ``feature`` and average their outputs,
+        one ``T.weighted_sum`` with even weights.
 
         Returns ``(enhanced, attention_flops)``, the cost summed from the
         model's cost table over ``names``.
         """
         outs = [attention.branch_forward(n, feature, self.branches.get(n)) for n in names]
         total = outs[0]
-        for o in outs[1:]:
-            total = T.add(total, o)
         if len(outs) > 1:
-            total = T.scale(total, 1.0 / len(outs))
+            even = T.full((feature.shape[0], len(outs), 1, 1), 1.0 / len(outs))
+            total = T.weighted_sum(outs, even)
         return total, sum(self.cost_table[n] for n in names)
 
     def enhance_soft(self, feature, frame_index=0):

@@ -8,16 +8,23 @@ verify against the finite-difference oracle in :func:`grad_check`:
 
   * ``conv2d`` with bias, one matrix product over im2col columns; a 1x1
     kernel's columns are its input's own memory, which serves the fully
-    connected layers of the gate, the attention blocks and the readout;
+    connected layers of the gate and the readout's projections;
   * ``relu``, ``sigmoid``, ``exp`` and ``softmax_tau`` (softmax with
     temperature over channels);
   * ``pool``: mean or max over the axes its kind names;
   * ``add``, ``sub``, ``scale``, ``mul_broadcast``, ``div_broadcast`` and
     ``minimum``;
+  * ``weighted_sum``: terms scaled by per-row weights and added in order,
+    the gate's soft blend and the static average of branches in one op;
   * layout: ``concat`` and ``narrow`` along one axis, and ``reshape``;
   * attention: ``attend``, the query-key product, its softmax rows and
     the read of values through them in one op;
   * the losses' ``bce_with_logits`` and ``sum_all``.
+
+The SE, CA and CBAM branches of :mod:`gatetrack.attention` are ops of their
+own, one per branch: each computes on plain arrays, wraps its result with
+:func:`_result` and writes its backward out in full, and CBAM's spatial
+gate calls :func:`_conv`, the kernel behind ``conv2d``, with its backward.
 
 Design notes:
   * one rule sets the precision, whether or not a graph is recorded:
@@ -144,6 +151,7 @@ __all__ = [
     "mul_broadcast",
     "div_broadcast",
     "minimum",
+    "weighted_sum",
     "concat",
     "narrow",
     "reshape",
@@ -626,6 +634,46 @@ def minimum(a, b):
     return _result(np.where(take_a, a.data, b.data), (a, b), backward, a.size)
 
 
+def weighted_sum(terms, weights):
+    """``sum_i terms[i] * weights[:, i]``: the (n, k, 1, 1) ``weights`` scale
+    the k equally shaped ``terms`` per batch row.
+
+    The weights are cast to the first term's dtype, which the sum takes, and
+    the products are added in term order, so the result is bitwise that of
+    ``mul_broadcast`` by each weight column followed by ``add``.
+    """
+    terms = tuple(terms)
+    if not terms:
+        raise ShapeError("weighted_sum needs at least one term")
+    shape = terms[0].shape
+    for t in terms:
+        if t.shape != shape:
+            raise ShapeError(f"weighted_sum terms differ in shape: {t.shape} vs {shape}")
+    k = len(terms)
+    if weights.shape != (shape[0], k, 1, 1):
+        raise ShapeError(f"weighted_sum of {k} terms of shape {shape} needs "
+                         f"({shape[0]}, {k}, 1, 1) weights, got {weights.shape}")
+    dtype = terms[0].data.dtype
+    wd = weights.data.astype(dtype, copy=False)
+    out = terms[0].data * wd[:, :1]
+    for i, t in enumerate(terms[1:], 1):
+        out += t.data * wd[:, i:i + 1]
+
+    def backward(g):
+        g = g.astype(dtype, copy=False)
+        grads = [g * wd[:, i:i + 1] if t.requires_grad else None
+                 for i, t in enumerate(terms)]
+        dw = None
+        if weights.requires_grad:
+            dw = np.empty(weights.shape, weights.data.dtype)
+            for i, t in enumerate(terms):
+                dw[:, i, 0, 0] = np.einsum("nchw,nchw->n", g, t.data)
+        return (*grads, dw)
+
+    # a product per term and an add per term after the first
+    return _result(out, (*terms, weights), backward, (2 * k - 1) * out.size)
+
+
 def _ints(what, values):
     """``values`` as a tuple of Python ints, or ``ShapeError`` naming them: an
     axis, index or size must be an integer (a float is not truncated, and bool
@@ -725,7 +773,7 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     It computes in ``x``'s dtype, forward and backward, casting ``weight``
     and ``bias`` to it.
     """
-    n, cin, h, w = x.shape
+    _, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
         raise ShapeError(f"conv2d input has {cin} channels, weight expects {cin_w}")
@@ -742,10 +790,23 @@ def conv2d(x, weight, bias, stride=1, pad=0):
             f"conv2d output size not integral for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
         )
-    oh = span_h // stride + 1
-    ow = span_w // stride + 1
-    xd, dtype = x.data, x.data.dtype
-    wd, bd = (t.data.astype(dtype, copy=False) for t in (weight, bias))
+    wd, bd = (t.data.astype(x.data.dtype, copy=False) for t in (weight, bias))
+    y, backward = _conv(x.data, wd, bd, stride, pad, x.requires_grad)
+    return _result(y, (x, weight, bias), backward, 2 * cin * kh * kw * y.size)
+
+
+def _conv(xd, wd, bd, stride, pad, need_dx):
+    """:func:`conv2d`'s kernel on plain arrays of one dtype, shapes checked.
+
+    Returns ``(y, backward)``: ``backward(g)`` maps an output gradient to
+    ``(dx, dw, db)`` in that dtype, with ``dx`` None unless ``need_dx``.
+    Ops built on a convolution (CBAM's spatial gate) call it.
+    """
+    n, cin, h, w = xd.shape
+    cout, _, kh, kw = wd.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    dtype = xd.dtype
 
     # im2col with the output pixels innermost: wmat @ cols lands in NCHW
     # order without a transpose, and dw reads a transposed view of the same
@@ -764,9 +825,9 @@ def conv2d(x, weight, bias, stride=1, pad=0):
         dw = np.matmul(cols, gmat.transpose(0, 2, 1)).sum(axis=0).T
         dw = np.ascontiguousarray(dw).reshape(cout, cin, kh, kw)
         dx = None
-        if x.requires_grad and phases:
+        if need_dx and phases:
             dx = _phase_input_gradient(g, wd, h, w, stride, pad)
-        elif x.requires_grad:
+        elif need_dx:
             dcols = np.matmul(wmat.T, gmat).reshape(n, cin, kh, kw, oh, ow)
             dxp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype)
             for ki in range(kh):
@@ -777,7 +838,7 @@ def conv2d(x, weight, bias, stride=1, pad=0):
             dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + w])
         return (dx, dw, g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1))
 
-    return _result(y, (x, weight, bias), backward, 2 * cin * kh * kw * y.size)
+    return y, backward
 
 
 def _im2col(data, kh, kw, stride, pad, oh, ow):

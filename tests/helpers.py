@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from gatetrack import attention as A
 from gatetrack import model as M
 from gatetrack import tensor as T
 
@@ -37,3 +38,50 @@ def exact_crop(frame, center, size):
     _, origin = M.crop_at(frame, center, size)
     ox, oy = int(origin[0]), int(origin[1])
     return frame[:, :, oy:oy + size, ox:ox + size], origin
+
+
+# The attention branches composed of one tensor op per step: the oracle of
+# the one-op branches in ``gatetrack.attention``.
+
+def composed_se(x, p):
+    hidden = T.relu(T.conv2d(T.pool("global_avg", x), p.w1, p.b1))
+    return T.mul_broadcast(x, T.sigmoid(T.conv2d(hidden, p.w2, p.b2)))
+
+
+def composed_ca(x, p):
+    n, c, h, w = x.shape
+    zh = T.pool("avg_over_w", x)  # (n, c, h, 1)
+    # (n, c, 1, w) and (n, c, w, 1) hold the same element order
+    zw = T.reshape(T.pool("avg_over_h", x), (n, c, w, 1))
+    hidden = T.relu(T.conv2d(T.concat((zh, zw), axis=2), p.w_shared, p.b_shared))
+    gate_h = T.sigmoid(T.conv2d(T.narrow(hidden, 2, 0, h), p.w_h, p.b_h))
+    gate_w = T.sigmoid(T.conv2d(T.narrow(hidden, 2, h, h + w), p.w_w, p.b_w))
+    out = T.mul_broadcast(x, gate_h)
+    return T.mul_broadcast(out, T.reshape(gate_w, (n, c, 1, w)))
+
+
+def composed_cbam(x, p):
+    def mlp(pooled):
+        return T.conv2d(T.relu(T.conv2d(pooled, p.w1, p.b1)), p.w2, p.b2)
+
+    channel_gate = T.sigmoid(
+        T.add(mlp(T.pool("global_avg", x)), mlp(T.pool("global_max", x)))
+    )
+    gated = T.mul_broadcast(x, channel_gate)
+    stats = T.concat((T.pool("mean_over_c", gated), T.pool("max_over_c", gated)), axis=1)
+    pad = A.SPATIAL_KERNEL // 2
+    spatial_gate = T.sigmoid(T.conv2d(stats, p.w_spatial, p.b_spatial, stride=1, pad=pad))
+    return T.mul_broadcast(gated, spatial_gate)
+
+
+COMPOSED = {"se": composed_se, "ca": composed_ca, "cbam": composed_cbam}
+
+
+def composed_blend(terms, weights):
+    """The weighted sum of ``terms`` by ``weights`` columns, one ``narrow``,
+    ``mul_broadcast`` and ``add`` at a time: the oracle of ``T.weighted_sum``."""
+    out = None
+    for i, term in enumerate(terms):
+        contrib = T.mul_broadcast(term, T.narrow(weights, 1, i, i + 1))
+        out = contrib if out is None else T.add(out, contrib)
+    return out

@@ -8,7 +8,7 @@ from gatetrack import flops
 from gatetrack import gate as G
 from gatetrack import tensor as T
 from gatetrack.errors import ParameterError, ShapeError
-from helpers import vector, zeroed
+from helpers import COMPOSED, composed_blend, vector, zeroed
 
 
 def make_setup(rng, channels=8, reduction=2, scale=2, tau=1.0):
@@ -178,6 +178,16 @@ class TestApplyGatedAttention:
         ca_out = A.ca_forward(x, branches["ca"])
         assert np.max(np.abs(soft_out.data - ca_out.data)) < 1e-12
         assert np.array_equal(hard_out.data, ca_out.data)
+
+    def test_soft_blend_matches_the_composed_branches_and_blend(self):
+        rng = np.random.default_rng(13)
+        params, branches, gate = make_setup(rng)
+        gate.w2.data[:] = rng.standard_normal(gate.w2.shape)
+        for dtype in (np.float64, np.float32):
+            x = T.Tensor4(rng.standard_normal((3, 8, 5, 7)).astype(dtype))
+            out, weights, _ = G.soft_attention(x, branches, gate)
+            terms = [x] + [COMPOSED[kind](x, branches[kind]) for kind in ("se", "ca", "cbam")]
+            assert out.data.tobytes() == composed_blend(terms, weights).data.tobytes()
 
     def test_soft_converges_to_hard_at_low_tau(self):
         rng = np.random.default_rng(7)

@@ -134,6 +134,42 @@ class TestNormalizedPrecision:
             M.normalized_precision(result)
 
 
+    @pytest.mark.parametrize("p, g", [
+        (BBox(1.7e308, 0, 1.7e308, 1), BBox(1.7e308, 0, 1.7e308, 1)),  # cx inf, inf - inf
+        (BBox(1e308, 0, 1, 1), BBox(-1e308, 0, 1, 1)),  # finite centres, difference inf
+        (BBox(0, 1e308, 1, 1), BBox(0, -1e308, 1, 1)),  # the same along y
+    ], ids=["centre_inf", "dx_inf", "dy_inf"])
+    def test_centre_difference_that_overflows_float64_raises(self, p, g):
+        # all fields finite; the first pair, a perfect prediction, used to
+        # score 0 through a NaN error that fails every threshold test
+        with pytest.raises(NumericError, match="overflow"):
+            M.normalized_precision(M.TrackResult([p], [g]))
+
+    def test_huge_but_finite_error_is_a_miss(self):
+        # the centre difference fits in float64; only the normalised error is inf
+        result = M.TrackResult([BBox(1e308, 0, 1, 1)], [BBox(0, 0, 1e-10, 1)])
+        assert M.normalized_precision(result) == 0.0
+
+
+class TestCenterDistance:
+    def test_three_four_five(self):
+        assert M.center_distance(BBox(0, 0, 2, 2), BBox(3, 4, 2, 2)) == 5.0
+
+    @pytest.mark.parametrize("a, b", [
+        (BBox(1.7e308, 0, 1.7e308, 1), BBox(1.7e308, 0, 1.7e308, 1)),  # cx inf: was NaN
+        (BBox(1e308, 0, 1, 1), BBox(-1e308, 0, 1, 1)),  # difference inf: was inf
+        (BBox(1.5e308, 1.5e308, 1, 1), BBox(0, 0, 1, 1)),  # the distance itself
+    ], ids=["centre_inf", "difference_inf", "distance_inf"])
+    def test_overflow_raises(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(NumericError, match="overflow"):
+                M.center_distance(x, y)
+
+    def test_non_finite_box_raises(self):
+        with pytest.raises(NumericError, match="finite"):
+            M.center_distance(BBox(np.nan, 0, 1, 1), BBox(0, 0, 1, 1))
+
+
 class TestGot10k:
     def test_two_frame_fixture(self):
         pred, gt = boxes_with_ious([0.6, 0.8])
