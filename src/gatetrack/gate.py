@@ -2,7 +2,9 @@
 
 A small gating unit (global average pool, two fully connected layers with a
 ReLU between them) maps each feature map to one logit per branch over the
-4-way decision space (identity, SE, CA, CBAM).  A temperature softmax turns
+4-way decision space (identity, SE, CA, CBAM) as one tensor op,
+:func:`gate_logits`; the tests keep the same steps composed of separate ops
+as its oracle.  A temperature softmax turns
 the logits into weights, used in one of two ways:
 
   * :func:`soft_attention` — training: the output is the weight-blended sum
@@ -96,10 +98,34 @@ def gate_cost(channels, scale, height, width):
 
 
 def gate_logits(feature, p: GateParams):
-    """Branch logits from globally pooled features: (n, B, 1, 1)."""
-    pooled = T.pool("global_avg", feature)
-    hidden = T.relu(T.conv2d(pooled, p.w1, p.b1))
-    return T.conv2d(hidden, p.w2, p.b2)
+    """Branch logits from globally pooled features: (n, B, 1, 1).
+
+    One op: the average pool, then the two fully connected layers as 1x1
+    convolutions with the relu applied in place between them; the backward
+    runs the convolutions' own backwards in reverse.
+    """
+    n, c, h, w = feature.shape
+    if h * w == 0:
+        raise ShapeError(f"gate input {feature.shape} has an empty map")
+    T._check_conv((n, c, 1, 1), p.w1.shape, p.b1.shape, 1, 0)
+    parents = (feature, p.w1, p.b1, p.w2, p.b2)
+    record = T._recording(parents)
+    xd = feature.data
+    pooled = xd.sum(axis=(2, 3), keepdims=True)
+    pooled /= h * w
+    hidden, fc1_backward = T._conv_relu(pooled, p.w1, p.b1, 1, 0, True, record)
+    w2, b2 = (t.data.astype(xd.dtype, copy=False) for t in (p.w2, p.b2))
+    logits, fc2_backward = T._conv(hidden, w2, b2, 1, 0, True, record)
+
+    def backward(g):
+        dhidden, dw2, db2 = fc2_backward(g)
+        dpooled, dw1, db1 = fc1_backward(dhidden)
+        return (np.broadcast_to(dpooled / (h * w), xd.shape), dw1, db1, dw2, db2)
+
+    # the pool, the first layer and its relu, the second layer
+    flops = (xd.size + T._conv_flops(p.w1.data, hidden) + hidden.size
+             + T._conv_flops(w2, logits))
+    return T._result(logits, parents, backward, flops)
 
 
 def _finite_logits(feature, p: GateParams, frame_index):

@@ -3,7 +3,9 @@
 Each branch is two 3x3 convs (pad 1, ReLU) and a final 1x1 conv over the
 fused feature map.  The branches' first convs share that input, so they run
 as one conv with 3c outputs, and each branch reads its c channels of the
-result; the parameters stay per branch.  Regression outputs are distances
+result; the parameters stay per branch, as views of the joined weight.  The
+whole head is one tensor op, :func:`head_forward`; the tests keep the same
+steps composed of separate ops as its oracle.  Regression outputs are distances
 (left, top, right, bottom) from each location's mapped center to the box
 sides, made positive with an exponential.  Location (i, j) of a stride-s
 map corresponds to crop coordinates ((j + 0.5) s, (i + 0.5) s).
@@ -72,41 +74,99 @@ class HeadParams:
     cls: tuple  # (w1, b1, w2, b2, w3, b3)
     ctr: tuple
     reg: tuple
+    # the branches' first convs joined, (3c, c, 3, 3) and (1, 3c, 1, 1): each
+    # branch's w1 and b1 are views of their rows, updated in place as every
+    # parameter is, so the joined conv reads them with no concat per call
+    w1: T.Tensor4
+    b1: T.Tensor4
 
 
 def init_head(params, rng, channels):
-    def branch(name, cout, final_bias):
-        w1 = params.add(f"head.{name}.w1", T.he_normal(rng, (channels, channels, 3, 3)))
-        b1 = params.add(f"head.{name}.b1", T.zeros((1, channels, 1, 1)), decay=False)
-        w2 = params.add(f"head.{name}.w2", T.he_normal(rng, (channels, channels, 3, 3)))
-        b2 = params.add(f"head.{name}.b2", T.zeros((1, channels, 1, 1)), decay=False)
-        w3 = params.add(f"head.{name}.w3", T.he_normal(rng, (cout, channels, 1, 1)))
-        b3 = params.add(f"head.{name}.b3",
-                        T.full((1, cout, 1, 1), final_bias), decay=False)
-        return (w1, b1, w2, b2, w3, b3)
+    c = channels
+    w1 = np.empty((3 * c, c, 3, 3))
+    b1 = np.zeros((1, 3 * c, 1, 1))
+
+    def branch(k, name, cout, final_bias):
+        rows = slice(k * c, (k + 1) * c)
+        w1[rows] = T.he_normal(rng, (c, c, 3, 3)).data
+        return (
+            params.add(f"head.{name}.w1", T.Tensor4(w1[rows])),
+            params.add(f"head.{name}.b1", T.Tensor4(b1[:, rows]), decay=False),
+            params.add(f"head.{name}.w2", T.he_normal(rng, (c, c, 3, 3))),
+            params.add(f"head.{name}.b2", T.zeros((1, c, 1, 1)), decay=False),
+            params.add(f"head.{name}.w3", T.he_normal(rng, (cout, c, 1, 1))),
+            params.add(f"head.{name}.b3", T.full((1, cout, 1, 1), final_bias), decay=False),
+        )
 
     # classification starts pessimistic: most locations are negatives
     return HeadParams(
-        cls=branch("cls", 1, -2.0),
-        ctr=branch("ctr", 1, 0.0),
-        reg=branch("reg", 4, 0.0),
+        cls=branch(0, "cls", 1, -2.0),
+        ctr=branch(1, "ctr", 1, 0.0),
+        reg=branch(2, "reg", 4, 0.0),
+        w1=T.Tensor4(w1),
+        b1=T.Tensor4(b1),
     )
 
 
+# channels of the head's one result: cls, ctr, the raw regression and its exp
+_CLS, _CTR, _RAW, _REG = slice(0, 1), slice(1, 2), slice(2, 6), slice(6, 10)
+
+
 def head_forward(fused, p: HeadParams):
-    c = p.cls[0].shape[1]
-    branches = (p.cls, p.ctr, p.reg)
-    w1 = T.concat([b[0] for b in branches], axis=0)
-    b1 = T.concat([b[1] for b in branches], axis=1)
-    hidden = T.relu(T.conv2d(fused, w1, b1, stride=1, pad=1))
+    """The head's maps of a fused (n, c, h, w) feature, as one op.
 
-    def rest(k, weights):
-        _, _, w2, b2, w3, b3 = weights
-        h = T.relu(T.conv2d(T.narrow(hidden, 1, k * c, (k + 1) * c), w2, b2, stride=1, pad=1))
-        return T.conv2d(h, w3, b3)
+    The joined first conv, each branch's second conv (both rectified in
+    place) and final 1x1 conv, and the regression's ``exp``, clamped to
+    +-50 as ``T.exp`` clamps it, fill one (n, 10, h, w) result: cls, ctr,
+    the raw regression and its exponential.  The :class:`HeadOutput` fields
+    are views of its channels.  The backward runs the convolutions' own
+    backwards in reverse.
+    """
+    T._check_conv(fused.shape, p.w1.shape, p.b1.shape, 1, 1)
+    n, c, h, w = fused.shape
+    parents = (fused, *p.cls, *p.ctr, *p.reg)
+    record = T._recording(parents)
+    hidden, trunk_backward = T._conv_relu(fused.data, p.w1, p.b1, 1, 1, fused.requires_grad,
+                                          record)
+    dt = hidden.dtype
+    maps = np.empty((n, _REG.stop, h, w), dt)
+    raw, exp_raw = maps[:, _RAW], maps[:, _REG]
+    layers = []
+    flops = T._conv_flops(p.w1.data, hidden) + hidden.size
+    for k, (branch, out) in enumerate(zip((p.cls, p.ctr, p.reg), (_CLS, _CTR, _RAW))):
+        _, _, w2, b2, w3, b3 = branch
+        rows = slice(k * c, (k + 1) * c)
+        second, second_backward = T._conv_relu(hidden[:, rows], w2, b2, 1, 1, True, record)
+        w3d, b3d = (t.data.astype(dt, copy=False) for t in (w3, b3))
+        final, final_backward = T._conv(second, w3d, b3d, 1, 0, True, record)
+        maps[:, out] = final
+        layers.append((rows, second_backward, final_backward))
+        flops += T._conv_flops(w2.data, second) + second.size + T._conv_flops(w3d, final)
+    np.clip(raw, -T._EXP_CLAMP, T._EXP_CLAMP, out=exp_raw)
+    np.exp(exp_raw, out=exp_raw)
+    flops += exp_raw.size
 
-    cls, ctr, reg_raw = (rest(k, weights) for k, weights in enumerate(branches))
-    return HeadOutput(cls=cls, ctr=ctr, reg=T.exp(reg_raw), reg_raw=reg_raw)
+    def backward(g):
+        # exp's backward, joined by the raw map's own gradient
+        dreg = g[:, _REG] * exp_raw * (np.abs(raw) < T._EXP_CLAMP)
+        dreg += g[:, _RAW]
+        # contiguous, as the loss hands them over: a bias gradient sums a
+        # strided slice in another order
+        douts = (np.ascontiguousarray(g[:, _CLS]), np.ascontiguousarray(g[:, _CTR]), dreg)
+        dhidden = np.zeros(hidden.shape, dt)
+        grads = []
+        for (rows, second_backward, final_backward), dout in zip(layers, douts):
+            dsecond, dw3, db3 = final_backward(dout)
+            dslice, dw2, db2 = second_backward(dsecond)
+            dhidden[:, rows] += dslice
+            grads.append((rows, dw2, db2, dw3, db3))
+        dfused, dw1, db1 = trunk_backward(dhidden)
+        return (dfused, *(d for rows, *rest in grads for d in (dw1[rows], db1[:, rows], *rest)))
+
+    head = T._result(maps, parents, backward, flops)
+    cls, ctr, reg_raw, reg = (T._view(head, (slice(None), part))
+                              for part in (_CLS, _CTR, _RAW, _REG))
+    return HeadOutput(cls=cls, ctr=ctr, reg=reg, reg_raw=reg_raw)
 
 
 def location_centers(hf, wf, stride):

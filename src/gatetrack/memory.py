@@ -5,16 +5,21 @@ stacks every stored pixel into one column, runs one key and one value
 projection over the whole stack and one key projection over the query,
 attends from every query pixel over all memory pixels, gathers the
 projected values and fuses the read with the query feature through a 1x1
-conv.  The attention and the read are one op, ``tensor.attend``.  The
-fused map always has the query's spatial size no matter how many frames are
-stored, and is invariant to any permutation of the memory pixels up to
-rounding: the read sums over the memory pixels in their stored order, in
-float32 and float64 alike, one block of query rows at a time.
+conv.  The readout is one tensor op, its attention and read through
+``tensor._attend``; the tests keep the same steps composed of separate ops
+as its oracle.  The fused map always has the query's spatial size no matter
+how many frames are stored, and is invariant to any permutation of the
+memory pixels up to rounding: the read sums over the memory pixels in their
+stored order, in float32 and float64 alike, one block of query rows at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
+
+import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError, _require_real, _require_size
@@ -130,19 +135,55 @@ def readout(query_feature, memory_features, p: ReadoutParams):
             raise ShapeError(
                 f"memory feature {m.shape} incompatible with query {query_feature.shape}"
             )
-    ck = p.key_channels
-    cv = p.value_channels
+    T._check_conv(query_feature.shape, p.key_w.shape, p.key_b.shape, 1, 0)
+    ck, cv, q = p.key_channels, p.value_channels, hq * wq
+    qd = query_feature.data
 
     # every stored pixel as one column, so a single key and a single value
     # projection cover the whole memory whatever the size of each map
-    stack = T.concat(
-        [T.reshape(m, (n, c, m.shape[2] * m.shape[3], 1)) for m in memory_features], axis=2)
-    mem_keys = T.conv2d(stack, p.key_w, p.key_b)
-    mem_values = T.conv2d(stack, p.value_w, p.value_b)
-    query_keys = T.reshape(T.conv2d(query_feature, p.key_w, p.key_b), (n, ck, hq * wq, 1))
+    columns = [m.data.reshape(n, c, m.shape[2] * m.shape[3], 1) for m in memory_features]
+    stack = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=2)
+    if stack.shape[2] == 0:
+        raise ShapeError(f"readout needs at least one memory pixel, got {stack.shape}")
 
+    parents = (query_feature, *memory_features, p.key_w, p.key_b, p.value_w, p.value_b,
+               p.fuse_w, p.fuse_b)
+    record = T._recording(parents)
+
+    def project(x, weight, bias):
+        wd, bd = (t.data.astype(x.dtype, copy=False) for t in (weight, bias))
+        return T._conv(x, wd, bd, 1, 0, True, record)
+
+    mem_keys, mem_keys_backward = project(stack, p.key_w, p.key_b)
+    mem_values, mem_values_backward = project(stack, p.value_w, p.value_b)
+    query_keys, query_keys_backward = project(qd, p.key_w, p.key_b)
     # tau = sqrt(ck) is the 1/sqrt(ck) logit scale; rows over memory pixels
-    read, attn = T.attend(query_keys, mem_keys, mem_values, ck ** 0.5)
-    read = T.reshape(read, (n, cv, hq, wq))
-    fused = T.conv2d(T.concat((read, query_feature), axis=1), p.fuse_w, p.fuse_b)
-    return fused, attn
+    read, rows, attend_backward = T._attend(query_keys.reshape(n, ck, q), mem_keys[:, :, :, 0],
+                                            mem_values[:, :, :, 0], ck ** 0.5)
+    # the fuse conv reads the read and the query as one channel stack
+    joined = np.empty((n, cv + c, hq, wq), np.result_type(read, qd))
+    joined.reshape(n, cv + c, q)[:, :cv] = read
+    joined[:, cv:] = qd
+    fused, fuse_backward = project(joined, p.fuse_w, p.fuse_b)
+
+    def backward(g):
+        djoined, dfuse_w, dfuse_b = fuse_backward(g)
+        dquery_keys, dmem_keys, dmem_values = attend_backward(
+            djoined[:, :cv].reshape(n, cv, q))
+        dquery, dkey_w, dkey_b = query_keys_backward(dquery_keys.reshape(n, ck, hq, wq))
+        dquery += djoined[:, cv:]
+        dstack, dkey_w_mem, dkey_b_mem = mem_keys_backward(dmem_keys[:, :, :, None])
+        dstack_values, dvalue_w, dvalue_b = mem_values_backward(dmem_values[:, :, :, None])
+        dstack += dstack_values
+        bounds = accumulate((col.shape[2] for col in columns), initial=0)
+        dmemory = [dstack[:, :, lo:hi].reshape(m.shape)
+                   for (lo, hi), m in zip(pairwise(bounds), memory_features)]
+        return (dquery, *dmemory, dkey_w + dkey_w_mem, dkey_b + dkey_b_mem,
+                dvalue_w, dvalue_b, dfuse_w, dfuse_b)
+
+    # the key projections of the query and the memory, the value projection,
+    # the attention and the fuse conv
+    flops = (T._conv_flops(p.key_w.data, query_keys) + T._conv_flops(p.key_w.data, mem_keys)
+             + T._conv_flops(p.value_w.data, mem_values) + T._attend_flops(ck, cv, rows)
+             + T._conv_flops(p.fuse_w.data, fused))
+    return T._result(fused, parents, backward, flops), T.Tensor4(rows)

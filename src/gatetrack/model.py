@@ -3,7 +3,9 @@
 The backbone is a small three-conv stem, 1 -> ``STEM_WIDTH`` -> ``CHANNELS``
 -> ``CHANNELS`` (1 -> 16 -> 32 -> 32), producing 16x16 feature maps from
 64x64 grayscale crops.  Its conv strides are ``STEM_STRIDES`` and ``STRIDE``
-is their product, the backbone's downsampling factor.  These sizes, the
+is their product, the backbone's downsampling factor.  The backbone is one
+tensor op, :meth:`TrackModel.extract`, as the gate's logits, the memory
+readout and the head are (see :mod:`gatetrack.tensor`).  These sizes, the
 branch and gate bottlenecks, the gate temperature and the readout's key and
 value widths are module constants.  :class:`ModelConfig` holds only what a
 workload sets: the memory bank's capacity and write rule, and the attention
@@ -23,7 +25,9 @@ The attention FLOPs of a frame are the cost-table sum over its set.
 
 :func:`crop_at` hands the network float32 crops, so tracked frames and
 training batches run float32 by the precision rule in
-:mod:`gatetrack.tensor`; parameters and checkpoints are float64.
+:mod:`gatetrack.tensor`; parameters and checkpoints are float64.  It is the
+model's boundary for pixel values: a crop holding a NaN or infinite pixel
+raises ``NumericError`` there, since no op checks its data.
 
 Checkpoints are a text index, ``GTCK1 <count>`` then one ``<name> <size>``
 line per tensor and a blank line, followed by one DT64 blob per entry (the
@@ -119,12 +123,32 @@ class TrackModel:
     # -- forward pieces ----------------------------------------------------
 
     def extract(self, crops):
-        """Backbone features for a (n, 1, s, s) crop batch: (n, c, s/stride, s/stride)."""
-        w1, b1, w2, b2, w3, b3 = self.stem
-        s1, s2, s3 = STEM_STRIDES
-        h = T.relu(T.conv2d(crops, w1, b1, stride=s1, pad=1))
-        h = T.relu(T.conv2d(h, w2, b2, stride=s2, pad=1))
-        return T.relu(T.conv2d(h, w3, b3, stride=s3, pad=1))
+        """Backbone features for a (n, 1, s, s) crop batch: (n, c, s/stride, s/stride).
+
+        One op: three pad-1 convolutions, each rectified in place, whose
+        backward runs the convolutions' own backwards in reverse.
+        """
+        parents = (crops, *self.stem)
+        record = T._recording(parents)
+        h = crops.data
+        layers = []
+        flops = 0
+        for w, b, stride in zip(self.stem[::2], self.stem[1::2], STEM_STRIDES):
+            T._check_conv(h.shape, w.shape, b.shape, stride, 1)
+            # the first conv's input gradient only when the crops need one
+            need_dx = bool(layers) or crops.requires_grad
+            h, backward = T._conv_relu(h, w, b, stride, 1, need_dx, record)
+            layers.append(backward)
+            flops += T._conv_flops(w.data, h) + h.size  # the conv and its relu
+
+        def backward(g):
+            grads = []
+            for layer in reversed(layers):
+                g, dw, db = layer(g)
+                grads[:0] = (dw, db)
+            return (g, *grads)
+
+        return T._result(h, parents, backward, flops)
 
     def _run(self, feature, names):
         """Run the branches ``names`` on ``feature`` and average their outputs,
@@ -346,8 +370,10 @@ def crop_at(frame_data, center, size):
     pair (cx, cy).  The crop window is clamped inside the frame, so the origin
     may differ from ``center - size/2`` near the borders.  The crop is a
     C-contiguous float32 copy of the window.  A malformed frame or centre
-    raises :class:`ShapeError`; a NaN or infinite centre raises
-    :class:`NumericError`.
+    raises :class:`ShapeError`; a NaN or infinite centre, or a window that
+    holds a NaN or infinite pixel once cast to float32, raises
+    :class:`NumericError`: the network's ops do not check their data, and
+    the readout would turn a NaN pixel into NaN rows without an error.
     """
     _require_size("crop size", size)
     if np.ndim(frame_data) != 4:
@@ -367,5 +393,9 @@ def crop_at(frame_data, center, size):
     oy = int(round(c[1])) - size // 2
     ox = min(max(ox, 0), w - size)
     oy = min(max(oy, 0), h - size)
-    crop = frame_data[:, :, oy:oy + size, ox:ox + size].astype(np.float32, order="C")
+    # a float64 pixel beyond float32's range becomes inf here and is caught
+    with np.errstate(over="ignore"):
+        crop = frame_data[:, :, oy:oy + size, ox:ox + size].astype(np.float32, order="C")
+    if not np.isfinite(crop).all():
+        raise NumericError(f"crop at origin {(ox, oy)} holds a NaN or infinite pixel")
     return crop, (float(ox), float(oy))

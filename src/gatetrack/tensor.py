@@ -7,8 +7,7 @@ small, one op per operation, each with one backward rule short enough to
 verify against the finite-difference oracle in :func:`grad_check`:
 
   * ``conv2d`` with bias, one matrix product over im2col columns; a 1x1
-    kernel's columns are its input's own memory, which serves the fully
-    connected layers of the gate and the readout's projections;
+    kernel's columns are its input's own memory;
   * ``relu``, ``sigmoid``, ``exp`` and ``softmax_tau`` (softmax with
     temperature over channels);
   * ``pool``: mean or max over the axes its kind names;
@@ -21,10 +20,19 @@ verify against the finite-difference oracle in :func:`grad_check`:
     the read of values through them in one op;
   * the losses' ``bce_with_logits`` and ``sum_all``.
 
-The SE, CA and CBAM branches of :mod:`gatetrack.attention` are ops of their
-own, one per branch: each computes on plain arrays, wraps its result with
-:func:`_result` and writes its backward out in full, and CBAM's spatial
-gate calls :func:`_conv`, the kernel behind ``conv2d``, with its backward.
+The model's blocks are ops of their own, each computing on plain arrays,
+wrapping its result with :func:`_result` and writing its backward out in
+full: the SE, CA and CBAM branches of :mod:`gatetrack.attention`, and the
+backbone (``model.TrackModel.extract``), the gate's logits
+(``gate.gate_logits``), the memory readout (``memory.readout``) and the head
+(``head.head_forward``).  Their convolutions call :func:`_conv`, the kernel
+behind ``conv2d``, with its backward (through :func:`_conv_relu`, which
+rectifies in place, where a relu follows), and the readout's attention calls
+:func:`_attend`, the kernel behind ``attend``.  A stage's backward runs these
+kernels' backwards in reverse on the arrays the separate ops would have
+handed them, so its gradients are theirs bit for bit; it keeps them only
+when it records a graph.  The head's four maps are views of its one result
+(:func:`_view`).
 
 Design notes:
   * one rule sets the precision, whether or not a graph is recorded:
@@ -75,7 +83,8 @@ Design notes:
     ``np.errstate`` reaches it, and its exceptions re-raise in the caller.
   * im2col is one strided view of the padded input, already in
     ``(n, c, kh, kw, oh, ow)`` order, copied once into the columns.  A 1x1,
-    stride-1, pad-0 view is the contiguous input itself, so it copies nothing.
+    stride-1, pad-0 conv's columns are its input reshaped, which copies
+    nothing from a contiguous input.
   * an input gradient takes one of two exact forms.  Where the stride
     s divides k, ``pad < k`` and ``cout <= cin s^2``, it is computed by
     stride phase: the s*s phases of the padded input gradient are stride-1
@@ -88,7 +97,8 @@ Design notes:
     k*k strided adds.  The rule keeps the columns no larger than col2im's:
     the phase form builds ``cout (k/s)^2`` rows per phase pixel, about one
     per output pixel, where col2im builds ``cin k k``, so a conv with more
-    outputs than that (the head's joined 32 -> 96 first conv) keeps col2im,
+    outputs than that (the first conv of the head, 32 -> 96, the three
+    branches' joined) keeps col2im,
     and so do a non-square kernel and a stride that does not divide it.
   * a weight gradient is ``cols @ g^T``, (cin k k, cout) per image, then
     transposed and copied contiguous: that orientation of the GEMM ran
@@ -96,7 +106,9 @@ Design notes:
     gives the same bits.  The copy matters, since a digest or
     ``np.linalg.norm`` reads a gradient in memory order.
   * a data-dependent mask multiplies instead of selecting: relu's and
-    ``exp``'s backward multiply the gradient by a boolean mask, and
+    ``exp``'s backward multiply the gradient by a boolean mask (a relu
+    applied in place reads its mask from its output, ``y > 0``, which is
+    the input's), and
     ``sigmoid_array`` divides ``max(e, z >= 0)`` by ``1 + e``, so no op
     branches per element on the data (on a (4, 32, 16, 16) map the
     ``np.where`` forms took 1.6 to 10 times as long).
@@ -304,12 +316,17 @@ def _result(data, parents, backward_fn, flops=0):
     adding the op's forward ``flops`` to an open :func:`count_flops` total."""
     if _flops is not None:
         _flops[0] += flops
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
+    needs = _recording(parents)
     out = Tensor4(data, requires_grad=needs)
     if needs:
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     return out
+
+
+def _recording(parents):
+    """Whether :func:`_result` records a graph edge to ``parents``."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +744,7 @@ def narrow(x, axis, lo, hi):
     lo, hi = _ints("narrow bounds", (lo, hi))
     if not (0 <= lo < hi <= x.shape[axis]):
         raise ShapeError(f"slice [{lo}:{hi}] along axis {axis} out of range for {x.shape}")
-    index = _along(axis, lo, hi)
-
-    def backward(g):
-        return (_Range(index, g),)
-
-    return _result(x.data[index], (x,), backward)
+    return _view(x, _along(axis, lo, hi))
 
 
 class _Range:
@@ -744,6 +756,17 @@ class _Range:
     def __init__(self, index, grad):
         self.index = index
         self.grad = grad
+
+
+def _view(x, index):
+    """``x.data[index]`` as a tensor whose gradient is that range of ``x``'s:
+    :func:`narrow`'s result, and each output of an op with several (the
+    head's maps), which records them as one node ``x``."""
+    out = Tensor4(x.data[index], _recording((x,)))
+    if out.requires_grad:
+        out._parents = (x,)
+        out._backward_fn = lambda g: (_Range(index, g),)
+    return out
 
 
 def reshape(x, shape):
@@ -773,16 +796,24 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     It computes in ``x``'s dtype, forward and backward, casting ``weight``
     and ``bias`` to it.
     """
-    _, cin, h, w = x.shape
-    cout, cin_w, kh, kw = weight.shape
+    _check_conv(x.shape, weight.shape, bias.shape, stride, pad)
+    wd, bd = (t.data.astype(x.data.dtype, copy=False) for t in (weight, bias))
+    y, backward = _conv(x.data, wd, bd, stride, pad, x.requires_grad)
+    return _result(y, (x, weight, bias), backward, _conv_flops(wd, y))
+
+
+def _check_conv(x_shape, w_shape, b_shape, stride, pad):
+    """:func:`conv2d`'s checks of its operands' shapes and settings."""
+    _, cin, h, w = x_shape
+    cout, cin_w, kh, kw = w_shape
     if cin != cin_w:
         raise ShapeError(f"conv2d input has {cin} channels, weight expects {cin_w}")
     if stride < 1:
         raise ConfigError(f"conv2d stride must be >= 1, got {stride}")
     if pad < 0:
         raise ConfigError(f"conv2d pad must be >= 0, got {pad}")
-    if bias.shape != (1, cout, 1, 1):
-        raise ShapeError(f"conv2d bias shape {bias.shape} != (1, {cout}, 1, 1)")
+    if b_shape != (1, cout, 1, 1):
+        raise ShapeError(f"conv2d bias shape {b_shape} != (1, {cout}, 1, 1)")
     span_h = h + 2 * pad - kh
     span_w = w + 2 * pad - kw
     if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
@@ -790,17 +821,24 @@ def conv2d(x, weight, bias, stride=1, pad=0):
             f"conv2d output size not integral for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
         )
-    wd, bd = (t.data.astype(x.data.dtype, copy=False) for t in (weight, bias))
-    y, backward = _conv(x.data, wd, bd, stride, pad, x.requires_grad)
-    return _result(y, (x, weight, bias), backward, 2 * cin * kh * kw * y.size)
 
 
-def _conv(xd, wd, bd, stride, pad, need_dx):
+def _conv_flops(wd, y):
+    """A convolution's FLOPs: a multiply and an add per weight and output."""
+    return 2 * (wd.size // wd.shape[0]) * y.size
+
+
+def _conv(xd, wd, bd, stride, pad, need_dx, record=True):
     """:func:`conv2d`'s kernel on plain arrays of one dtype, shapes checked.
 
     Returns ``(y, backward)``: ``backward(g)`` maps an output gradient to
     ``(dx, dw, db)`` in that dtype, with ``dx`` None unless ``need_dx``.
-    Ops built on a convolution (CBAM's spatial gate) call it.
+    Ops built on a convolution (CBAM's spatial gate and the model's stages)
+    call it; it never reads ``y`` again, so a caller may overwrite it.  With
+    ``record`` false, for an op that records no graph, ``backward`` is None
+    and the columns are freed on return: a graph-free backbone that held each
+    conv's columns while the next conv allocated its own ran about 60 %
+    slower (numpy 2.4.6, glibc malloc, x86-64 Xeon).
     """
     n, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
@@ -815,6 +853,8 @@ def _conv(xd, wd, bd, stride, pad, need_dx):
     wmat = wd.reshape(cout, cin * kh * kw)
     y = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
     y += bd
+    if not record:
+        return y, None
     # the input gradient's form, by the rule in the design notes
     phases = kh == kw and kh % stride == 0 and pad < kh and cout <= cin * stride * stride
 
@@ -841,10 +881,33 @@ def _conv(xd, wd, bd, stride, pad, need_dx):
     return y, backward
 
 
+def _conv_relu(xd, weight, bias, stride, pad, need_dx, record=True):
+    """``relu(conv2d(x, weight, bias))`` on the plain array ``xd``, the relu
+    applied in place on the convolution's output.
+
+    ``weight`` and ``bias`` are tensors, cast to ``xd``'s dtype as
+    :func:`conv2d` casts them.  Returns ``(y, backward)`` as :func:`_conv`
+    does; ``backward`` masks the gradient by ``y > 0``, which is the mask of
+    the input to the relu, so the bits are those of the two ops.
+    """
+    wd, bd = (t.data.astype(xd.dtype, copy=False) for t in (weight, bias))
+    y, conv_backward = _conv(xd, wd, bd, stride, pad, need_dx, record)
+    np.maximum(y, 0.0, out=y)
+    if not record:
+        return y, None
+
+    def backward(g):
+        return conv_backward(g * (y > 0.0))
+
+    return y, backward
+
+
 def _im2col(data, kh, kw, stride, pad, oh, ow):
     """The ``(n, c kh kw, oh ow)`` im2col columns of ``data`` zero-padded by
     ``pad``: one strided view in ``(n, c, kh, kw, oh, ow)`` order, copied once."""
     n, c, h, w = data.shape
+    if kh == kw == stride == 1 and not pad:
+        return data.reshape(n, c, h * w)
     if pad:
         xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), data.dtype)
         xp[:, :, pad:pad + h, pad:pad + w] = data
@@ -955,12 +1018,37 @@ def attend(q, k, v, tau):
         raise ShapeError(f"attend values {v.shape} do not match keys {k.shape}")
     if k.size == 0:
         raise ShapeError(f"attend needs at least one key, got shape {k.shape}")
-    dtype = np.result_type(q.data, k.data)
-    qs = np.divide(q.data[:, :, :, 0], tau, dtype=dtype)
+    read, rows, backward3 = _attend(q.data[:, :, :, 0], k.data[:, :, :, 0],
+                                    v.data[:, :, :, 0], tau)
+
+    def backward(g):
+        return tuple(d[:, :, :, None] for d in backward3(g[:, :, :, 0]))
+
+    flops = _attend_flops(q.shape[1], v.shape[1], rows)
+    return _result(read[:, :, :, None], (q, k, v), backward, flops), Tensor4(rows)
+
+
+def _attend_flops(c, cv, rows):
+    """FLOPs of an attend with ``c`` key and ``cv`` value channels that gave
+    ``rows``: the query-key product and the softmax (2c + 1 per entry), then
+    the read."""
+    return (2 * c + 1 + 2 * cv) * rows.size
+
+
+def _attend(q3, k3, v3, tau):
+    """:func:`attend`'s kernel on the plain (n, c, Q) queries, (n, c, P) keys
+    and (n, cv, P) values, shapes and ``tau`` checked.
+
+    Returns ``(read, rows, backward)``: the (n, cv, Q) read, the float64
+    (n, 1, Q, P) rows, and ``backward(g)``, which maps a read gradient to
+    ``(dq, dk, dv)`` of the operands' shapes.  Ops built on attention (the
+    memory readout) call it.
+    """
+    dtype = np.result_type(q3, k3)
+    qs = np.divide(q3, tau, dtype=dtype)
     qt = qs.transpose(0, 2, 1)
-    k3 = k.data[:, :, :, 0]
-    v3 = v.data[:, :, :, 0].astype(dtype, copy=False)
-    n, rows, p = q.shape[0], q.shape[2], k.shape[2]
+    v3 = v3.astype(dtype, copy=False)
+    (n, cv, p), rows = v3.shape, q3.shape[2]
     y = np.empty((n, 1, rows, p))
     step = max(2, _ATTEND_BLOCK_BYTES // (8 * n * p))
     # numpy runs a one-row product as a matrix-vector product, which rounds
@@ -972,7 +1060,7 @@ def attend(q, k, v, tau):
         bounds.append(rows if lo + step >= rows - 1 else lo + step)
     blocks = list(pairwise(bounds))
     vt = np.ascontiguousarray(v3.transpose(0, 2, 1))
-    read_t = np.empty((n, rows, v.shape[1]), dtype)  # the read, (n, Q, cv)
+    read_t = np.empty((n, rows, cv), dtype)  # the read, (n, Q, cv)
     # by Cauchy-Schwarz no two logits of a row differ by more than
     # 2 max|q_i| max|k_j| / tau; below log(1 / tiny) no entry can reach the
     # clamp, so the blocks skip its pass, which took about twice as long as
@@ -992,22 +1080,20 @@ def attend(q, k, v, tau):
             _attend_blocks(blocks[:mine], qt, k3, vt, y, read_t, clamp)
         finally:
             helper.result()
-    a3, read = y[:, 0], read_t.transpose(0, 2, 1)
+    a3 = y[:, 0]
 
     def backward(g):
         a = a3.astype(dtype, copy=False)
-        g3 = g[:, :, :, 0].astype(dtype, copy=False)
+        g3 = g.astype(dtype, copy=False)
         dv = np.matmul(g3, a)
         ds = _softmax_grad(np.matmul(g3.transpose(0, 2, 1), v3), a, 2)
         # the logits' 1/tau reaches dk through the scaled query and dq here
         dq = np.matmul(k3, ds.transpose(0, 2, 1))
         dq /= tau
         dk = np.matmul(qs, ds)
-        return (dq[:, :, :, None], dk[:, :, :, None], dv[:, :, :, None])
+        return dq, dk, dv
 
-    # the query-key product and the softmax (2c + 1 per entry), then the read
-    flops = (2 * q.shape[1] + 1 + 2 * v.shape[1]) * y.size
-    return _result(read[:, :, :, None], (q, k, v), backward, flops), Tensor4(y)
+    return read_t.transpose(0, 2, 1), y, backward
 
 
 def bce_with_logits(logits, targets, mask=None, normalizer=None):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from gatetrack import attention as A
+from gatetrack import head as H
 from gatetrack import model as M
 from gatetrack import tensor as T
 
@@ -85,3 +86,54 @@ def composed_blend(terms, weights):
         contrib = T.mul_broadcast(term, T.narrow(weights, 1, i, i + 1))
         out = contrib if out is None else T.add(out, contrib)
     return out
+
+
+# The model's stages composed of one tensor op per step: the oracle of the
+# one-op stages ``TrackModel.extract``, ``gate.gate_logits``,
+# ``memory.readout`` and ``head.head_forward``.
+
+def composed_extract(stem, crops):
+    """The backbone of ``TrackModel.stem`` weights on ``crops``."""
+    w1, b1, w2, b2, w3, b3 = stem
+    s1, s2, s3 = M.STEM_STRIDES
+    h = T.relu(T.conv2d(crops, w1, b1, stride=s1, pad=1))
+    h = T.relu(T.conv2d(h, w2, b2, stride=s2, pad=1))
+    return T.relu(T.conv2d(h, w3, b3, stride=s3, pad=1))
+
+
+def composed_gate_logits(feature, p):
+    pooled = T.pool("global_avg", feature)
+    hidden = T.relu(T.conv2d(pooled, p.w1, p.b1))
+    return T.conv2d(hidden, p.w2, p.b2)
+
+
+def composed_readout(query_feature, memory_features, p):
+    n, c, hq, wq = query_feature.shape
+    ck, cv = p.key_channels, p.value_channels
+    stack = T.concat(
+        [T.reshape(m, (n, c, m.shape[2] * m.shape[3], 1)) for m in memory_features], axis=2)
+    mem_keys = T.conv2d(stack, p.key_w, p.key_b)
+    mem_values = T.conv2d(stack, p.value_w, p.value_b)
+    query_keys = T.reshape(T.conv2d(query_feature, p.key_w, p.key_b), (n, ck, hq * wq, 1))
+    read, attn = T.attend(query_keys, mem_keys, mem_values, ck ** 0.5)
+    read = T.reshape(read, (n, cv, hq, wq))
+    fused = T.conv2d(T.concat((read, query_feature), axis=1), p.fuse_w, p.fuse_b)
+    return fused, attn
+
+
+def composed_head(fused, p):
+    """The head with its first convs joined by a ``concat`` of the branches'
+    weights and each branch reading its ``narrow`` of the joined map."""
+    c = p.cls[0].shape[1]
+    branches = (p.cls, p.ctr, p.reg)
+    w1 = T.concat([b[0] for b in branches], axis=0)
+    b1 = T.concat([b[1] for b in branches], axis=1)
+    hidden = T.relu(T.conv2d(fused, w1, b1, stride=1, pad=1))
+
+    def rest(k, weights):
+        _, _, w2, b2, w3, b3 = weights
+        h = T.relu(T.conv2d(T.narrow(hidden, 1, k * c, (k + 1) * c), w2, b2, stride=1, pad=1))
+        return T.conv2d(h, w3, b3)
+
+    cls, ctr, reg_raw = (rest(k, weights) for k, weights in enumerate(branches))
+    return H.HeadOutput(cls=cls, ctr=ctr, reg=T.exp(reg_raw), reg_raw=reg_raw)

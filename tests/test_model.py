@@ -304,6 +304,30 @@ def test_crop_at_non_finite_centre_raises_numeric_error(center):
         M.crop_at(np.zeros((1, 1, 32, 32)), center, 16)
 
 
+@pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf, 1e39],
+                         ids=["nan", "inf", "minus_inf", "beyond_float32"])
+def test_crop_at_non_finite_pixel_in_the_window_raises_numeric_error(pixel):
+    """A NaN pixel used to reach attend, which returned NaN rows without an
+    error; 1e39 is finite in float64 but infinite in the float32 crop."""
+    frame = np.zeros((1, 1, 32, 32))
+    frame[0, 0, 17, 9] = pixel
+    with pytest.raises(NumericError, match="NaN or infinite pixel"):
+        M.crop_at(frame, (10.0, 12.0), 16)
+
+
+def test_a_nan_outside_the_window_still_tracks():
+    frame = np.random.default_rng(0).random((1, 1, 96, 96))
+    frame[0, 0, 0, 0] = frame[0, 0, 95, 95] = np.nan
+    model = M.TrackModel(M.ModelConfig(), seed=0)
+    with T.no_grad():
+        crop, origin = M.crop_at(frame, (48.0, 48.0), model.config.crop_size)
+        enhanced, _, _ = model.enhance_infer(model.extract(T.Tensor4(crop)))
+        fused, attn = model.read_memory(enhanced, [enhanced])
+        detection = H.decode_detection(model.predict(fused), model.config.stride, origin)
+    assert np.isfinite(attn.data).all()
+    assert np.isfinite(detection.box.as_array()).all() and 0 < detection.score < 1
+
+
 @pytest.mark.parametrize("size", [0, -4, 2.5, True])
 def test_crop_at_bad_size_raises_config_error(size):
     """Unchecked, a size of -4 slices an empty (1, 1, 0, 0) crop."""

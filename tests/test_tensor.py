@@ -1437,7 +1437,8 @@ class TestInputsUntouched:
         assert (g.tobytes(), w.data.tobytes()) == before
 
     def test_head_forward(self):
-        # the head joins its first-layer weights and narrows the joined map
+        # the head's branch weights are views of its joined first conv, whose
+        # gradient the backward hands back in slices
         rng = np.random.default_rng(25)
         params = T.ParamSet()
         p = H.init_head(params, rng, 4)
