@@ -14,11 +14,14 @@ Each forward is one tensor op with its backward written out, one op per
 block rather than one per arithmetic step, as operator fusion runs a block
 (Chen et al., OSDI 2018).  It computes on plain arrays in its input's dtype.
 The pooled vectors go through the bottleneck as matrix products of the
-shapes ``T.conv2d`` gives a 1x1 conv, and CBAM's 7x7 spatial conv is
+shapes ``T.conv2d`` gives a 1x1 conv (:func:`_fc`); SE and CBAM share one
+bottleneck MLP with its backward, :func:`_mlp`.  CBAM's 7x7 spatial conv is
 ``T.conv2d``'s own kernel, so the forward is bitwise that of the same steps
 run as separate tensor ops; the tests keep that composed form as the oracle
-of the forward bits and of every gradient.  Each op reports the FLOPs the
-composed form counts, under the conventions of :mod:`gatetrack.flops`.
+of the forward bits and of every gradient.  The FLOPs add up to those the
+composed form counts, under the conventions of :mod:`gatetrack.flops`:
+``_fc``, ``_mlp`` and the conv kernel count their own, and each op reports
+the rest (pools, gating products, sigmoids).
 
 Each branch declares its parameters once, in its ``init_*``; ``BRANCHES``
 maps a branch name to that init and its forward.  With all parameters zero
@@ -68,28 +71,54 @@ class CBAMParams:
     b_spatial: T.Tensor4  # (1, 1, 1, 1)
 
 
-def _input(x, weight):
-    """``x``'s data, once its channels match the (cout, cin) branch ``weight``
-    that reads it and its map is not empty."""
-    n, c, h, w = x.shape
-    if c != weight.shape[1]:
-        raise ShapeError(f"branch input has {c} channels, its weights expect {weight.shape[1]}")
-    if h * w == 0:
+def _input(x):
+    """``x``'s data, once its map is not empty; the branch's first matrix
+    product checks its channels."""
+    if x.shape[2] * x.shape[3] == 0:
         raise ShapeError(f"branch input {x.shape} has an empty map")
     return x.data
 
 
-def _mat(weight, dtype):
-    """A (cout, cin, 1, 1) weight as a (cout, cin) matrix in ``dtype``."""
-    return weight.data.astype(dtype, copy=False).reshape(weight.shape[:2])
-
-
-def _fc(wmat, bias, columns):
+def _fc(weight, bias, columns):
     """A 1x1 conv of (m, cin, L) ``columns``: the matrix product and bias add
-    of ``T.conv2d``, in the same shapes, so the same bits."""
+    of ``T.conv2d``, in the same shapes, so the same bits.
+
+    ``weight`` and ``bias`` are checked against the columns as ``T.conv2d``
+    checks them and cast to their dtype, and the product's FLOPs go to an
+    open ``T.count_flops`` total.  Returns the output and the (cout, cin)
+    weight matrix it multiplied, for the backward.
+    """
+    T._check_conv((*columns.shape, 1), weight.shape, bias.shape, 1, 0)
+    wmat = weight.data.astype(columns.dtype, copy=False).reshape(weight.shape[:2])
     out = np.matmul(wmat, columns)
     out += bias.data.astype(out.dtype, copy=False).reshape(1, -1, 1)
-    return out
+    T._count(2 * columns.shape[1] * out.size)
+    return out, wmat
+
+
+def _mlp(pooled, w1, b1, w2, b2):
+    """The bottleneck of SE and CBAM, ``fc2(relu(fc1(pooled)))``, on (m, c, 1)
+    columns ``pooled``, the relu applied in place.
+
+    Returns ``(logits, backward)``: the (m, c, 1) logits, and
+    ``backward(dlogits)``, which maps an (m, c) logit gradient to
+    ``(dpooled, dw1, db1, dw2, db2)``, ``dpooled`` (m, c).  It counts its
+    FLOPs as :func:`_fc` does.
+    """
+    hidden, m1 = _fc(w1, b1, pooled)
+    np.maximum(hidden, 0.0, out=hidden)
+    T._count(hidden.size)
+    logits, m2 = _fc(w2, b2, hidden)
+    hid, columns = hidden[:, :, 0], pooled[:, :, 0]
+
+    def backward(dlogits):
+        dhid = dlogits @ m2
+        dhid *= hid > 0.0
+        return (dhid @ m1, (dhid.T @ columns)[:, :, None, None],
+                dhid.sum(axis=0).reshape(b1.shape), (dlogits.T @ hid)[:, :, None, None],
+                dlogits.sum(axis=0).reshape(b2.shape))
+
+    return logits, backward
 
 
 def _sigmoid_grad(y):
@@ -99,34 +128,26 @@ def _sigmoid_grad(y):
 
 def se_forward(x, p: SEParams):
     """Channel reweighting from the global average of each channel."""
-    xd = _input(x, p.w1)
+    xd = _input(x)
     n, c, h, w = xd.shape
-    w1, w2 = _mat(p.w1, xd.dtype), _mat(p.w2, xd.dtype)
     squeezed = xd.sum(axis=(2, 3), keepdims=True)
     squeezed /= h * w
-    hidden = np.maximum(_fc(w1, p.b1, squeezed.reshape(n, c, 1)), 0.0)  # (n, c/r, 1)
-    gate = T.sigmoid_array(_fc(w2, p.b2, hidden))[:, :, :, None]  # (n, c, 1, 1)
+    logits, mlp_backward = _mlp(squeezed.reshape(n, c, 1), p.w1, p.b1, p.w2, p.b2)
+    gate = T.sigmoid_array(logits)[:, :, :, None]  # (n, c, 1, 1)
 
     def backward(g):
         g = g.astype(xd.dtype, copy=False)
         dlogit = np.einsum("nchw,nchw->nc", g, xd)
         dlogit *= _sigmoid_grad(gate[:, :, 0, 0])
-        hid = hidden[:, :, 0]
-        dhid = dlogit @ w2
-        dhid *= hid > 0.0
+        dpooled, *dmlp = mlp_backward(dlogit)
         dx = None
         if x.requires_grad:
             dx = g * gate
-            dx += (dhid @ w1 / (h * w))[:, :, None, None]
-        return (dx, (dhid.T @ squeezed.reshape(n, c))[:, :, None, None],
-                dhid.sum(axis=0).reshape(p.b1.shape),
-                (dlogit.T @ hid)[:, :, None, None], dlogit.sum(axis=0).reshape(p.b2.shape))
+            dx += (dpooled / (h * w))[:, :, None, None]
+        return (dx, *dmlp)
 
-    mid = w1.shape[0]
-    # the mean pool, the gating product, and per row the bottleneck's two
-    # matrix products, its relu and the sigmoid
-    flops = 2 * xd.size + n * (4 * c * mid + mid + c)
-    return T._result(xd * gate, (x, p.w1, p.b1, p.w2, p.b2), backward, flops)
+    # the mean pool, the gating product and the sigmoid; _mlp counts its own
+    return T._result(xd * gate, (x, p.w1, p.b1, p.w2, p.b2), backward, 2 * xd.size + n * c)
 
 
 def ca_forward(x, p: CAParams):
@@ -136,18 +157,20 @@ def ca_forward(x, p: CAParams):
     pushed through the shared bottleneck, then split back into the
     per-direction gates.
     """
-    xd = _input(x, p.w_shared)
+    xd = _input(x)
     n, c, h, w = xd.shape
     dt = xd.dtype
-    ws, wh, ww = _mat(p.w_shared, dt), _mat(p.w_h, dt), _mat(p.w_w, dt)
     zh = xd.sum(axis=3)
     zh /= w
     zw = xd.sum(axis=2)
     zw /= h
     pooled = np.concatenate((zh, zw), axis=2)  # (n, c, h+w)
-    hidden = np.maximum(_fc(ws, p.b_shared, pooled), 0.0)  # (n, c/r, h+w)
-    gate_h = T.sigmoid_array(_fc(wh, p.b_h, hidden[:, :, :h]))[:, :, :, None]  # (n, c, h, 1)
-    gate_w = T.sigmoid_array(_fc(ww, p.b_w, hidden[:, :, h:]))[:, :, None, :]  # (n, c, 1, w)
+    hidden, ws = _fc(p.w_shared, p.b_shared, pooled)
+    np.maximum(hidden, 0.0, out=hidden)  # (n, c/r, h+w)
+    logits_h, wh = _fc(p.w_h, p.b_h, hidden[:, :, :h])
+    logits_w, ww = _fc(p.w_w, p.b_w, hidden[:, :, h:])
+    gate_h = T.sigmoid_array(logits_h)[:, :, :, None]  # (n, c, h, 1)
+    gate_w = T.sigmoid_array(logits_w)[:, :, None, :]  # (n, c, 1, w)
     y = xd * gate_h
     y *= gate_w
 
@@ -178,11 +201,9 @@ def ca_forward(x, p: CAParams):
                 weight(dzh, hid_h), dzh.sum(axis=(0, 2)).reshape(p.b_h.shape),
                 weight(dzw, hid_w), dzw.sum(axis=(0, 2)).reshape(p.b_w.shape))
 
-    mid = ws.shape[0]
     # the two directional pools and the two gating products, and per pooled
-    # position the shared and the directional matrix products, the relu and
-    # the sigmoid
-    flops = 4 * xd.size + n * (h + w) * (4 * c * mid + mid + c)
+    # position the relu and the sigmoid; _fc counts the matrix products
+    flops = 4 * xd.size + hidden.size + n * c * (h + w)
     return T._result(y, (x, p.w_shared, p.b_shared, p.w_h, p.b_h, p.w_w, p.b_w),
                      backward, flops)
 
@@ -194,22 +215,20 @@ def cbam_forward(x, p: CBAMParams):
     (2n, c, 1) stack, average rows first; the spatial gate is ``T.conv2d``'s
     kernel over the channel mean and max of the channel-gated map.
     """
-    xd = _input(x, p.w1)
+    xd = _input(x)
     n, c, h, w = xd.shape
     dt = xd.dtype
-    w1, w2 = _mat(p.w1, dt), _mat(p.w2, dt)
     avg = xd.sum(axis=(2, 3))
     avg /= h * w
     pooled = np.concatenate((avg, xd.max(axis=(2, 3))))[:, :, None]  # (2n, c, 1)
-    hidden = np.maximum(_fc(w1, p.b1, pooled), 0.0)  # (2n, c/r, 1)
-    logits = _fc(w2, p.b2, hidden)
+    logits, mlp_backward = _mlp(pooled, p.w1, p.b1, p.w2, p.b2)
     channel_gate = T.sigmoid_array(logits[:n] + logits[n:])[:, :, :, None]  # (n, c, 1, 1)
     gated = xd * channel_gate
     mean_c = gated.sum(axis=1, keepdims=True)
     mean_c /= c
     stats = np.concatenate((mean_c, gated.max(axis=1, keepdims=True)), axis=1)  # (n, 2, h, w)
-    wsp, bsp = (t.data.astype(dt, copy=False) for t in (p.w_spatial, p.b_spatial))
-    spatial, spatial_backward = T._conv(stats, wsp, bsp, 1, SPATIAL_KERNEL // 2, True)
+    spatial, spatial_backward = T._conv(stats, p.w_spatial, p.b_spatial, 1, SPATIAL_KERNEL // 2,
+                                        True)
     spatial_gate = T.sigmoid_array(spatial)  # (n, 1, h, w)
 
     def backward(g):
@@ -222,28 +241,21 @@ def cbam_forward(x, p: CBAMParams):
         _add_at_first_max(dgated, gated, stats[:, 1:], dstats[:, 1:], axis=1)
         dlogit = np.einsum("nchw,nchw->nc", dgated, xd)
         dlogit *= _sigmoid_grad(channel_gate[:, :, 0, 0])
-        dlogits = np.concatenate((dlogit, dlogit))  # both MLP passes, (2n, c)
-        hid = hidden[:, :, 0]
-        dhid = dlogits @ w2
-        dhid *= hid > 0.0
+        # both MLP passes, (2n, c)
+        dpooled, *dmlp = mlp_backward(np.concatenate((dlogit, dlogit)))
         dx = None
         if x.requires_grad:
-            dpooled = dhid @ w1  # (2n, c)
             dx = dgated * channel_gate
             dx += (dpooled[:n] / (h * w))[:, :, None, None]
             _add_at_first_max(dx.reshape(n, c, h * w), xd.reshape(n, c, h * w), pooled[n:],
                               dpooled[n:, :, None], axis=2)
-        return (dx, (dhid.T @ pooled[:, :, 0])[:, :, None, None],
-                dhid.sum(axis=0).reshape(p.b1.shape), (dlogits.T @ hid)[:, :, None, None],
-                dlogits.sum(axis=0).reshape(p.b2.shape), dwsp, dbsp)
+        return (dx, *dmlp, dwsp, dbsp)
 
-    mid = w1.shape[0]
     # the avg and max pools, the channel-gating product, the channel mean and
-    # max and the spatial-gating product; per row the MLP on both pooled
-    # vectors, their sum and its sigmoid; per pixel the spatial conv and its
-    # sigmoid
-    flops = (6 * xd.size + 2 * n * (4 * c * mid + mid) + 2 * n * c
-             + (2 * wsp.size + 1) * spatial.size)
+    # max and the spatial-gating product; per row the sum of the two MLP
+    # passes and its sigmoid; per pixel the spatial sigmoid.  _mlp and _conv
+    # count their own
+    flops = 6 * xd.size + 2 * n * c + spatial.size
     return T._result(gated * spatial_gate,
                      (x, p.w1, p.b1, p.w2, p.b2, p.w_spatial, p.b_spatial), backward, flops)
 

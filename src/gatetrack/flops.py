@@ -6,10 +6,11 @@ Conventions (frozen; the budget mechanism and all reports use them):
   * reductions (pooling, softmax, sums) count 1 FLOP per *input* element,
   * layout ops (reshape, concat, slice, transpose) count 0.
 
-The ops in :mod:`gatetrack.tensor` apply these conventions themselves and
-:func:`gatetrack.tensor.count_flops` sums them, so branch and gate costs
-are counted from the code that runs, on blocks built by the real
-``init_*`` functions.  Each shape is counted once; the resulting table is
+The ops and kernels that do the work apply these conventions themselves:
+a conv, attention or bottleneck kernel counts its own FLOPs and an op only
+the rest.  :func:`gatetrack.tensor.count_flops` sums them, so branch and
+gate costs are counted from the code that runs, on blocks built by the
+real ``init_*`` functions.  Each shape is counted once; the resulting table is
 cached and shared read-only by every model of that shape.
 :func:`flops_layer` only prices the rows of ``TrackModel.layer_inventory()``.
 

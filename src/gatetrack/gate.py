@@ -104,28 +104,23 @@ def gate_logits(feature, p: GateParams):
     convolutions with the relu applied in place between them; the backward
     runs the convolutions' own backwards in reverse.
     """
-    n, c, h, w = feature.shape
+    h, w = feature.shape[2:]
     if h * w == 0:
         raise ShapeError(f"gate input {feature.shape} has an empty map")
-    T._check_conv((n, c, 1, 1), p.w1.shape, p.b1.shape, 1, 0)
     parents = (feature, p.w1, p.b1, p.w2, p.b2)
     record = T._recording(parents)
     xd = feature.data
     pooled = xd.sum(axis=(2, 3), keepdims=True)
     pooled /= h * w
-    hidden, fc1_backward = T._conv_relu(pooled, p.w1, p.b1, 1, 0, True, record)
-    w2, b2 = (t.data.astype(xd.dtype, copy=False) for t in (p.w2, p.b2))
-    logits, fc2_backward = T._conv(hidden, w2, b2, 1, 0, True, record)
+    hidden, fc1_backward = T._conv(pooled, p.w1, p.b1, 1, 0, True, record, relu=True)
+    logits, fc2_backward = T._conv(hidden, p.w2, p.b2, 1, 0, True, record)
 
     def backward(g):
         dhidden, dw2, db2 = fc2_backward(g)
         dpooled, dw1, db1 = fc1_backward(dhidden)
         return (np.broadcast_to(dpooled / (h * w), xd.shape), dw1, db1, dw2, db2)
 
-    # the pool, the first layer and its relu, the second layer
-    flops = (xd.size + T._conv_flops(p.w1.data, hidden) + hidden.size
-             + T._conv_flops(w2, logits))
-    return T._result(logits, parents, backward, flops)
+    return T._result(logits, parents, backward, xd.size)  # the pool; _conv counts the rest
 
 
 def _finite_logits(feature, p: GateParams, frame_index):

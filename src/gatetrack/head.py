@@ -122,29 +122,25 @@ def head_forward(fused, p: HeadParams):
     are views of its channels.  The backward runs the convolutions' own
     backwards in reverse.
     """
-    T._check_conv(fused.shape, p.w1.shape, p.b1.shape, 1, 1)
     n, c, h, w = fused.shape
     parents = (fused, *p.cls, *p.ctr, *p.reg)
     record = T._recording(parents)
-    hidden, trunk_backward = T._conv_relu(fused.data, p.w1, p.b1, 1, 1, fused.requires_grad,
-                                          record)
+    hidden, trunk_backward = T._conv(fused.data, p.w1, p.b1, 1, 1, fused.requires_grad, record,
+                                     relu=True)
     dt = hidden.dtype
     maps = np.empty((n, _REG.stop, h, w), dt)
     raw, exp_raw = maps[:, _RAW], maps[:, _REG]
     layers = []
-    flops = T._conv_flops(p.w1.data, hidden) + hidden.size
     for k, (branch, out) in enumerate(zip((p.cls, p.ctr, p.reg), (_CLS, _CTR, _RAW))):
         _, _, w2, b2, w3, b3 = branch
         rows = slice(k * c, (k + 1) * c)
-        second, second_backward = T._conv_relu(hidden[:, rows], w2, b2, 1, 1, True, record)
-        w3d, b3d = (t.data.astype(dt, copy=False) for t in (w3, b3))
-        final, final_backward = T._conv(second, w3d, b3d, 1, 0, True, record)
+        second, second_backward = T._conv(hidden[:, rows], w2, b2, 1, 1, True, record,
+                                          relu=True)
+        final, final_backward = T._conv(second, w3, b3, 1, 0, True, record)
         maps[:, out] = final
         layers.append((rows, second_backward, final_backward))
-        flops += T._conv_flops(w2.data, second) + second.size + T._conv_flops(w3d, final)
     np.clip(raw, -T._EXP_CLAMP, T._EXP_CLAMP, out=exp_raw)
     np.exp(exp_raw, out=exp_raw)
-    flops += exp_raw.size
 
     def backward(g):
         # exp's backward, joined by the raw map's own gradient
@@ -163,7 +159,7 @@ def head_forward(fused, p: HeadParams):
         dfused, dw1, db1 = trunk_backward(dhidden)
         return (dfused, *(d for rows, *rest in grads for d in (dw1[rows], db1[:, rows], *rest)))
 
-    head = T._result(maps, parents, backward, flops)
+    head = T._result(maps, parents, backward, exp_raw.size)  # the exp; _conv counts the rest
     cls, ctr, reg_raw, reg = (T._view(head, (slice(None), part))
                               for part in (_CLS, _CTR, _RAW, _REG))
     return HeadOutput(cls=cls, ctr=ctr, reg=reg, reg_raw=reg_raw)

@@ -135,7 +135,6 @@ def readout(query_feature, memory_features, p: ReadoutParams):
             raise ShapeError(
                 f"memory feature {m.shape} incompatible with query {query_feature.shape}"
             )
-    T._check_conv(query_feature.shape, p.key_w.shape, p.key_b.shape, 1, 0)
     ck, cv, q = p.key_channels, p.value_channels, hq * wq
     qd = query_feature.data
 
@@ -151,8 +150,7 @@ def readout(query_feature, memory_features, p: ReadoutParams):
     record = T._recording(parents)
 
     def project(x, weight, bias):
-        wd, bd = (t.data.astype(x.dtype, copy=False) for t in (weight, bias))
-        return T._conv(x, wd, bd, 1, 0, True, record)
+        return T._conv(x, weight, bias, 1, 0, True, record)
 
     mem_keys, mem_keys_backward = project(stack, p.key_w, p.key_b)
     mem_values, mem_values_backward = project(stack, p.value_w, p.value_b)
@@ -181,9 +179,4 @@ def readout(query_feature, memory_features, p: ReadoutParams):
         return (dquery, *dmemory, dkey_w + dkey_w_mem, dkey_b + dkey_b_mem,
                 dvalue_w, dvalue_b, dfuse_w, dfuse_b)
 
-    # the key projections of the query and the memory, the value projection,
-    # the attention and the fuse conv
-    flops = (T._conv_flops(p.key_w.data, query_keys) + T._conv_flops(p.key_w.data, mem_keys)
-             + T._conv_flops(p.value_w.data, mem_values) + T._attend_flops(ck, cv, rows)
-             + T._conv_flops(p.fuse_w.data, fused))
-    return T._result(fused, parents, backward, flops), T.Tensor4(rows)
+    return T._result(fused, parents, backward), T.Tensor4(rows)

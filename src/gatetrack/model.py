@@ -132,14 +132,11 @@ class TrackModel:
         record = T._recording(parents)
         h = crops.data
         layers = []
-        flops = 0
         for w, b, stride in zip(self.stem[::2], self.stem[1::2], STEM_STRIDES):
-            T._check_conv(h.shape, w.shape, b.shape, stride, 1)
             # the first conv's input gradient only when the crops need one
             need_dx = bool(layers) or crops.requires_grad
-            h, backward = T._conv_relu(h, w, b, stride, 1, need_dx, record)
+            h, backward = T._conv(h, w, b, stride, 1, need_dx, record, relu=True)
             layers.append(backward)
-            flops += T._conv_flops(w.data, h) + h.size  # the conv and its relu
 
         def backward(g):
             grads = []
@@ -148,7 +145,7 @@ class TrackModel:
                 grads[:0] = (dw, db)
             return (g, *grads)
 
-        return T._result(h, parents, backward, flops)
+        return T._result(h, parents, backward)
 
     def _run(self, feature, names):
         """Run the branches ``names`` on ``feature`` and average their outputs,

@@ -26,13 +26,13 @@ full: the SE, CA and CBAM branches of :mod:`gatetrack.attention`, and the
 backbone (``model.TrackModel.extract``), the gate's logits
 (``gate.gate_logits``), the memory readout (``memory.readout``) and the head
 (``head.head_forward``).  Their convolutions call :func:`_conv`, the kernel
-behind ``conv2d``, with its backward (through :func:`_conv_relu`, which
-rectifies in place, where a relu follows), and the readout's attention calls
-:func:`_attend`, the kernel behind ``attend``.  A stage's backward runs these
-kernels' backwards in reverse on the arrays the separate ops would have
-handed them, so its gradients are theirs bit for bit; it keeps them only
-when it records a graph.  The head's four maps are views of its one result
-(:func:`_view`).
+behind ``conv2d``, which checks and casts the weight and bias it is handed,
+rectifies its output in place where a relu follows, and returns its
+backward; the readout's attention calls :func:`_attend`, the kernel behind
+``attend``.  A stage's backward runs these kernels' backwards in reverse on
+the arrays the separate ops would have handed them, so its gradients are
+theirs bit for bit; it keeps them only when it records a graph.  The head's
+four maps are views of its one result (:func:`_view`).
 
 Design notes:
   * one rule sets the precision, whether or not a graph is recorded:
@@ -120,14 +120,18 @@ Design notes:
   * all forward ops are deterministic; a max pool's gradient goes to the
     first (lowest flat index) maximum on ties and relu's subgradient at 0 is 0.
   * graphs are built through closures; ``backward`` runs a deterministic
-    topological order so repeated calls produce bitwise-identical gradients.
-    It adds a node's gradients into one buffer per node that the sweep
-    allocates itself, and ``narrow`` hands it only its range, so slices of
-    one map share one zeroed buffer; an array an op returned is never
-    written, since another node may hold it too.
-  * every op reports its own forward FLOPs to :func:`_result`, under the
-    conventions in :mod:`gatetrack.flops`; :func:`count_flops` sums them for
-    a block, so branch and gate costs are counted, not restated by hand.
+    topological order and clears the op results' gradients of an earlier
+    sweep, so repeated calls produce bitwise-identical gradients.  It adds a
+    node's gradients into one buffer per node that the sweep allocates
+    itself, and ``narrow`` hands it only its range, so slices of one map
+    share one zeroed buffer; an array an op returned is never written,
+    since another node may hold it too.
+  * kernels count their own forward FLOPs, under the conventions in
+    :mod:`gatetrack.flops`: ``_conv``, ``_attend`` and the attention
+    branches' bottleneck add theirs to the open total (:func:`_count`), and
+    each op reports only its own remaining work to :func:`_result`;
+    :func:`count_flops` sums them for a block, so branch and gate costs are
+    counted, not restated by hand.
 """
 
 from __future__ import annotations
@@ -261,8 +265,10 @@ class Tensor4:
     def backward(self):
         """Reverse-mode sweep from a scalar output.
 
-        Gradients accumulate into ``.grad`` of every reachable tensor with
-        ``requires_grad``.  The traversal order is fixed by the recorded
+        Gradients accumulate into ``.grad`` of every reachable leaf with
+        ``requires_grad``; an op's result gets this sweep's gradient only,
+        so a second sweep over the same graph hands the leaves the same
+        gradients again.  The traversal order is fixed by the recorded
         parent order, so repeated runs are bitwise identical.
         """
         if self.data.size != 1:
@@ -279,6 +285,8 @@ class Tensor4:
                 continue
             seen.add(id(node))
             stack.append((node, True))
+            if node._parents:
+                node.grad = None  # the previous sweep's gradient of an op's result
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
@@ -314,14 +322,20 @@ class Tensor4:
 def _result(data, parents, backward_fn, flops=0):
     """Wrap an op result, recording the graph edge only when needed and
     adding the op's forward ``flops`` to an open :func:`count_flops` total."""
-    if _flops is not None:
-        _flops[0] += flops
+    _count(flops)
     needs = _recording(parents)
     out = Tensor4(data, requires_grad=needs)
     if needs:
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     return out
+
+
+def _count(flops):
+    """Add ``flops`` to the open :func:`count_flops` total, if there is one:
+    each op and kernel counts its own work."""
+    if _flops is not None:
+        _flops[0] += flops
 
 
 def _recording(parents):
@@ -796,10 +810,8 @@ def conv2d(x, weight, bias, stride=1, pad=0):
     It computes in ``x``'s dtype, forward and backward, casting ``weight``
     and ``bias`` to it.
     """
-    _check_conv(x.shape, weight.shape, bias.shape, stride, pad)
-    wd, bd = (t.data.astype(x.data.dtype, copy=False) for t in (weight, bias))
-    y, backward = _conv(x.data, wd, bd, stride, pad, x.requires_grad)
-    return _result(y, (x, weight, bias), backward, _conv_flops(wd, y))
+    y, backward = _conv(x.data, weight, bias, stride, pad, x.requires_grad)
+    return _result(y, (x, weight, bias), backward)
 
 
 def _check_conv(x_shape, w_shape, b_shape, stride, pad):
@@ -823,28 +835,31 @@ def _check_conv(x_shape, w_shape, b_shape, stride, pad):
         )
 
 
-def _conv_flops(wd, y):
-    """A convolution's FLOPs: a multiply and an add per weight and output."""
-    return 2 * (wd.size // wd.shape[0]) * y.size
+def _conv(xd, weight, bias, stride, pad, need_dx, record=True, relu=False):
+    """:func:`conv2d`'s kernel on the plain array ``xd``, with the relu
+    applied in place on its output when ``relu`` is set.
 
-
-def _conv(xd, wd, bd, stride, pad, need_dx, record=True):
-    """:func:`conv2d`'s kernel on plain arrays of one dtype, shapes checked.
-
-    Returns ``(y, backward)``: ``backward(g)`` maps an output gradient to
-    ``(dx, dw, db)`` in that dtype, with ``dx`` None unless ``need_dx``.
-    Ops built on a convolution (CBAM's spatial gate and the model's stages)
-    call it; it never reads ``y`` again, so a caller may overwrite it.  With
-    ``record`` false, for an op that records no graph, ``backward`` is None
-    and the columns are freed on return: a graph-free backbone that held each
-    conv's columns while the next conv allocated its own ran about 60 %
-    slower (numpy 2.4.6, glibc malloc, x86-64 Xeon).
+    ``weight`` and ``bias`` are tensors, checked against ``xd`` and cast to
+    its dtype; the convolution's FLOPs, and the relu's, go to an open
+    :func:`count_flops` total.  Returns ``(y, backward)``: ``backward(g)``
+    maps an output gradient to ``(dx, dw, db)`` in that dtype, with ``dx``
+    None unless ``need_dx``.  Ops built on a convolution (CBAM's spatial
+    gate and the model's stages) call it.  Without ``relu`` it never reads
+    ``y`` again, so a caller may overwrite it; with it, ``backward`` masks
+    the gradient by ``y > 0``, which is the mask of the relu's input, so the
+    bits are those of ``conv2d`` and ``relu``.  With ``record`` false, for
+    an op that records no graph, ``backward`` is None and the columns are
+    freed on return: a graph-free backbone that held each conv's columns
+    while the next conv allocated its own ran about 60 % slower (numpy
+    2.4.6, glibc malloc, x86-64 Xeon).
     """
+    _check_conv(xd.shape, weight.shape, bias.shape, stride, pad)
+    dtype = xd.dtype
+    wd, bd = (t.data.astype(dtype, copy=False) for t in (weight, bias))
     n, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    dtype = xd.dtype
 
     # im2col with the output pixels innermost: wmat @ cols lands in NCHW
     # order without a transpose, and dw reads a transposed view of the same
@@ -853,12 +868,18 @@ def _conv(xd, wd, bd, stride, pad, need_dx, record=True):
     wmat = wd.reshape(cout, cin * kh * kw)
     y = np.matmul(wmat, cols).reshape(n, cout, oh, ow)
     y += bd
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    # a multiply and an add per weight and output, and the relu's compare
+    _count((2 * cin * kh * kw + relu) * y.size)
     if not record:
         return y, None
     # the input gradient's form, by the rule in the design notes
     phases = kh == kw and kh % stride == 0 and pad < kh and cout <= cin * stride * stride
 
     def backward(g):
+        if relu:
+            g = g * (y > 0.0)
         g = g.astype(dtype, copy=False)
         gmat = g.reshape(n, cout, oh * ow)
         # (K, cout) is the faster GEMM orientation; the copy makes dw contiguous
@@ -877,27 +898,6 @@ def _conv(xd, wd, bd, stride, pad, need_dx, record=True):
                     )
             dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + w])
         return (dx, dw, g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1))
-
-    return y, backward
-
-
-def _conv_relu(xd, weight, bias, stride, pad, need_dx, record=True):
-    """``relu(conv2d(x, weight, bias))`` on the plain array ``xd``, the relu
-    applied in place on the convolution's output.
-
-    ``weight`` and ``bias`` are tensors, cast to ``xd``'s dtype as
-    :func:`conv2d` casts them.  Returns ``(y, backward)`` as :func:`_conv`
-    does; ``backward`` masks the gradient by ``y > 0``, which is the mask of
-    the input to the relu, so the bits are those of the two ops.
-    """
-    wd, bd = (t.data.astype(xd.dtype, copy=False) for t in (weight, bias))
-    y, conv_backward = _conv(xd, wd, bd, stride, pad, need_dx, record)
-    np.maximum(y, 0.0, out=y)
-    if not record:
-        return y, None
-
-    def backward(g):
-        return conv_backward(g * (y > 0.0))
 
     return y, backward
 
@@ -1024,15 +1024,7 @@ def attend(q, k, v, tau):
     def backward(g):
         return tuple(d[:, :, :, None] for d in backward3(g[:, :, :, 0]))
 
-    flops = _attend_flops(q.shape[1], v.shape[1], rows)
-    return _result(read[:, :, :, None], (q, k, v), backward, flops), Tensor4(rows)
-
-
-def _attend_flops(c, cv, rows):
-    """FLOPs of an attend with ``c`` key and ``cv`` value channels that gave
-    ``rows``: the query-key product and the softmax (2c + 1 per entry), then
-    the read."""
-    return (2 * c + 1 + 2 * cv) * rows.size
+    return _result(read[:, :, :, None], (q, k, v), backward), Tensor4(rows)
 
 
 def _attend(q3, k3, v3, tau):
@@ -1042,7 +1034,8 @@ def _attend(q3, k3, v3, tau):
     Returns ``(read, rows, backward)``: the (n, cv, Q) read, the float64
     (n, 1, Q, P) rows, and ``backward(g)``, which maps a read gradient to
     ``(dq, dk, dv)`` of the operands' shapes.  Ops built on attention (the
-    memory readout) call it.
+    memory readout) call it; it adds its FLOPs to an open
+    :func:`count_flops` total.
     """
     dtype = np.result_type(q3, k3)
     qs = np.divide(q3, tau, dtype=dtype)
@@ -1080,6 +1073,8 @@ def _attend(q3, k3, v3, tau):
             _attend_blocks(blocks[:mine], qt, k3, vt, y, read_t, clamp)
         finally:
             helper.result()
+    # per row entry the query-key product and the softmax, then the read
+    _count((2 * q3.shape[1] + 1 + 2 * cv) * y.size)
     a3 = y[:, 0]
 
     def backward(g):

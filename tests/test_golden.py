@@ -161,7 +161,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from gatetrack import flops, gate, metrics
+from gatetrack import attention, flops, gate, metrics
 from gatetrack import head as H
 from gatetrack import model as M
 from gatetrack import scenes
@@ -685,9 +685,9 @@ DIRECTION_EPS = 1e-6
 DIRECTION_TOL = 1e-9
 
 
-def directional_errors(attention_mode):
+def directional_errors(attention_mode, directions=DIRECTIONS):
     """``|<g, d> - (L(p + eps d) - L(p - eps d)) / 2 eps| / ||g||`` for each of
-    ``DIRECTIONS`` random unit directions ``d`` over every parameter."""
+    ``directions`` random unit directions ``d`` over every parameter."""
     model = M.TrackModel(M.ModelConfig(attention_mode=attention_mode), seed=0)
     rng = np.random.default_rng(DECISION_SEED)
     for p in (model.gate.w2, model.gate.b2):
@@ -699,7 +699,7 @@ def directional_errors(attention_mode):
     saved = [p.data.copy() for p in params]
     rng = np.random.default_rng(DIRECTION_SEED)
     errors = []
-    for _ in range(DIRECTIONS):
+    for _ in range(directions):
         d = [rng.standard_normal(p.shape) for p in params]
         norm = math.sqrt(sum(float((x * x).sum()) for x in d))
         slope = sum(float((g * x).sum()) for g, x in zip(grads, d)) / norm
@@ -720,3 +720,48 @@ def directional_errors(attention_mode):
 def test_whole_loss_directional_derivatives(attention_mode):
     errors = directional_errors(attention_mode)
     assert max(errors) <= DIRECTION_TOL, errors
+
+
+# Each written backward in turn returns every gradient 1 + PLANTED too large:
+# an op's, wrapped where ``T._result`` records it (by its closure's
+# qualified name), or a kernel's, wrapped where the kernel returns it.  The
+# gated check must then read above DIRECTION_TOL.  Only the first
+# MUTATION_DIRECTIONS of the check's directions run, to keep the 12 mutants
+# to about 2 s: on them correct code reads 1.8e-10, and the mutants' largest
+# readings were 1.2e-7 (``_mlp``) to 3.8e-5 (``_conv``), so the weakest is
+# caught 120 times over.
+PLANTED = 1e-3
+MUTATION_DIRECTIONS = 2
+PLANTED_OPS = ["TrackModel.extract", "gate_logits", "readout", "head_forward", "se_forward",
+               "ca_forward", "cbam_forward", "weighted_sum", "softmax_tau"]
+PLANTED_KERNELS = {"_conv": T, "_attend": T, "_mlp": attention}
+
+
+def planted(backward):
+    def wrong(g):
+        return tuple(None if d is None else d * (1.0 + PLANTED) for d in backward(g))
+    return wrong
+
+
+@pytest.mark.parametrize("target", PLANTED_OPS + list(PLANTED_KERNELS))
+def test_directional_check_catches_a_planted_backward_error(target, monkeypatch):
+    if target in PLANTED_KERNELS:
+        module = PLANTED_KERNELS[target]
+        kernel = getattr(module, target)
+
+        def run(*args, **kwargs):
+            *out, backward = kernel(*args, **kwargs)
+            return (*out, None if backward is None else planted(backward))
+
+        monkeypatch.setattr(module, target, run)
+    else:
+        result = T._result
+
+        def record(data, parents, backward_fn, flops=0):
+            if backward_fn.__qualname__ == f"{target}.<locals>.backward":
+                backward_fn = planted(backward_fn)
+            return result(data, parents, backward_fn, flops)
+
+        monkeypatch.setattr(T, "_result", record)
+    errors = directional_errors("gated", MUTATION_DIRECTIONS)
+    assert max(errors) > DIRECTION_TOL, errors

@@ -5,6 +5,7 @@ forward bits, gradients and FLOPs."""
 import numpy as np
 import pytest
 
+from gatetrack import attention as A
 from gatetrack import gate as G
 from gatetrack import head as H
 from gatetrack import memory as MEM
@@ -186,3 +187,69 @@ class TestStageInputChecks:
         p = G.init_gate(T.ParamSet(), np.random.default_rng(0), 8, 2, 1.0)
         with pytest.raises(ShapeError, match="empty map"):
             G.gate_logits(T.zeros((1, 8, 0, 3)), p)
+
+
+def op_setup(op):
+    """``(params, run)`` for a stage or branch op on small inputs: ``params``
+    holds every weight and bias the op reads, weights with ``decays``, and
+    ``run()`` runs the op.  The head reads its joined first conv, not the
+    branches' views of it."""
+    rng = np.random.default_rng(0)
+    params = T.ParamSet()
+
+    def data(*shape):
+        return T.Tensor4(rng.standard_normal(shape))
+
+    if op == "backbone":
+        model = M.TrackModel(M.ModelConfig(), seed=0)
+        for name, t in model.params.items():
+            if name.startswith("backbone."):
+                params.add(name, t, model.params.decays(name))
+        crops = data(1, 1, 16, 16)
+        return params, lambda: model.extract(crops)
+    if op == "gate":
+        block = G.init_gate(params, rng, 8, 2, 1.0)
+        feature = data(1, 8, 3, 4)
+        return params, lambda: G.gate_logits(feature, block)
+    if op == "readout":
+        block = MEM.init_readout(params, rng, 4, 2, 2)
+        query, memory = data(1, 4, 2, 3), data(1, 4, 3, 3)
+        return params, lambda: MEM.readout(query, [memory], block)
+    if op == "head":
+        block = H.init_head(T.ParamSet(), rng, 2)
+        params.add("head.w1", block.w1)
+        params.add("head.b1", block.b1, decay=False)
+        for name, branch in (("cls", block.cls), ("ctr", block.ctr), ("reg", block.reg)):
+            for part, t in zip(("w2", "b2", "w3", "b3"), branch[2:]):
+                params.add(f"head.{name}.{part}", t, decay=part.startswith("w"))
+        fused = data(1, 2, 3, 3)
+        return params, lambda: H.head_forward(fused, block)
+    init, forward = A.BRANCHES[op]
+    block = init(params, rng, 8, 4)
+    x = data(1, 8, 3, 4)
+    return params, lambda: forward(x, block)
+
+
+class TestMisShapedParameters:
+    @pytest.mark.parametrize("op", ["backbone", "gate", "readout", "head", "se", "ca", "cbam"])
+    def test_a_parameter_of_the_wrong_width_raises_shape_error(self, op):
+        # each weight in turn one output or one input channel too wide, each
+        # bias one channel too wide, on a fresh setup
+        params, _ = op_setup(op)
+        cases = [(name, axis) for name in params.names()
+                 for axis in ((0, 1) if params.decays(name) else (1,))]
+        wrong = {}
+        for name, axis in cases:
+            params, run = op_setup(op)
+            shape = list(params[name].shape)
+            shape[axis] += 1
+            params[name].data = np.zeros(shape)
+            try:
+                run()
+            except ShapeError:
+                continue
+            except ValueError as e:  # numpy's own, naming no parameter
+                wrong[name, axis] = repr(e)
+            else:
+                wrong[name, axis] = "nothing raised"
+        assert not wrong

@@ -1167,6 +1167,19 @@ class TestBackprop:
         g2 = T.backprop(loss(), params)["w"].copy()
         assert np.array_equal(g1, g2)
 
+    @pytest.mark.parametrize("part", [lambda y: y, lambda y: T.narrow(y, 1, 0, 1)],
+                             ids=["whole", "narrow"])
+    def test_repeated_backprop_on_one_graph_gives_the_same_bytes(self, part):
+        # the first sweep's gradients of the op results must not add into the
+        # second's: dw read 6, then 24
+        params = T.ParamSet()
+        w = params.add("w", T.Tensor4(np.full((1, 2, 1, 1), 2.0)))
+        y = part(T.mul_broadcast(T.Tensor4(np.full((1, 2, 1, 1), 3.0)), w))
+        loss = T.sum_all(T.scale(T.add(y, y), 1.0))
+        first = T.backprop(loss, params)["w"].copy()
+        assert first[0, 0, 0, 0] == 6.0
+        assert T.backprop(loss, params)["w"].tobytes() == first.tobytes()
+
     def test_backward_requires_scalar(self):
         x = T.Tensor4(np.zeros((1, 1, 2, 2)), requires_grad=True)
         with pytest.raises(ShapeError):
